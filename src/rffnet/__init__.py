@@ -29,10 +29,11 @@ from .network import (
     default_layer_count,
     forward_full,
     load_network,
+    loss_gradient,
     predict,
     save_network,
 )
-from .numerics import Rng, gaussian_matrix, matmul, sym_eig_topk
+from .numerics import Rng, gaussian_matrix, sym_eig_topk
 from .optimizer import AdamState, TrainConfig, TrainingLog, adam_step, fit, sgd_step
 from .rff_layer import BatchNormState, RffLayer, backward, forward, init_layer
 

@@ -55,9 +55,13 @@ class LossReport:
 
 @dataclass
 class Gradients:
+    """Gradients of every trainable array; each one is a view into ``flat``,
+    which has the layout pack_parameters gives the parameters."""
+
     layers: list[LayerGrads]
     readout_w: np.ndarray
     readout_b: np.ndarray
+    flat: np.ndarray
 
 
 def default_layer_count(n_samples: int) -> int:
@@ -125,6 +129,53 @@ def parameters(net: Network) -> list[np.ndarray]:
     return params
 
 
+def _views(flat: np.ndarray, arrays) -> list[np.ndarray]:
+    """Consecutive views into flat, shaped like arrays, in their order."""
+    views, pos = [], 0
+    for a in arrays:
+        views.append(flat[pos:pos + a.size].reshape(a.shape))
+        pos += a.size
+    return views
+
+
+def pack_parameters(net: Network) -> np.ndarray:
+    """Copy every trainable array into one contiguous float64 buffer, in
+    parameters() order, and rebind the network's arrays as views into it.
+
+    Returns the buffer: an element-wise update of it (Adam, SGD, the L2 term)
+    then updates every parameter with one numpy call.
+    """
+    params = parameters(net)
+    flat = np.empty(sum(p.size for p in params))
+    views = _views(flat, params)
+    for view, p in zip(views, params):
+        view[...] = p
+    it = iter(views)
+    for layer in net.layers:
+        layer.omega = next(it)
+        if layer.batchnorm is not None:
+            layer.batchnorm.gamma = next(it)
+            layer.batchnorm.beta = next(it)
+    net.readout_w = next(it)
+    net.readout_b = next(it)
+    return flat
+
+
+def new_gradients(net: Network) -> Gradients:
+    """Zeroed gradients for net, laid out in one flat buffer like pack_parameters."""
+    params = parameters(net)
+    flat = np.zeros(sum(p.size for p in params))
+    it = iter(_views(flat, params))
+    layers = []
+    for layer in net.layers:
+        omega = next(it)
+        if layer.batchnorm is not None:
+            layers.append(LayerGrads(omega=omega, gamma=next(it), beta=next(it)))
+        else:
+            layers.append(LayerGrads(omega=omega))
+    return Gradients(layers=layers, readout_w=next(it), readout_b=next(it), flat=flat)
+
+
 def gradient_list(net: Network, grads: Gradients) -> list[np.ndarray]:
     """Gradient arrays in the same order as parameters(net)."""
     out = []
@@ -138,7 +189,8 @@ def gradient_list(net: Network, grads: Gradients) -> list[np.ndarray]:
     return out
 
 
-def _validate_labels(y, n: int, class_count: int) -> np.ndarray:
+def validate_labels(y, n: int, class_count: int) -> np.ndarray:
+    """y as int64 class indices, checked to have shape (n,) and to lie in [0, class_count)."""
     y = np.asarray(y)
     if y.shape != (n,):
         raise ShapeError(f"labels must have shape ({n},), got {y.shape}")
@@ -156,38 +208,60 @@ def predict_from_logits(logits: np.ndarray) -> np.ndarray:
     return np.argmax(logits, axis=1).astype(np.int64)
 
 
-def compute_loss(net: Network, logits, y, lam: float):
-    """Mean data loss, L2 penalty over all trainable parameters, and d(data_loss)/d(logits)."""
-    logits = as_matrix(logits, "logits")
+def _data_loss(net: Network, logits: np.ndarray, y: np.ndarray, grad: bool):
+    """Mean data loss over the batch (grad=False) or its gradient w.r.t. the
+    logits (grad=True). Both come from one set of formulas; y must already be
+    validated."""
     n = logits.shape[0]
-    y = _validate_labels(y, n, net.class_count)
-    if net.loss_kind == "squared":
-        targets = _targets(net, y, n)
-        diff = logits - targets
-        data_loss = float(np.sum(diff * diff)) / n
-        grad_logits = 2.0 * diff / n
-    elif net.loss_kind == "squared_hinge":
-        targets = _targets(net, y, n)  # +1/-1 margins
-        slack = np.maximum(0.0, 1.0 - targets * logits)
-        data_loss = float(np.sum(slack * slack)) / n
-        grad_logits = -2.0 * targets * slack / n
-    elif net.loss_kind == "cross_entropy":
+    if net.loss_kind == "cross_entropy":
         if logits.shape[1] < 2:
             raise ParameterError("cross entropy needs one logit column per class")
         shifted = logits - logits.max(axis=1, keepdims=True)
         expd = np.exp(shifted)
-        probs = expd / expd.sum(axis=1, keepdims=True)
-        data_loss = float(-np.mean(np.log(probs[np.arange(n), y] + 1e-300)))
-        grad_logits = probs.copy()
+        sums = expd.sum(axis=1, keepdims=True)
+        if not grad:
+            # -log softmax(z)_y = logsumexp(z) - z_y: exact where softmax(z)_y underflows
+            return float(np.mean(np.log(sums[:, 0]) - shifted[np.arange(n), y]))
+        grad_logits = expd / sums
         grad_logits[np.arange(n), y] -= 1.0
         grad_logits /= n
+        return grad_logits
+    targets = _targets(net, y, n)
+    if net.loss_kind == "squared":
+        residual = logits - targets
+        slope = 2.0
+    elif net.loss_kind == "squared_hinge":  # targets are +1/-1 margins
+        residual = np.maximum(0.0, 1.0 - targets * logits)
+        slope = -2.0 * targets
     else:
         raise ParameterError(f"unknown loss kind {net.loss_kind!r}")
-    reg_loss = 0.5 * lam * sum(float(np.sum(p * p)) for p in parameters(net))
+    if not grad:
+        return float(np.add.reduce(residual * residual, None)) / n
+    return slope * residual / n
+
+
+def loss_gradient(net: Network, logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """d(mean data loss)/d(logits), the only loss output a training step needs.
+
+    ``y`` must hold int64 labels in [0, class_count), as validate_labels returns
+    them: fit validates its labels once, not on every step.
+    """
+    return _data_loss(net, logits, y, grad=True)
+
+
+def compute_loss(net: Network, logits, y, lam: float) -> LossReport:
+    """Mean data loss, L2 penalty over all trainable parameters and correct count.
+
+    The penalty is 0.5 * lam times the sum of the per-array sums of squares,
+    taken in parameters() order.
+    """
+    logits = as_matrix(logits, "logits")
+    y = validate_labels(y, logits.shape[0], net.class_count)
+    data_loss = _data_loss(net, logits, y, grad=False)
+    reg_loss = 0.5 * lam * sum(float(np.add.reduce(p * p, None)) for p in parameters(net))
     correct = int(np.sum(predict_from_logits(logits) == y))
-    report = LossReport(data_loss=data_loss, reg_loss=reg_loss,
-                        total=data_loss + reg_loss, correct_count=correct)
-    return report, grad_logits
+    return LossReport(data_loss=data_loss, reg_loss=reg_loss,
+                      total=data_loss + reg_loss, correct_count=correct)
 
 
 def _targets(net: Network, y: np.ndarray, n: int) -> np.ndarray:
@@ -206,26 +280,34 @@ def _targets(net: Network, y: np.ndarray, n: int) -> np.ndarray:
     return onehot
 
 
-def backward_full(net: Network, trace: ForwardTrace, grad_logits, lam: float) -> Gradients:
-    """Chain rule through readout and every layer; adds lam * p to each gradient."""
+def backward_full(net: Network, trace: ForwardTrace, grad_logits, lam: float,
+                  out: Gradients | None = None) -> Gradients:
+    """Chain rule through readout and every layer; adds lam * p to each gradient.
+
+    The gradients are written into ``out`` (from new_gradients) when given, so
+    a training loop reuses one buffer; otherwise into a new one.
+    """
     grad_logits = as_matrix(grad_logits, "grad_logits")
     if grad_logits.shape != trace.logits.shape:
         raise ShapeError(f"grad_logits shape {grad_logits.shape} != logits shape {trace.logits.shape}")
     if len(trace.caches) != len(net.layers):
         raise ShapeError("trace does not match network depth")
+    if out is None:
+        out = new_gradients(net)
     s_last = trace.caches[-1].output
-    grad_w = grad_logits.T @ s_last + lam * net.readout_w
-    grad_b = grad_logits.sum(axis=0) + lam * net.readout_b
+    np.matmul(grad_logits.T, s_last, out=out.readout_w)
+    np.add.reduce(grad_logits, 0, out=out.readout_b)
     g = grad_logits @ net.readout_w
-    layer_grads: list[LayerGrads] = [None] * len(net.layers)
     for i in range(len(net.layers) - 1, -1, -1):
-        lg, g = backward(net.layers[i], trace.caches[i], g)
-        lg.omega += lam * net.layers[i].omega
-        if net.layers[i].batchnorm is not None:
-            lg.gamma += lam * net.layers[i].batchnorm.gamma
-            lg.beta += lam * net.layers[i].batchnorm.beta
-        layer_grads[i] = lg
-    return Gradients(layers=layer_grads, readout_w=grad_w, readout_b=grad_b)
+        _, g = backward(net.layers[i], trace.caches[i], g, out=out.layers[i], input_grad=i > 0)
+    params = parameters(net)
+    flat = params[0].base
+    if flat is not None and flat.shape == out.flat.shape and all(p.base is flat for p in params):
+        out.flat += lam * flat  # packed by pack_parameters: one op for every array
+    else:
+        for grad, p in zip(gradient_list(net, out), params):
+            grad += lam * p
+    return out
 
 
 def predict(net: Network, X) -> np.ndarray:
@@ -283,25 +365,53 @@ def save_network(net: Network, path, preprocess=None, label_names=None) -> None:
 
 
 def load_network(path):
-    """Returns (net, preprocess_stages, label_names); inverse of save_network."""
+    """Returns (net, preprocess_stages, label_names); inverse of save_network.
+
+    Any file that is not exactly such a snapshot raises DataError: a wrong
+    magic line, an unterminated or malformed header, dimensions that are not
+    positive integers, or a data section shorter or longer than the header
+    describes.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(_MAGIC):
         raise DataError(f"{path} is not a network snapshot")
-    header_end = blob.index(b"\n", len(_MAGIC))
-    header = json.loads(blob[len(_MAGIC):header_end])
-    data = np.frombuffer(blob[header_end + 1:], dtype="<f8")
+    header_end = blob.find(b"\n", len(_MAGIC))
+    if header_end < 0:
+        raise DataError(f"{path}: snapshot header has no terminating newline")
+    payload = blob[header_end + 1:]
+    if len(payload) % 8:
+        raise DataError(f"{path}: snapshot data is {len(payload)} bytes, not a whole number of float64 values")
+    try:
+        header = json.loads(blob[len(_MAGIC):header_end])
+        return _decode_snapshot(header, np.frombuffer(payload, dtype="<f8"))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
+        raise DataError(f"{path}: malformed snapshot header ({type(exc).__name__}: {exc})") from None
+
+
+def _decode_snapshot(header: dict, data: np.ndarray):
+    """The arrays of data, shaped and assigned as header describes; every value must be used."""
     pos = 0
 
     def take(*shape):
         nonlocal pos
-        count = int(np.prod(shape))
+        if not all(type(d) is int and d >= 1 for d in shape):
+            raise DataError(f"array dimensions {shape} are not positive integers")
+        count = math.prod(shape)
+        if pos + count > data.size:
+            raise DataError(f"snapshot truncated: {data.size} values stored, more than {pos + count} described")
         arr = data[pos:pos + count].reshape(shape).copy()
-        if arr.size != count:
-            raise DataError(f"{path}: snapshot truncated")
         pos += count
         return arr
 
+    if header["loss_kind"] not in LOSS_KINDS:
+        raise DataError(f"unknown loss kind {header['loss_kind']!r}")
+    if type(header["class_count"]) is not int or header["class_count"] < 2:
+        raise DataError(f"class count {header['class_count']!r} is not an integer >= 2")
+    if not header["layers"]:
+        raise DataError("snapshot has no layers")
     layers = []
     for meta in header["layers"]:
         omega = take(meta["D"], meta["d_in"])
@@ -311,8 +421,8 @@ def load_network(path):
             bn = BatchNormState(
                 gamma=take(width), beta=take(width),
                 running_mean=take(width), running_var=take(width),
-                momentum=meta["batchnorm"]["momentum"],
-                epsilon=meta["batchnorm"]["epsilon"],
+                momentum=float(meta["batchnorm"]["momentum"]),
+                epsilon=float(meta["batchnorm"]["epsilon"]),
             )
         layers.append(RffLayer(omega=omega, batchnorm=bn))
     out_dim = header["out_dim"]
@@ -322,6 +432,8 @@ def load_network(path):
     for _ in range(header["preprocess_stages"]):
         d = header["preprocess_dim"]
         stages.append((take(d), take(d)))
+    if pos != data.size:
+        raise DataError(f"{8 * (data.size - pos)} bytes follow the last array the header describes")
     net = Network(layers=layers, readout_w=readout_w, readout_b=readout_b,
                   loss_kind=header["loss_kind"], class_count=header["class_count"])
     return net, stages, header["label_names"]

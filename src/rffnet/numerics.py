@@ -1,4 +1,4 @@
-"""Dense float64 helpers: shape-checked matmul, a portable PRNG, and a Jacobi eigensolver.
+"""Dense float64 helpers: matrix coercion, a portable PRNG, and a Jacobi eigensolver.
 
 All matrices are plain 2-D float64 numpy arrays in row-major order. The PRNG is a
 counter-based splitmix64 stream defined here (not the platform default) so that a
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, ShapeError, SymmetryError
+from .errors import ParameterError, ShapeError, SymmetryError
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -23,21 +23,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if m.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got shape {m.shape}")
     return m
-
-
-def check_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    if not np.all(np.isfinite(a)):
-        raise NumericError(f"{name} contains NaN or Inf")
-    return a
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit shape check naming both operands."""
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
-    return a @ b
 
 
 def _mix64_int(z: int) -> int:

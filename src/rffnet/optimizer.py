@@ -12,11 +12,12 @@ from .network import (
     backward_full,
     compute_loss,
     forward_full,
-    gradient_list,
-    parameters,
-    predict_from_logits,
+    loss_gradient,
+    new_gradients,
+    pack_parameters,
+    validate_labels,
 )
-from .numerics import Rng
+from .numerics import Rng, as_matrix
 
 
 @dataclass
@@ -45,7 +46,8 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
         raise ShapeError(f"parameter/gradient/state counts differ: {len(params)}/{len(grads)}/{len(state.m)}")
     state.step += 1
     t = state.step
-    # theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps), with scalars hoisted
+    # theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps), with scalars hoisted; the
+    # update alpha * m / (sqrt(v) * root_bc2 + eps) is evaluated in place, in that order
     alpha = state.lr / (1.0 - state.beta1**t)
     root_bc2 = 1.0 / np.sqrt(1.0 - state.beta2**t)
     for p, g, m, v in zip(params, grads, state.m, state.v):
@@ -55,7 +57,12 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
         m += (1.0 - state.beta1) * g
         v *= state.beta2
         v += (1.0 - state.beta2) * g * g
-        p -= alpha * m / (np.sqrt(v) * root_bc2 + state.epsilon)
+        denom = np.sqrt(v)
+        denom *= root_bc2
+        denom += state.epsilon
+        update = alpha * m
+        update /= denom
+        p -= update
 
 
 def sgd_step(params: list[np.ndarray], grads: list[np.ndarray], lr: float) -> None:
@@ -135,10 +142,8 @@ def _batch_slices(n: int, batch_size: int, merge_singleton: bool):
 
 
 def _evaluate(net: Network, X, y, lam: float):
-    trace = forward_full(net, X, training=False)
-    report, _ = compute_loss(net, trace.logits, y, lam)
-    acc = float(np.mean(predict_from_logits(trace.logits) == np.asarray(y)))
-    return report, acc
+    report = compute_loss(net, forward_full(net, X, training=False).logits, y, lam)
+    return report, report.correct_count / len(y)
 
 
 def fit(net: Network, X, y, config: TrainConfig, X_val=None, y_val=None) -> TrainingLog:
@@ -146,12 +151,20 @@ def fit(net: Network, X, y, config: TrainConfig, X_val=None, y_val=None) -> Trai
 
     Shuffling for epoch e depends only on (config.seed, e), so two runs with the
     same seed and data produce bit-identical logs and final parameters.
+
+    The network's trainable arrays become views into one buffer
+    (pack_parameters), and each step writes its gradients into one reused
+    buffer of the same layout, so the optimizer updates everything with a
+    single call. Inputs and labels are validated once, before the first step.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
+    X = _checked_input(net, X, "training input")
     n = X.shape[0]
     if n == 0:
         raise DataError("cannot fit on an empty dataset")
+    y = validate_labels(y, n, net.class_count)
+    if X_val is not None:
+        X_val = _checked_input(net, X_val, "validation input")
+        y_val = validate_labels(y_val, X_val.shape[0], net.class_count)
     has_bn = any(layer.batchnorm is not None for layer in net.layers)
     batch_size = config.batch_size if config.batch_size is not None else n
     if batch_size < 1:
@@ -160,8 +173,9 @@ def fit(net: Network, X, y, config: TrainConfig, X_val=None, y_val=None) -> Trai
         raise ParameterError("batch norm requires batches of at least 2 samples")
     if config.optimizer not in ("adam", "sgd"):
         raise ParameterError(f"unknown optimizer {config.optimizer!r}")
-    params = parameters(net)
-    state = AdamState.for_params(params, lr=config.lr, beta1=config.beta1,
+    flat = pack_parameters(net)
+    grads = new_gradients(net)
+    state = AdamState.for_params([flat], lr=config.lr, beta1=config.beta1,
                                  beta2=config.beta2, epsilon=config.epsilon)
     log = TrainingLog()
     base_rng = Rng(config.seed)
@@ -175,15 +189,13 @@ def fit(net: Network, X, y, config: TrainConfig, X_val=None, y_val=None) -> Trai
         for lo, hi in _batch_slices(n, batch_size, merge_singleton=has_bn):
             idx = order[lo:hi]
             trace = forward_full(net, X[idx], training=True)
-            _, grad_logits = compute_loss(net, trace.logits, y[idx], config.reg_lambda)
-            grads = backward_full(net, trace, grad_logits, config.reg_lambda)
+            backward_full(net, trace, loss_gradient(net, trace.logits, y[idx]), config.reg_lambda, out=grads)
             if config.optimizer == "adam":
-                adam_step(params, gradient_list(net, grads), state)
+                adam_step([flat], [grads.flat], state)
             else:
-                sgd_step(params, gradient_list(net, grads), lr)
-        for p in params:
-            if not np.all(np.isfinite(p)):
-                raise NumericError(f"non-finite parameter after epoch {epoch}")
+                sgd_step([flat], [grads.flat], lr)
+        if not np.isfinite(flat).all():
+            raise NumericError(f"non-finite parameter after epoch {epoch}")
         report, train_acc = _evaluate(net, X, y, config.reg_lambda)
         val_acc = None
         if X_val is not None:
@@ -192,3 +204,10 @@ def fit(net: Network, X, y, config: TrainConfig, X_val=None, y_val=None) -> Trai
                                        reg_loss=report.reg_loss, train_acc=train_acc,
                                        val_acc=val_acc))
     return log
+
+
+def _checked_input(net: Network, X, name: str) -> np.ndarray:
+    X = as_matrix(X, name)
+    if X.shape[1] != net.d_in:
+        raise ShapeError(f"{name} has {X.shape[1]} columns, network expects {net.d_in}")
+    return X

@@ -114,11 +114,13 @@ def batchnorm_forward(bn: BatchNormState, x: np.ndarray, training: bool):
     if x.shape[1] != bn.width:
         raise ShapeError(f"batch norm expects width {bn.width}, got {x.shape[1]}")
     if training:
-        if x.shape[0] < 2:
+        n = x.shape[0]
+        if n < 2:
             raise ParameterError("batch norm in training mode needs a batch of at least 2")
-        mean = x.mean(axis=0)
+        # np.add.reduce(.., 0) / n is what x.mean(axis=0) computes, minus the wrapper's overhead
+        mean = np.add.reduce(x, 0) / n
         centered = x - mean
-        var = np.mean(centered * centered, axis=0)
+        var = np.add.reduce(centered * centered, 0) / n
         inv_std = 1.0 / np.sqrt(var + bn.epsilon)
         x_hat = centered * inv_std
         bn.running_mean = (1.0 - bn.momentum) * bn.running_mean + bn.momentum * mean
@@ -130,20 +132,26 @@ def batchnorm_forward(bn: BatchNormState, x: np.ndarray, training: bool):
     return y, BatchNormCache(x=x, x_hat=x_hat, inv_std=inv_std, training=training)
 
 
-def batchnorm_backward(bn: BatchNormState, cache: BatchNormCache, grad_y: np.ndarray):
-    """Gradients w.r.t. input, gamma, beta for one batch-norm forward."""
+def batchnorm_backward(bn: BatchNormState, cache: BatchNormCache, grad_y: np.ndarray,
+                       gamma_out: np.ndarray | None = None, beta_out: np.ndarray | None = None):
+    """Gradients w.r.t. input, gamma, beta for one batch-norm forward.
+
+    The gamma and beta gradients are written into gamma_out and beta_out when
+    given (views into a flat gradient buffer during training)."""
     if grad_y.shape != cache.x.shape:
         raise ShapeError(f"batch norm grad shape {grad_y.shape} != input shape {cache.x.shape}")
-    grad_gamma = np.sum(grad_y * cache.x_hat, axis=0)
-    grad_beta = np.sum(grad_y, axis=0)
+    grad_gamma = np.add.reduce(grad_y * cache.x_hat, 0, out=gamma_out)
+    grad_beta = np.add.reduce(grad_y, 0, out=beta_out)
     grad_xhat = grad_y * bn.gamma
     if cache.training:
+        # inv_std / n * (n * grad_xhat - sum(grad_xhat) - x_hat * sum(grad_xhat * x_hat)),
+        # evaluated in place in the same operation order
         n = cache.x.shape[0]
-        grad_x = (
-            cache.inv_std
-            / n
-            * (n * grad_xhat - np.sum(grad_xhat, axis=0) - cache.x_hat * np.sum(grad_xhat * cache.x_hat, axis=0))
-        )
+        proj = np.add.reduce(grad_xhat * cache.x_hat, 0)
+        grad_x = n * grad_xhat
+        grad_x -= np.add.reduce(grad_xhat, 0)
+        grad_x -= cache.x_hat * proj
+        grad_x *= cache.inv_std / n
     else:
         grad_x = grad_xhat * cache.inv_std
     return grad_x, grad_gamma, grad_beta
@@ -171,19 +179,25 @@ def forward(layer: RffLayer, X, training: bool = False):
     return output, LayerCache(x=X, pre_activation=f, features=features, output=output, bn=bn_cache)
 
 
-def backward(layer: RffLayer, cache: LayerCache, grad_output):
+def backward(layer: RffLayer, cache: LayerCache, grad_output, out: LayerGrads | None = None,
+             input_grad: bool = True):
     """Backpropagate through the layer; returns (LayerGrads, grad_input).
 
     grad_omega is summed over the batch. Derivatives of the trig pair are
     -sin(f) x for the cos branch and cos(f) x for the sin branch, carrying the
-    same sqrt(1/D) scale as the forward map.
+    same sqrt(1/D) scale as the forward map. With ``out`` the parameter
+    gradients are written into its arrays. With ``input_grad=False``
+    grad_input is skipped and returned as None: a network's first layer has no
+    use for it.
     """
     grad_output = as_matrix(grad_output, "grad_output")
     if grad_output.shape != cache.output.shape:
         raise ShapeError(f"grad_output shape {grad_output.shape} != layer output shape {cache.output.shape}")
+    omega_out, gamma_out, beta_out = (None, None, None) if out is None else (out.omega, out.gamma, out.beta)
     grad_gamma = grad_beta = None
     if layer.batchnorm is not None:
-        grad_feats, grad_gamma, grad_beta = batchnorm_backward(layer.batchnorm, cache.bn, grad_output)
+        grad_feats, grad_gamma, grad_beta = batchnorm_backward(layer.batchnorm, cache.bn, grad_output,
+                                                               gamma_out, beta_out)
     else:
         grad_feats = grad_output
     D = layer.D
@@ -191,6 +205,6 @@ def backward(layer: RffLayer, cache: LayerCache, grad_output):
     gs = grad_feats[:, D:]
     # scale*sin(f) and scale*cos(f) are already in the cached features
     dF = gs * cache.features[:, :D] - gc * cache.features[:, D:]
-    grad_omega = dF.T @ cache.x
-    grad_input = dF @ layer.omega
+    grad_omega = np.matmul(dF.T, cache.x, out=omega_out)
+    grad_input = dF @ layer.omega if input_grad else None
     return LayerGrads(omega=grad_omega, gamma=grad_gamma, beta=grad_beta), grad_input

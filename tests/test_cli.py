@@ -240,6 +240,16 @@ def test_missing_model_file_is_data_error(tmp_path):
     assert run_cli("eval", str(tmp_path / "nope.bin"), "--task", "monks1") == 2
 
 
+def test_eval_truncated_model_is_data_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli(*train_args(out)) == 0
+    model = out / "model-trial0.bin"
+    model.write_bytes(model.read_bytes()[:-16])
+    capsys.readouterr()
+    assert run_cli("eval", str(model), "--task", "monks1") == 2
+    assert "snapshot truncated" in capsys.readouterr().err
+
+
 def test_eval_reuses_run_config_for_data(tmp_path, capsys):
     out = tmp_path / "run"
     assert run_cli(*train_args(out, "--epochs", "20")) == 0

@@ -17,6 +17,9 @@ from rffnet.network import (
     forward_full,
     gradient_list,
     load_network,
+    loss_gradient,
+    new_gradients,
+    pack_parameters,
     parameters,
     predict,
     predict_from_logits,
@@ -91,7 +94,8 @@ def test_logits_finite_over_many_random_networks():
 def test_squared_loss_at_minimum():
     net = build_network(3, 2, 1, [4], "squared", Rng(0))
     logits = np.array([[1.0, 0.0], [0.0, 1.0]])
-    report, grad = compute_loss(net, logits, np.array([0, 1]), 0.0)
+    report = compute_loss(net, logits, np.array([0, 1]), 0.0)
+    grad = loss_gradient(net, logits, np.array([0, 1]))
     assert report.data_loss == 0.0
     assert np.array_equal(grad, np.zeros((2, 2)))
     assert report.correct_count == 2
@@ -102,17 +106,43 @@ def test_squared_hinge_margin_values():
     net = Network(layers=build_network(2, 2, 1, [4], "squared_hinge", Rng(0)).layers,
                   readout_w=np.zeros((1, 8)), readout_b=np.zeros(1),
                   loss_kind="squared_hinge", class_count=2)
-    report, _ = compute_loss(net, np.array([[2.0]]), np.array([1]), 0.0)
+    report = compute_loss(net, np.array([[2.0]]), np.array([1]), 0.0)
     assert report.data_loss == 0.0
-    report, grad = compute_loss(net, np.array([[0.0]]), np.array([1]), 0.0)
+    report = compute_loss(net, np.array([[0.0]]), np.array([1]), 0.0)
+    grad = loss_gradient(net, np.array([[0.0]]), np.array([1]))
     assert report.data_loss == 1.0
     assert abs(grad[0, 0] + 2.0) < 1e-15
 
 
 def test_cross_entropy_uniform_logits():
     net = build_network(3, 2, 1, [4], "cross_entropy", Rng(0))
-    report, _ = compute_loss(net, np.zeros((4, 2)), np.array([0, 1, 0, 1]), 0.0)
+    report = compute_loss(net, np.zeros((4, 2)), np.array([0, 1, 0, 1]), 0.0)
     assert abs(report.data_loss - math.log(2.0)) < 1e-12
+
+
+@pytest.mark.parametrize("gap", [30.0, 1000.0, 1e6])
+def test_cross_entropy_exact_at_extreme_logits(gap):
+    # -log softmax_y = logsumexp(z) - z_y; the old log(p + 1e-300) form capped the
+    # loss near 690.8 once p underflowed
+    net = build_network(3, 3, 1, [4], "cross_entropy", Rng(0))
+    logits = np.array([[gap, 0.0, -gap], [0.0, gap, 0.0]])
+    y = np.array([2, 0])
+    expected = (2.0 * gap + math.log1p(math.exp(-gap) + math.exp(-2.0 * gap))
+                + gap + math.log1p(2.0 * math.exp(-gap))) / 2.0
+    report = compute_loss(net, logits, y, 0.0)
+    assert relative_error(report.data_loss, expected, floor=1.0) < 1e-15
+    grad = loss_gradient(net, logits, y)
+    assert np.all(np.isfinite(grad))
+    assert np.allclose(grad.sum(axis=1), 0.0, atol=1e-15)
+    assert abs(grad[0, 2] + 0.5) < 1e-12 and abs(grad[1, 0] + 0.5) < 1e-12
+
+
+def test_cross_entropy_matches_log_softmax_on_moderate_logits():
+    net = build_network(3, 3, 1, [4], "cross_entropy", Rng(0))
+    logits = Rng(4).normal((6, 3), 0.0, 3.0)
+    y = np.array([0, 1, 2, 2, 1, 0])
+    ref = np.mean([math.log(sum(math.exp(v) for v in row)) - row[k] for row, k in zip(logits, y)])
+    assert relative_error(compute_loss(net, logits, y, 0.0).data_loss, ref) < 1e-13
 
 
 def test_loss_rejects_bad_labels():
@@ -124,7 +154,7 @@ def test_loss_rejects_bad_labels():
 def test_reg_loss_matches_brute_force_flatten():
     net = build_network(3, 3, 2, [4, 5], "cross_entropy", Rng(7), batch_norm=True)
     lam = 0.37
-    report, _ = compute_loss(net, np.zeros((2, 3)), np.array([0, 1]), lam)
+    report = compute_loss(net, np.zeros((2, 3)), np.array([0, 1]), lam)
     theta = np.concatenate([p.reshape(-1) for p in parameters(net)])
     assert abs(report.reg_loss - 0.5 * lam * float(theta @ theta)) < 1e-12
     assert report.total == report.data_loss + report.reg_loss
@@ -149,9 +179,29 @@ def test_backward_pure_regularizer():
         assert np.abs(g - lam * p).max() < 1e-14
 
 
+@pytest.mark.parametrize("bn", [False, True])
+def test_backward_packed_network_matches_separate_arrays(bn):
+    # the packed path adds lam * p with one op over the flat buffer; the result
+    # must equal the per-array path bit for bit, and land in the buffer given
+    net = build_network(3, 2, 3, [4, 5, 3], "squared_hinge", Rng(6), batch_norm=bn)
+    X = Rng(7).normal((6, 3))
+    y = np.array([0, 1, 1, 0, 1, 0])
+    trace = forward_full(net, X, training=True)
+    grad_logits = loss_gradient(net, trace.logits, y)
+    separate = [g.copy() for g in gradient_list(net, backward_full(net, trace, grad_logits, 0.3))]
+    flat = pack_parameters(net)
+    assert all(p.base is flat for p in parameters(net))
+    out = new_gradients(net)
+    grads = backward_full(net, trace, grad_logits, 0.3, out=out)
+    assert grads is out
+    for g, ref in zip(gradient_list(net, grads), separate):
+        assert g.base is out.flat
+        assert np.array_equal(g, ref)
+
+
 def _objective(net, X, y, lam):
     trace = forward_full(net, X, training=True)
-    report, _ = compute_loss(net, trace.logits, y, lam)
+    report = compute_loss(net, trace.logits, y, lam)
     return report.total
 
 
@@ -164,7 +214,7 @@ def test_full_network_gradient_check(loss_kind, bn):
     y = np.array([0, 1, 1, 0, 1])
     lam = 1e-3
     trace = forward_full(net, X, training=True)
-    _, grad_logits = compute_loss(net, trace.logits, y, lam)
+    grad_logits = loss_gradient(net, trace.logits, y)
     grads = backward_full(net, trace, grad_logits, lam)
     h = 1e-6
     for p, g in zip(parameters(net), gradient_list(net, grads)):
@@ -251,3 +301,53 @@ def test_serialization_deterministic_bytes(tmp_path):
     save_network(net, p1)
     save_network(net, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _snapshot_bytes(tmp_path):
+    net = build_network(3, 2, 2, [4, 3], "squared_hinge", Rng(12), batch_norm=True)
+    path = tmp_path / "model.bin"
+    save_network(net, path, preprocess=[(np.zeros(3), np.ones(3))], label_names=["a", "b"])
+    return net, path.read_bytes()
+
+
+def _header_end(blob):
+    return blob.index(b"\n", len(b"RFFNET1\n"))
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda b: b[:-16],                                          # two values short
+    lambda b: b[:-3],                                           # not a whole float64
+    lambda b: b + b"\0" * 8,                                    # one trailing value
+    lambda b: b + b"x",                                         # trailing byte
+    lambda b: b[:_header_end(b)],                               # header without newline
+    lambda b: b[:_header_end(b) - 1] + b"\n" + b[_header_end(b) + 1:],  # malformed JSON
+    lambda b: b.replace(b'"D": 4', b'"D": -4', 1),              # negative dimension
+    lambda b: b.replace(b'"D": 4', b'"D": "4"', 1),             # dimension of the wrong type
+    lambda b: b.replace(b'"out_dim": 2', b'"out_dim": 2.0', 1),  # float dimension
+    lambda b: b.replace(b'"layers": [', b'"lay": [', 1),         # missing key
+    lambda b: b.replace(b'"loss_kind": "squared_hinge"', b'"loss_kind": "hinge"', 1),
+    lambda b: b[:8] + b"[]" + b[_header_end(b):],               # header is not an object
+])
+def test_load_rejects_malformed_snapshot(tmp_path, mangle):
+    _, blob = _snapshot_bytes(tmp_path)
+    bad = mangle(blob)
+    assert bad != blob
+    path = tmp_path / "bad.bin"
+    path.write_bytes(bad)
+    with pytest.raises(DataError):
+        load_network(path)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_load_truncated_or_extended_snapshot_is_data_error(tmp_path_factory, data):
+    tmp_path = tmp_path_factory.mktemp("snap")
+    _, blob = _snapshot_bytes(tmp_path)
+    if data.draw(st.booleans()):
+        bad = blob[:data.draw(st.integers(0, len(blob) - 1))]
+    else:
+        bad = blob + data.draw(st.binary(min_size=1, max_size=24))
+    path = tmp_path / "bad.bin"
+    path.write_bytes(bad)
+    with pytest.raises(DataError):
+        load_network(path)

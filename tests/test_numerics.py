@@ -4,47 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rffnet.errors import ParameterError, ShapeError, SymmetryError
-from rffnet.numerics import Rng, gaussian_matrix, matmul, sym_eig_topk
-
-
-def test_matmul_identity():
-    a = np.arange(6.0).reshape(2, 3)
-    assert np.array_equal(matmul(np.eye(2), a), a)
-
-
-def test_matmul_hand_case():
-    out = matmul([[1.0, 2.0], [3.0, 4.0]], [[0.0], [1.0]])
-    assert np.array_equal(out, [[2.0], [4.0]])
-
-
-def test_matmul_against_triple_loop():
-    rng = Rng(11)
-    a = rng.normal((5, 7))
-    b = rng.normal((7, 3))
-    ref = np.zeros((5, 3))
-    for i in range(5):
-        for j in range(3):
-            for k in range(7):
-                ref[i, j] += a[i, k] * b[k, j]
-    assert np.abs(matmul(a, b) - ref).max() < 1e-12
-
-
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-        matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-
-@given(st.integers(0, 10_000))
-@settings(max_examples=25, deadline=None)
-def test_matmul_associative(seed):
-    rng = Rng(seed)
-    a = rng.normal((4, 5))
-    b = rng.normal((5, 3))
-    c = rng.normal((3, 6))
-    left = matmul(matmul(a, b), c)
-    right = matmul(a, matmul(b, c))
-    denom = max(1.0, np.abs(left).max())
-    assert np.abs(left - right).max() / denom < 1e-10
+from rffnet.numerics import Rng, gaussian_matrix, sym_eig_topk
 
 
 def test_gaussian_zero_stddev_is_constant():

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rffnet.errors import DataError, ParameterError, ShapeError
-from rffnet.network import accuracy, build_network, parameters
+from rffnet.network import accuracy, build_network, load_network, parameters, predict, save_network
 from rffnet.numerics import Rng
 from rffnet.optimizer import AdamState, TrainConfig, TrainingLog, adam_step, fit, sgd_step
 from rffnet.tasks import two_blobs
@@ -46,6 +49,66 @@ def test_adam_shape_mismatch():
     state = AdamState.for_params(p)
     with pytest.raises(ShapeError):
         adam_step(p, [np.zeros(4)], state)
+
+
+_finite = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+
+
+@given(st.lists(hnp.array_shapes(min_dims=1, max_dims=2, max_side=6), min_size=1, max_size=5), st.data())
+@settings(max_examples=40, deadline=None)
+def test_adam_on_one_flat_buffer_matches_per_array_updates(shapes, data):
+    params = [data.draw(hnp.arrays(np.float64, s, elements=_finite)) for s in shapes]
+    steps = [[data.draw(hnp.arrays(np.float64, s, elements=_finite)) for s in shapes] for _ in range(3)]
+    lr = data.draw(st.floats(1e-5, 0.5))
+    # reference: the per-array update written as one expression per moment
+    ref = [p.copy() for p in params]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    flat = np.concatenate([p.ravel() for p in params])
+    state = AdamState.for_params([flat], lr=lr)
+    for t, grads in enumerate(steps, start=1):
+        alpha = lr / (1.0 - 0.9**t)
+        root_bc2 = 1.0 / np.sqrt(1.0 - 0.999**t)
+        for p, g, mi, vi in zip(ref, grads, m, v):
+            mi[...] = mi * 0.9 + (1.0 - 0.9) * g
+            vi[...] = vi * 0.999 + (1.0 - 0.999) * g * g
+            p -= alpha * mi / (np.sqrt(vi) * root_bc2 + 1e-8)
+        adam_step([flat], [np.concatenate([g.ravel() for g in grads])], state)
+    assert np.array_equal(flat, np.concatenate([p.ravel() for p in ref]))
+    assert np.array_equal(state.m[0], np.concatenate([mi.ravel() for mi in m]))
+    assert np.array_equal(state.v[0], np.concatenate([vi.ravel() for vi in v]))
+
+
+@given(st.integers(0, 500), st.booleans(), st.sampled_from(["adam", "sgd"]))
+@settings(max_examples=10, deadline=None)
+def test_fit_leaves_parameters_in_one_buffer_that_round_trips(tmp_path_factory, seed, bn, optimizer):
+    data = two_blobs(24, seed=seed)
+    net = build_network(2, 2, 2, [3, 4], "squared_hinge", Rng(seed).derive("init"), batch_norm=bn)
+    fit(net, data.X, data.y, TrainConfig(epochs=2, batch_size=8, seed=seed, optimizer=optimizer))
+    params = parameters(net)
+    base = params[0].base
+    assert base is not None and base.size == sum(p.size for p in params)
+    assert all(p.base is base for p in params)
+    path = tmp_path_factory.mktemp("fit") / "model.bin"
+    save_network(net, path)
+    loaded, _, _ = load_network(path)
+    for p, q in zip(params, parameters(loaded)):
+        assert np.array_equal(p, q)
+    assert np.array_equal(predict(net, data.X), predict(loaded, data.X))
+
+
+def test_fit_validates_labels_and_columns_before_training():
+    data = two_blobs(20, seed=1)
+    net = build_network(2, 2, 1, [4], "squared", Rng(0))
+    before = [p.copy() for p in parameters(net)]
+    with pytest.raises(DataError):
+        fit(net, data.X, data.y + 1, TrainConfig(epochs=1))
+    with pytest.raises(ShapeError):
+        fit(net, data.X[:, :1], data.y, TrainConfig(epochs=1))
+    with pytest.raises(DataError):
+        fit(net, data.X, data.y, TrainConfig(epochs=1), X_val=data.X, y_val=-data.y)
+    for b, a in zip(before, parameters(net)):
+        assert np.array_equal(b, a)
 
 
 def test_sgd_step():
