@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -40,66 +40,48 @@ LARGE_DATA_BATCH = 256
 BUILTIN_TASKS = ("monks1", "monks2", "monks3", "blobs")
 
 
+def _key(default, key: str, flag: str | None = None, choices=None):
+    """A RunConfig field with its dotted config key and, if it has one, its `train` flag."""
+    return field(default=default, metadata={"key": key, "flag": flag, "choices": choices})
+
+
 @dataclass
 class RunConfig:
+    """Every run setting; each field's metadata is its row in the one table of
+    config keys, from which the key parser, config.txt and the `train` flags follow."""
+
     # data
-    task: str | None = None
-    registry: str = "data/registry.txt"
-    path: str | None = None
-    fmt: str = "csv"
-    label_column: int = -1
-    test_path: str | None = None
-    split_mode: str = "random_half"
-    normalize: str = "minmax+whiten"
+    task: str | None = _key(None, "data.task", "--task")
+    registry: str = _key("data/registry.txt", "data.registry", "--registry")
+    path: str | None = _key(None, "data.path", "--data-path")
+    fmt: str = _key("csv", "data.format", "--format", ["csv", "libsvm"])
+    label_column: int = _key(-1, "data.label_column", "--label-column")
+    test_path: str | None = _key(None, "data.test_path", "--test-path")
+    split_mode: str = _key("random_half", "data.split", "--data-split", ["provided", "random_half"])
+    normalize: str = _key("minmax+whiten", "data.normalize", "--normalize")
     # model
-    layers: str = "auto"
-    dim: str = "64"
-    batch_norm: bool = True
-    loss: str = "auto"
-    omega_stddev: float = 0.1
-    readout_stddev: float = 0.1
+    layers: str = _key("auto", "model.layers", "--layers")
+    dim: str = _key("64", "model.dim", "--dim")
+    batch_norm: bool = _key(True, "model.batch_norm")  # --batch-norm / --no-batch-norm
+    loss: str = _key("auto", "model.loss", "--loss", ["auto", "squared", "squared_hinge", "cross_entropy"])
+    omega_stddev: float = _key(0.1, "model.omega_stddev")
+    readout_stddev: float = _key(0.1, "model.readout_stddev")
     # training
-    epochs: str = "auto"
-    batch_size: str = "auto"
-    lr: float = 1e-3
-    reg_lambda: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    seed: int = 0
-    trials: int = 1
-    shuffle: bool = True
-    out: str = "runs/run"
+    epochs: str = _key("auto", "train.epochs", "--epochs")
+    batch_size: str = _key("auto", "train.batch_size", "--batch-size")
+    lr: float = _key(1e-3, "train.lr", "--lr")
+    reg_lambda: float = _key(1e-4, "train.lambda", "--reg-lambda")
+    beta1: float = _key(0.9, "train.beta1")
+    beta2: float = _key(0.999, "train.beta2")
+    epsilon: float = _key(1e-8, "train.epsilon")
+    seed: int = _key(0, "train.seed", "--seed")
+    trials: int = _key(1, "train.trials", "--trials")
+    shuffle: bool = _key(True, "train.shuffle")
+    out: str = _key("runs/run", "out", "--out")
 
 
-_KEY_MAP = {
-    "data.task": "task",
-    "data.registry": "registry",
-    "data.path": "path",
-    "data.format": "fmt",
-    "data.label_column": "label_column",
-    "data.test_path": "test_path",
-    "data.split": "split_mode",
-    "data.normalize": "normalize",
-    "model.layers": "layers",
-    "model.dim": "dim",
-    "model.batch_norm": "batch_norm",
-    "model.loss": "loss",
-    "model.omega_stddev": "omega_stddev",
-    "model.readout_stddev": "readout_stddev",
-    "train.epochs": "epochs",
-    "train.batch_size": "batch_size",
-    "train.lr": "lr",
-    "train.lambda": "reg_lambda",
-    "train.beta1": "beta1",
-    "train.beta2": "beta2",
-    "train.epsilon": "epsilon",
-    "train.seed": "seed",
-    "train.trials": "trials",
-    "train.shuffle": "shuffle",
-    "out": "out",
-}
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_FIELD_BY_KEY = {f.metadata["key"]: f for f in fields(RunConfig)}
+_FLAG_TYPES = {"int": int, "float": float}
 
 
 def _parse_bool(value: str) -> bool:
@@ -112,10 +94,10 @@ def _parse_bool(value: str) -> bool:
 
 
 def set_config_key(cfg: RunConfig, key: str, value: str) -> None:
-    if key not in _KEY_MAP:
+    if key not in _FIELD_BY_KEY:
         raise ParameterError(f"unknown config key {key!r}")
-    attr = _KEY_MAP[key]
-    ftype = _FIELD_TYPES[attr]
+    f = _FIELD_BY_KEY[key]
+    ftype = f.type
     value = value.strip()
     try:
         if ftype == "bool":
@@ -128,7 +110,7 @@ def set_config_key(cfg: RunConfig, key: str, value: str) -> None:
             parsed = None if value.lower() == "none" else value
     except ValueError:
         raise ParameterError(f"bad value {value!r} for config key {key!r}") from None
-    setattr(cfg, attr, parsed)
+    setattr(cfg, f.name, parsed)
 
 
 def load_config_file(path) -> RunConfig:
@@ -153,7 +135,6 @@ def load_config_file(path) -> RunConfig:
 
 
 def config_to_text(cfg: RunConfig) -> str:
-    attr_to_key = {v: k for k, v in _KEY_MAP.items()}
     lines = []
     for f in fields(cfg):
         value = getattr(cfg, f.name)
@@ -161,7 +142,7 @@ def config_to_text(cfg: RunConfig) -> str:
             value = "none"
         elif isinstance(value, bool):
             value = "true" if value else "false"
-        lines.append(f"{attr_to_key[f.name]} = {value}")
+        lines.append(f"{f.metadata['key']} = {value}")
     return "\n".join(sorted(lines)) + "\n"
 
 
@@ -200,40 +181,24 @@ def _builtin_task(name: str) -> TaskData:
 
 def load_task_data(cfg: RunConfig) -> TaskData:
     if cfg.task:
-        if os.path.exists(cfg.registry):
-            registry = dataio.parse_registry(cfg.registry)
-            if cfg.task in registry:
-                entry = registry[cfg.task]
-                if entry.split_mode == "provided":
-                    train, test = dataio.load_task(entry)
-                    return TaskData(name=cfg.task, provided=True, train=train, test=test)
-                loader = dataio.load_csv if entry.fmt == "csv" else dataio.load_libsvm
-                if entry.fmt == "csv":
-                    full = loader(entry.path, label_column=entry.label_column)
-                else:
-                    full = loader(entry.path)
-                return TaskData(name=cfg.task, provided=False, full=full)
-        if cfg.task in BUILTIN_TASKS:
-            return _builtin_task(cfg.task)
-        raise DataError(
-            f"task {cfg.task!r} not found in registry {cfg.registry!r} and not built in; "
-            f"run scripts/make_datasets.py (and scripts/fetch_data.py for the large UCI sets)"
-        )
-    if not cfg.path:
-        raise ParameterError("config needs data.task or data.path")
-    if cfg.fmt == "csv":
-        data = dataio.load_csv(cfg.path, label_column=cfg.label_column)
-    elif cfg.fmt == "libsvm":
-        data = dataio.load_libsvm(cfg.path)
+        registry = dataio.parse_registry(cfg.registry) if os.path.exists(cfg.registry) else {}
+        entry = registry.get(cfg.task)
+        if entry is None:
+            if cfg.task in BUILTIN_TASKS:
+                return _builtin_task(cfg.task)
+            raise DataError(
+                f"task {cfg.task!r} not found in registry {cfg.registry!r} and not built in; "
+                f"run scripts/make_datasets.py (and scripts/fetch_data.py for the large UCI sets)"
+            )
+        name = cfg.task
+        cfg = replace(cfg, fmt=entry.fmt, path=entry.path, label_column=entry.label_column,
+                      test_path=entry.test_path, split_mode=entry.split_mode)
+    elif cfg.path:
+        name = os.path.splitext(os.path.basename(cfg.path))[0]
     else:
-        raise ParameterError(f"unknown data format {cfg.fmt!r}")
-    name = os.path.splitext(os.path.basename(cfg.path))[0]
-    if cfg.test_path:
-        label_map = {n: i for i, n in enumerate(data.label_names)}
-        if cfg.fmt == "csv":
-            test = dataio.load_csv(cfg.test_path, label_column=cfg.label_column, label_map=label_map)
-        else:
-            test = dataio.load_libsvm(cfg.test_path, label_map=label_map, min_dim=data.d)
+        raise ParameterError("config needs data.task or data.path")
+    data, test = dataio.load_source(cfg.fmt, cfg.path, cfg.label_column, cfg.test_path)
+    if test is not None:
         return TaskData(name=name, provided=True, train=data, test=test)
     if cfg.split_mode == "provided":
         raise ParameterError("data.split = provided requires data.test_path")
@@ -358,19 +323,11 @@ def run_training(cfg: RunConfig) -> list[TrialResult]:
 
 def _config_from_args(args) -> RunConfig:
     cfg = load_config_file(args.config) if args.config else RunConfig()
-    direct = {
-        "task": "data.task", "data_path": "data.path", "format": "data.format",
-        "label_column": "data.label_column", "test_path": "data.test_path",
-        "data_split": "data.split", "normalize": "data.normalize", "registry": "data.registry",
-        "layers": "model.layers", "dim": "model.dim", "loss": "model.loss",
-        "epochs": "train.epochs", "batch_size": "train.batch_size", "lr": "train.lr",
-        "reg_lambda": "train.lambda", "seed": "train.seed", "trials": "train.trials",
-        "out": "out",
-    }
-    for attr, key in direct.items():
-        value = getattr(args, attr, None)
+    for f in fields(RunConfig):
+        flag = f.metadata["flag"]
+        value = getattr(args, flag[2:].replace("-", "_"), None) if flag else None  # argparse's dest
         if value is not None:
-            set_config_key(cfg, key, str(value))
+            set_config_key(cfg, f.metadata["key"], str(value))
     if getattr(args, "batch_norm", None) is not None:
         cfg.batch_norm = args.batch_norm
     for item in getattr(args, "set", None) or []:
@@ -389,11 +346,12 @@ def cmd_train(args) -> int:
 # --- eval -------------------------------------------------------------------
 
 
-def _load_eval_data(args, label_names):
+def _load_eval_data(args, label_names, raw_width: int):
     """Resolve the dataset for eval/inspect from --task / --data-path / --config.
 
-    A bare --data-path evaluates the whole file; task-style sources honour
-    --on train|test (random-half tasks replay the split for --split-seed)."""
+    A bare --data-path evaluates the whole file (libsvm rows zero-padded to the
+    model's raw width); task-style sources honour --on train|test (random-half
+    tasks replay the split for --split-seed)."""
     cfg = load_config_file(args.config) if getattr(args, "config", None) else RunConfig()
     if args.task:
         cfg.task = args.task
@@ -409,9 +367,7 @@ def _load_eval_data(args, label_names):
         raise ParameterError("need --task, --data-path, or a --config naming one")
     if cfg.path and not cfg.test_path:
         label_map = {n: i for i, n in enumerate(label_names)} if label_names else None
-        if cfg.fmt == "libsvm":
-            return dataio.load_libsvm(cfg.path, label_map=label_map)
-        return dataio.load_csv(cfg.path, label_column=cfg.label_column, label_map=label_map)
+        return dataio.load_source(cfg.fmt, cfg.path, cfg.label_column, label_map=label_map, min_dim=raw_width)[0]
     data = load_task_data(cfg)
     if data.provided:
         return data.train if args.on == "train" else data.test
@@ -420,25 +376,28 @@ def _load_eval_data(args, label_names):
     return train if args.on == "train" else test
 
 
-def _prepare_eval_features(net, stages, data: Dataset):
-    if stages and stages[0][0].shape[0] != data.d:
-        raise ShapeError(f"model expects {stages[0][0].shape[0]} raw features, dataset has {data.d}")
+def _eval_inputs(args):
+    """Load the snapshot args.model and the data to run it on; returns
+    (net, label_names, preprocessed features, labels)."""
+    net, stages, label_names = load_network(args.model)
+    raw_width = stages[0][0].shape[0] if stages else net.d_in
+    data = _load_eval_data(args, label_names, raw_width)
+    if data.d != raw_width:
+        raise ShapeError(f"model expects {raw_width} raw features, dataset has {data.d}")
     X = apply_stages(data.X, [AffineStage(shift=s, div=d) for s, d in stages])
     if X.shape[1] != net.d_in:
         raise ShapeError(f"model expects {net.d_in} input features, dataset has {X.shape[1]}")
-    return X
+    return net, label_names, X, data.y
 
 
 def cmd_eval(args) -> int:
-    net, stages, label_names = load_network(args.model)
-    data = _load_eval_data(args, label_names)
-    X = _prepare_eval_features(net, stages, data)
+    net, label_names, X, y = _eval_inputs(args)
     logits = forward_full(net, X, training=False).logits
     pred = predict_from_logits(logits)
-    acc = float(np.mean(pred == data.y))
+    acc = float(np.mean(pred == y))
     classes = net.class_count
     confusion = np.zeros((classes, classes), dtype=np.int64)
-    for t, p in zip(data.y, pred):
+    for t, p in zip(y, pred):
         confusion[t, p] += 1
     names = label_names if label_names else [str(i) for i in range(classes)]
     lines = ["true\\pred," + ",".join(names)]
@@ -454,10 +413,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    net, stages, label_names = load_network(args.model)
-    data = _load_eval_data(args, label_names)
-    X = _prepare_eval_features(net, stages, data)
-    y = data.y
+    net, _, X, y = _eval_inputs(args)
     if args.max_samples and X.shape[0] > args.max_samples:
         keep = np.sort(Rng(args.seed).derive("inspect").permutation(X.shape[0])[: args.max_samples])
         X, y = X[keep], y[keep]
@@ -538,24 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train one or more models")
     p_train.add_argument("--config", help="flat key=value config file")
-    p_train.add_argument("--task")
-    p_train.add_argument("--registry")
-    p_train.add_argument("--data-path")
-    p_train.add_argument("--format", dest="format", choices=["csv", "libsvm"])
-    p_train.add_argument("--label-column", type=int)
-    p_train.add_argument("--test-path")
-    p_train.add_argument("--data-split", choices=["provided", "random_half"])
-    p_train.add_argument("--normalize")
-    p_train.add_argument("--layers")
-    p_train.add_argument("--dim")
-    p_train.add_argument("--loss", choices=["auto", "squared", "squared_hinge", "cross_entropy"])
-    p_train.add_argument("--epochs")
-    p_train.add_argument("--batch-size")
-    p_train.add_argument("--lr", type=float)
-    p_train.add_argument("--reg-lambda", type=float)
-    p_train.add_argument("--seed", type=int)
-    p_train.add_argument("--trials", type=int)
-    p_train.add_argument("--out")
+    for f in fields(RunConfig):
+        if f.metadata["flag"]:
+            p_train.add_argument(f.metadata["flag"], type=_FLAG_TYPES.get(f.type), choices=f.metadata["choices"])
     p_train.add_argument("--batch-norm", dest="batch_norm", action="store_true", default=None)
     p_train.add_argument("--no-batch-norm", dest="batch_norm", action="store_false")
     p_train.add_argument("--set", action="append", metavar="KEY=VALUE")

@@ -20,16 +20,6 @@ from .numerics import Rng
 
 
 @dataclass
-class FeatureStats:
-    """Per-column summary captured from a training split."""
-
-    min: np.ndarray
-    max: np.ndarray
-    mean: np.ndarray
-    std: np.ndarray  # population (ddof=0)
-
-
-@dataclass
 class AffineStage:
     """One normalization stage: x' = (x - shift) / div, with div == 1 where a
     column was constant (the shift already maps such columns to 0)."""
@@ -53,7 +43,6 @@ class Dataset:
     y: np.ndarray
     class_count: int
     label_names: list[str] = field(default_factory=list)
-    feature_stats: FeatureStats | None = None
 
     @property
     def n(self) -> int:
@@ -78,11 +67,6 @@ class Dataset:
 class SplitSpec:
     mode: str = "random_half"  # or "provided"
     seed: int = 0
-
-
-def compute_feature_stats(X: np.ndarray) -> FeatureStats:
-    return FeatureStats(min=X.min(axis=0), max=X.max(axis=0),
-                        mean=X.mean(axis=0), std=X.std(axis=0))
 
 
 def _map_labels(tokens: list[str], label_map: dict | None):
@@ -195,31 +179,42 @@ def load_libsvm(path, label_map: dict | None = None, min_dim: int = 0) -> Datase
     return Dataset(X=X, y=y, class_count=len(names), label_names=names)
 
 
-def minmax_stage(stats: FeatureStats) -> AffineStage:
-    span = stats.max - stats.min
-    div = np.where(span > 0, span, 1.0)
-    return AffineStage(shift=stats.min.copy(), div=div)
+def load_source(fmt: str, path, label_column: int = -1, test_path=None,
+                label_map: dict | None = None, min_dim: int = 0):
+    """Load a dataset file in ``fmt`` (csv or libsvm) and, if ``test_path`` is
+    given, its test file with the training label map and feature width.
+
+    ``label_map`` fixes the label coding (e.g. a snapshot's). ``min_dim``
+    zero-pads libsvm rows, which omit trailing zero features, to at least that
+    width. Returns (data, test); test is None without ``test_path``.
+    """
+
+    def load(p, label_map, min_dim):
+        if fmt == "csv":
+            return load_csv(p, label_column=label_column, label_map=label_map)
+        if fmt == "libsvm":
+            return load_libsvm(p, label_map=label_map, min_dim=min_dim)
+        raise ParameterError(f"unknown data format {fmt!r}")
+
+    data = load(path, label_map, min_dim)
+    if not test_path:
+        return data, None
+    test = load(test_path, {n: i for i, n in enumerate(data.label_names)}, data.d)
+    if test.d != data.d:
+        raise DataError(f"test file {test_path} has {test.d} features, training file {path} has {data.d}")
+    return data, test
 
 
-def whiten_stage(stats: FeatureStats) -> AffineStage:
-    return AffineStage(shift=stats.mean.copy(), div=np.maximum(stats.std, 1e-12))
+def minmax_stage(X: np.ndarray) -> AffineStage:
+    """Scale each column of X to [0, 1]; constant columns map to 0."""
+    lo = X.min(axis=0)
+    span = X.max(axis=0) - lo
+    return AffineStage(shift=lo, div=np.where(span > 0, span, 1.0))
 
 
-def normalize_minmax(data: Dataset, stats: FeatureStats | None = None) -> Dataset:
-    """Scale each column to [0, 1] using training-split min/max (constant columns
-    map to 0); pass the training stats when transforming a test split."""
-    if stats is None:
-        stats = data.feature_stats or compute_feature_stats(data.X)
-    X = minmax_stage(stats).apply(data.X)
-    return replace(data, X=X, feature_stats=compute_feature_stats(X))
-
-
-def whiten(data: Dataset, stats: FeatureStats | None = None) -> Dataset:
-    """Standardize each column with training-split mean/std (std floored at 1e-12)."""
-    if stats is None:
-        stats = data.feature_stats or compute_feature_stats(data.X)
-    X = whiten_stage(stats).apply(data.X)
-    return replace(data, X=X, feature_stats=compute_feature_stats(X))
+def whiten_stage(X: np.ndarray) -> AffineStage:
+    """Standardize each column of X with its mean and population std (floored at 1e-12)."""
+    return AffineStage(shift=X.mean(axis=0), div=np.maximum(X.std(axis=0), 1e-12))
 
 
 NORMALIZE_SCHEMES = ("none", "minmax", "whiten", "minmax+whiten")
@@ -234,11 +229,10 @@ def preprocess_pair(train: Dataset, test: Dataset | None, scheme: str = "minmax+
     stages: list[AffineStage] = []
     Xtr = train.X
     for name in [s for s in scheme.split("+") if s != "none"]:
-        stats = compute_feature_stats(Xtr)
-        stage = minmax_stage(stats) if name == "minmax" else whiten_stage(stats)
+        stage = minmax_stage(Xtr) if name == "minmax" else whiten_stage(Xtr)
         stages.append(stage)
         Xtr = stage.apply(Xtr)
-    train_out = replace(train, X=Xtr, feature_stats=compute_feature_stats(Xtr))
+    train_out = replace(train, X=Xtr)
     test_out = None
     if test is not None:
         Xte = apply_stages(test.X, stages)
@@ -259,8 +253,8 @@ def split(data: Dataset, spec: SplitSpec):
     n_train = math.ceil(data.n / 2)
     tr = np.sort(perm[:n_train])
     te = np.sort(perm[n_train:])
-    train = replace(data, X=data.X[tr], y=data.y[tr], feature_stats=None)
-    test = replace(data, X=data.X[te], y=data.y[te], feature_stats=None)
+    train = replace(data, X=data.X[tr], y=data.y[tr])
+    test = replace(data, X=data.X[te], y=data.y[te])
     return train, test
 
 
@@ -276,13 +270,13 @@ class TaskEntry:
     label_column: int  # ignored for libsvm
     split_mode: str  # provided | random_half
     path: str
-    test_path: str | None = None
+    test_path: str | None = None  # set exactly when split_mode is provided
 
 
 def parse_registry(path) -> dict[str, TaskEntry]:
     """Manifest format: 'name format label_column split_mode path [test_path]'
     per line, '#' comments allowed. Relative data paths are resolved against
-    the manifest's own directory."""
+    the manifest's own directory; a random_half line's test path is ignored."""
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(p):
@@ -303,7 +297,7 @@ def parse_registry(path) -> dict[str, TaskEntry]:
             if split_mode not in ("provided", "random_half"):
                 raise ParseError(f"unknown split mode {split_mode!r}", line=line_no)
             label_column = 0 if label_col == "-" else int(label_col)
-            test_path = resolve(parts[5]) if len(parts) == 6 else None
+            test_path = resolve(parts[5]) if len(parts) == 6 and split_mode == "provided" else None
             if split_mode == "provided" and test_path is None:
                 raise ParseError("provided split needs a test path", line=line_no)
             tasks[name] = TaskEntry(name=name, fmt=fmt, label_column=label_column,
@@ -313,18 +307,7 @@ def parse_registry(path) -> dict[str, TaskEntry]:
 
 def load_task(entry: TaskEntry, split_seed: int = 0):
     """Load a registry task as (train, test) with a shared label mapping."""
-    if entry.fmt == "csv":
-        train = load_csv(entry.path, label_column=entry.label_column)
-    else:
-        train = load_libsvm(entry.path)
-    if entry.split_mode == "provided":
-        label_map = {name: i for i, name in enumerate(train.label_names)}
-        if entry.fmt == "csv":
-            test = load_csv(entry.test_path, label_column=entry.label_column, label_map=label_map)
-        else:
-            test = load_libsvm(entry.test_path, label_map=label_map, min_dim=train.d)
-            if test.d < train.d:  # pad: test file may never reach the max index
-                pad = np.zeros((test.n, train.d - test.d))
-                test = replace(test, X=np.hstack([test.X, pad]))
+    train, test = load_source(entry.fmt, entry.path, entry.label_column, entry.test_path)
+    if test is not None:
         return train, test
     return split(train, SplitSpec(mode="random_half", seed=split_seed))

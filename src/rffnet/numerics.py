@@ -1,4 +1,4 @@
-"""Dense float64 helpers: matrix coercion, a portable PRNG, and a Jacobi eigensolver.
+"""Dense float64 helpers: matrix coercion, a portable PRNG, and a symmetric top-k eigensolver.
 
 All matrices are plain 2-D float64 numpy arrays in row-major order. The PRNG is a
 counter-based splitmix64 stream defined here (not the platform default) so that a
@@ -108,53 +108,6 @@ def gaussian_matrix(rows: int, cols: int, mean: float, stddev: float, rng: Rng) 
     return rng.normal((rows, cols), mean, stddev)
 
 
-def _jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 64):
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (eigenvalues descending, eigenvectors as columns). Adequate for the
-    diagnostic sizes used here (n up to a few thousand); not a BLAS replacement.
-    """
-    A = np.array((a + a.T) / 2.0, dtype=np.float64)
-    n = A.shape[0]
-    V = np.eye(n)
-    if n > 1:
-        scale = max(1.0, float(np.abs(A).max()))
-        skip = tol * scale
-        for _ in range(max_sweeps):
-            off = np.sqrt(np.sum(np.tril(A, -1) ** 2) * 2.0)
-            if off <= tol * scale * n:
-                break
-            for p in range(n - 1):
-                row_p = A[p]
-                for q in range(p + 1, n):
-                    apq = row_p[q]
-                    if abs(apq) <= skip:
-                        continue
-                    tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                    if tau >= 0:
-                        t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                    else:
-                        t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                    c = 1.0 / np.sqrt(1.0 + t * t)
-                    s = t * c
-                    ap = A[p].copy()
-                    aq = A[q].copy()
-                    A[p] = c * ap - s * aq
-                    A[q] = s * ap + c * aq
-                    ap = A[:, p].copy()
-                    aq = A[:, q].copy()
-                    A[:, p] = c * ap - s * aq
-                    A[:, q] = s * ap + c * aq
-                    vp = V[:, p].copy()
-                    vq = V[:, q].copy()
-                    V[:, p] = c * vp - s * vq
-                    V[:, q] = s * vp + c * vq
-                    row_p = A[p]
-    vals = np.diag(A).copy()
-    order = np.argsort(-vals, kind="stable")
-    return vals[order], V[:, order]
-
-
 def sym_eig_topk(a, k: int):
     """Top-k eigenpairs of a symmetric matrix, eigenvalues descending.
 
@@ -169,5 +122,5 @@ def sym_eig_topk(a, k: int):
         raise SymmetryError(f"matrix is not symmetric within {sym_tol:.3g}")
     if not 1 <= k <= n:
         raise ParameterError(f"k must be in [1, {n}], got {k}")
-    vals, vecs = _jacobi_eigh(a)
-    return vals[:k], vecs[:, :k]
+    vals, vecs = np.linalg.eigh((a + a.T) / 2.0)  # LAPACK; eigenvalues ascending
+    return vals[::-1][:k], vecs[:, ::-1][:, :k]

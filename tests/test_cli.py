@@ -1,4 +1,7 @@
 import os
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,3 +277,102 @@ def test_numeric_blowup_exits_3_without_snapshot(tmp_path):
 def test_usage_error_exit_code():
     assert run_cli("train", "--no-such-flag") == 1
     assert run_cli() == 1
+
+
+def test_libsvm_test_file_wider_than_training_is_data_error(tmp_path, capsys):
+    (tmp_path / "tr.svm").write_text("1 1:0.5 2:1.0\n-1 1:1.5\n1 2:0.3\n-1 1:0.2 2:0.1\n")
+    (tmp_path / "te.svm").write_text("1 1:0.1 3:0.4\n-1 2:0.2\n")
+    (tmp_path / "registry.txt").write_text("svm libsvm - provided tr.svm te.svm\n")
+    for source in (["--data-path", str(tmp_path / "tr.svm"), "--format", "libsvm",
+                    "--test-path", str(tmp_path / "te.svm")],
+                   ["--task", "svm", "--registry", str(tmp_path / "registry.txt")]):
+        capsys.readouterr()
+        assert run_cli("train", *source, "--epochs", "1", "--out", str(tmp_path / "run")) == 2
+        err = capsys.readouterr().err
+        assert "has 3 features" in err and "has 2" in err
+
+
+def test_eval_pads_sparse_libsvm_to_model_width(tmp_path, capsys):
+    (tmp_path / "tr.svm").write_text("1 1:0.5 2:1.0\n-1 1:1.5 2:0.2\n1 1:0.3 2:0.9\n-1 1:1.1\n")
+    out = tmp_path / "run"
+    assert run_cli("train", "--data-path", str(tmp_path / "tr.svm"), "--format", "libsvm",
+                   "--epochs", "2", "--out", str(out)) == 0
+    # the highest index is 1 of the model's 2: libsvm leaves trailing zeros out
+    (tmp_path / "sparse.svm").write_text("1 1:0.4\n-1 1:1.2\n")
+    (tmp_path / "dense.svm").write_text("1 1:0.4 2:0\n-1 1:1.2 2:0\n")
+    results = []
+    for name in ("sparse", "dense"):
+        capsys.readouterr()
+        assert run_cli("eval", str(out / "model-trial0.bin"), "--data-path", str(tmp_path / f"{name}.svm"),
+                       "--format", "libsvm", "--out", str(tmp_path / name)) == 0
+        results.append((capsys.readouterr().out, (tmp_path / name / "confusion.csv").read_bytes()))
+    assert results[0] == results[1]
+
+
+# `rffnet train`'s options as (option strings, dest, choices, type), and the config
+# key each per-key flag sets, as they were before the flags were derived from RunConfig
+TRAIN_OPTIONS = [
+    (["-h", "--help"], "help", None, None),
+    (["--config"], "config", None, None),
+    (["--task"], "task", None, None),
+    (["--registry"], "registry", None, None),
+    (["--data-path"], "data_path", None, None),
+    (["--format"], "format", ["csv", "libsvm"], None),
+    (["--label-column"], "label_column", None, int),
+    (["--test-path"], "test_path", None, None),
+    (["--data-split"], "data_split", ["provided", "random_half"], None),
+    (["--normalize"], "normalize", None, None),
+    (["--layers"], "layers", None, None),
+    (["--dim"], "dim", None, None),
+    (["--loss"], "loss", ["auto", "squared", "squared_hinge", "cross_entropy"], None),
+    (["--epochs"], "epochs", None, None),
+    (["--batch-size"], "batch_size", None, None),
+    (["--lr"], "lr", None, float),
+    (["--reg-lambda"], "reg_lambda", None, float),
+    (["--seed"], "seed", None, int),
+    (["--trials"], "trials", None, int),
+    (["--out"], "out", None, None),
+    (["--batch-norm"], "batch_norm", None, None),
+    (["--no-batch-norm"], "batch_norm", None, None),
+    (["--set"], "set", None, None),
+]
+FLAG_KEYS = {
+    "--task": "data.task", "--data-path": "data.path", "--format": "data.format",
+    "--label-column": "data.label_column", "--test-path": "data.test_path",
+    "--data-split": "data.split", "--normalize": "data.normalize", "--registry": "data.registry",
+    "--layers": "model.layers", "--dim": "model.dim", "--loss": "model.loss",
+    "--epochs": "train.epochs", "--batch-size": "train.batch_size", "--lr": "train.lr",
+    "--reg-lambda": "train.lambda", "--seed": "train.seed", "--trials": "train.trials",
+    "--out": "out",
+}
+
+
+def test_config_table_pins_keys_flags_and_readme(tmp_path):
+    table = fields(cli.RunConfig)
+    keys = [f.metadata["key"] for f in table]
+    assert len(keys) == len(set(keys)) == 25
+    # every key, moved off its default, round-trips config.txt and --set
+    cfg = cli.RunConfig(task="t", registry="r.txt", path="p.svm", fmt="libsvm", label_column=2,
+                        test_path="q.svm", split_mode="provided", normalize="whiten", layers="3",
+                        dim="8,4,2", batch_norm=False, loss="squared", omega_stddev=0.25,
+                        readout_stddev=0.5, epochs="7", batch_size="full", lr=0.01, reg_lambda=0.5,
+                        beta1=0.8, beta2=0.99, epsilon=1e-6, seed=5, trials=2, shuffle=False, out="o")
+    assert all(getattr(cfg, f.name) != f.default for f in table)
+    text = cli.config_to_text(cfg)
+    (tmp_path / "config.txt").write_text(text)
+    assert cli.load_config_file(tmp_path / "config.txt") == cfg
+    parser = cli.build_parser()
+    sets = [arg for line in text.splitlines() for arg in ("--set", line.replace(" = ", "=", 1))]
+    assert cli._config_from_args(parser.parse_args(["train", *sets])) == cfg
+    # the train flags: same options, choices and types, each setting the same key
+    train = next(a for a in parser._actions if a.dest == "command").choices["train"]
+    assert [(a.option_strings, a.dest, a.choices, a.type) for a in train._actions] == TRAIN_OPTIONS
+    assert {f.metadata["flag"]: f.metadata["key"] for f in table if f.metadata["flag"]} == FLAG_KEYS
+    # README's table of config keys lists every key with its default and flag
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([a-z_.0-9]+)` \| `([^`]*)` \| (.*) \|$", readme, re.M)
+    defaults = dict(line.split(" = ", 1) for line in cli.config_to_text(cli.RunConfig()).splitlines())
+    flags = {f.metadata["key"]: f"`{f.metadata['flag']}`" if f.metadata["flag"] else "" for f in table}
+    flags["model.batch_norm"] = "`--batch-norm` / `--no-batch-norm`"
+    assert {key: (default, flag) for key, default, flag in rows} == \
+        {key: (defaults[key], flags[key]) for key in keys}

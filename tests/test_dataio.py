@@ -7,16 +7,13 @@ from rffnet.dataio import (
     Dataset,
     SplitSpec,
     apply_stages,
-    compute_feature_stats,
     load_csv,
     load_libsvm,
     load_task,
-    normalize_minmax,
     parse_registry,
     preprocess_pair,
     save_csv,
     split,
-    whiten,
 )
 from rffnet.errors import DataError, ParameterError, ParseError
 from rffnet.numerics import Rng
@@ -133,27 +130,26 @@ def _dataset(X, y=None):
 
 def test_minmax_basic_column():
     data = _dataset([[2.0], [4.0], [6.0]])
-    out = normalize_minmax(data)
+    out, _, _ = preprocess_pair(data, None, "minmax")
     assert np.allclose(out.X[:, 0], [0.0, 0.5, 1.0])
 
 
 def test_minmax_constant_column_zero():
     data = _dataset([[5.0, 1.0], [5.0, 2.0]])
-    out = normalize_minmax(data)
+    out, _, _ = preprocess_pair(data, None, "minmax")
     assert np.array_equal(out.X[:, 0], [0.0, 0.0])
 
 
 def test_minmax_idempotent_on_training_split():
     data = _dataset(Rng(1).normal((20, 3), 2.0, 5.0))
-    once = normalize_minmax(data)
-    twice = normalize_minmax(once)
+    once, _, _ = preprocess_pair(data, None, "minmax")
+    twice, _, _ = preprocess_pair(once, None, "minmax")
     assert np.abs(once.X - twice.X).max() < 1e-15
 
 
 def test_whiten_hand_value():
     data = _dataset([[3.0], [5.0], [7.0]])  # mean 5, population std ~1.633
-    stats = compute_feature_stats(data.X)
-    out = whiten(data, stats)
+    out, _, _ = preprocess_pair(data, None, "whiten")
     assert abs(out.X[1, 0]) < 1e-15
     manual = (7.0 - 5.0) / data.X.std(axis=0)[0]
     assert abs(out.X[2, 0] - manual) < 1e-15
@@ -161,7 +157,7 @@ def test_whiten_hand_value():
 
 def test_whiten_training_split_standardized():
     data = _dataset(Rng(2).normal((50, 4), -3.0, 2.5))
-    out = whiten(data)
+    out, _, _ = preprocess_pair(data, None, "whiten")
     assert np.abs(out.X.mean(axis=0)).max() < 1e-10
     assert np.abs(out.X.std(axis=0) - 1.0).max() < 1e-10
 
@@ -170,8 +166,8 @@ def test_test_split_uses_training_stats():
     train = _dataset(Rng(3).normal((30, 2), 5.0, 2.0))
     test = _dataset(Rng(4).normal((10, 2), -100.0, 50.0))
     tr, te, stages = preprocess_pair(train, test, "whiten")
-    stats = compute_feature_stats(train.X)
-    manual = (test.X - stats.mean) / np.maximum(stats.std, 1e-12)
+    mean, std = train.X.mean(axis=0), train.X.std(axis=0)
+    manual = (test.X - mean) / np.maximum(std, 1e-12)
     assert np.abs(te.X - manual).max() < 1e-15
 
 

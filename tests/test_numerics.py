@@ -89,6 +89,15 @@ def test_sym_eig_residual_invariant(n, seed):
     assert np.all(np.diff(vals) <= 1e-12)
 
 
+def test_sym_eig_random_40x40_eigenpairs_orthonormal_descending():
+    a = Rng(40).normal((40, 40))
+    a = (a + a.T) / 2.0
+    vals, vecs = sym_eig_topk(a, 40)
+    assert np.abs(a @ vecs - vecs * vals).max() < 1e-10
+    assert np.abs(vecs.T @ vecs - np.eye(40)).max() < 1e-10
+    assert np.all(np.diff(vals) <= 0)
+
+
 def test_sym_eig_rejects_asymmetric():
     a = np.array([[1.0, 2.0], [0.0, 1.0]])
     with pytest.raises(SymmetryError):
