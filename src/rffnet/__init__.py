@@ -1,6 +1,6 @@
 """Deep kernel learning with stacked trainable random Fourier feature layers."""
 
-from .dataio import Dataset, SplitSpec, load_csv, load_libsvm, preprocess_pair, split
+from .dataio import Dataset, load_csv, load_libsvm, preprocess_pair, split
 from .errors import (
     DataError,
     NumericError,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import dataio, kernel_analysis, tasks
-from .dataio import AffineStage, Dataset, SplitSpec, apply_stages, preprocess_pair, split
+from .dataio import AffineStage, Dataset, apply_stages, preprocess_pair, split
 from .errors import DataError, NumericError, ParameterError, ParseError, ShapeError
 from .kernel_analysis import SpectralDensity, empirical_kernel, kpca_project, omega_histogram, rff_approx_error
 from .network import (
@@ -167,7 +167,7 @@ class TaskData:
     def for_trial(self, seed: int):
         if self.provided:
             return self.train, self.test
-        return split(self.full, SplitSpec(mode="random_half", seed=seed))
+        return split(self.full, seed)
 
 
 def _builtin_task(name: str) -> TaskData:
@@ -349,9 +349,9 @@ def cmd_train(args) -> int:
 def _load_eval_data(args, label_names, raw_width: int):
     """Resolve the dataset for eval/inspect from --task / --data-path / --config.
 
-    A bare --data-path evaluates the whole file (libsvm rows zero-padded to the
-    model's raw width); task-style sources honour --on train|test (random-half
-    tasks replay the split for --split-seed)."""
+    --data-path evaluates the whole file, also over a config's data section
+    (libsvm rows zero-padded to the model's raw width); task-style sources
+    honour --on train|test (random-half tasks replay the split for --split-seed)."""
     cfg = load_config_file(args.config) if getattr(args, "config", None) else RunConfig()
     if args.task:
         cfg.task = args.task
@@ -361,6 +361,7 @@ def _load_eval_data(args, label_names, raw_width: int):
     if args.data_path:
         cfg.task = None
         cfg.path = args.data_path
+        cfg.test_path = None
         cfg.fmt = args.format
         cfg.label_column = args.label_column
     if not cfg.task and not cfg.path:

@@ -63,12 +63,6 @@ class Dataset:
             raise DataError(f"labels must lie in [0, {self.class_count})")
 
 
-@dataclass
-class SplitSpec:
-    mode: str = "random_half"  # or "provided"
-    seed: int = 0
-
-
 def _map_labels(tokens: list[str], label_map: dict | None):
     if label_map is None:
         label_map = {}
@@ -240,16 +234,12 @@ def preprocess_pair(train: Dataset, test: Dataset | None, scheme: str = "minmax+
     return train_out, test_out, stages
 
 
-def split(data: Dataset, spec: SplitSpec):
+def split(data: Dataset, seed: int):
     """Disjoint, exhaustive random-half partition (odd n puts the extra sample
     in training); membership depends only on the seed."""
-    if spec.mode == "provided":
-        raise ParameterError("provided-split tasks ship as separate train/test files; nothing to split")
-    if spec.mode != "random_half":
-        raise ParameterError(f"unknown split mode {spec.mode!r}")
     if data.n < 2:
         raise DataError(f"random_half split needs at least 2 samples, got {data.n}")
-    perm = Rng(spec.seed).derive("split").permutation(data.n)
+    perm = Rng(seed).derive("split").permutation(data.n)
     n_train = math.ceil(data.n / 2)
     tr = np.sort(perm[:n_train])
     te = np.sort(perm[n_train:])
@@ -310,4 +300,4 @@ def load_task(entry: TaskEntry, split_seed: int = 0):
     train, test = load_source(entry.fmt, entry.path, entry.label_column, entry.test_path)
     if test is not None:
         return train, test
-    return split(train, SplitSpec(mode="random_half", seed=split_seed))
+    return split(train, split_seed)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DataError, ParameterError
 from .numerics import Rng, as_matrix, sym_eig_topk
-from .rff_layer import RffLayer
+from .rff_layer import RffLayer, forward
 
 DENSITY_KINDS = ("rbf", "laplacian", "cauchy")
 
@@ -100,10 +100,8 @@ def closed_form_kernel(density: SpectralDensity, U, V) -> np.ndarray:
 
 
 def feature_map(omega: np.ndarray, X) -> np.ndarray:
-    """sqrt(1/D) [cos(X omega^T) | sin(X omega^T)] - the raw randomized map."""
-    X = as_matrix(X, "points")
-    f = X @ omega.T
-    return np.sqrt(1.0 / omega.shape[0]) * np.concatenate([np.cos(f), np.sin(f)], axis=1)
+    """sqrt(1/D) [cos(X omega^T) | sin(X omega^T)] - the raw randomized map, as a layer computes it."""
+    return forward(RffLayer(omega=omega), X)[0]
 
 
 @dataclass

@@ -11,24 +11,46 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError, ParameterError, ShapeError
 from .numerics import Rng, as_matrix, gaussian_matrix
-from .rff_layer import BatchNormState, LayerCache, LayerGrads, RffLayer, backward, forward, init_layer
+from .rff_layer import BatchNormState, LayerCache, RffLayer, backward, forward, init_layer
 
 LOSS_KINDS = ("squared", "squared_hinge", "cross_entropy")
 
 
 @dataclass
 class Network:
+    """Layers plus readout. Construction copies every trainable array into one
+    contiguous float64 buffer, ``flat``, in parameters() order, and rebinds the
+    arrays as views into it: an element-wise update of ``flat`` (Adam, SGD, the
+    L2 term) updates every parameter with one numpy call. Update parameters in
+    place; an array rebound afterwards is no longer part of ``flat``.
+    """
+
     layers: list[RffLayer]
     readout_w: np.ndarray  # (out_dim, 2 * D_last)
     readout_b: np.ndarray  # (out_dim,)
     loss_kind: str
     class_count: int
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        params = parameters(self)
+        self.flat = np.empty(sum(p.size for p in params))
+        views = unflatten(self, self.flat)
+        for view, p in zip(views, params):
+            view[...] = p
+        it = iter(views)
+        for layer in self.layers:
+            layer.omega = next(it)
+            if layer.batchnorm is not None:
+                layer.batchnorm.gamma = next(it)
+                layer.batchnorm.beta = next(it)
+        self.readout_w, self.readout_b = it
 
     @property
     def out_dim(self) -> int:
@@ -51,17 +73,6 @@ class LossReport:
     reg_loss: float
     total: float
     correct_count: int
-
-
-@dataclass
-class Gradients:
-    """Gradients of every trainable array; each one is a view into ``flat``,
-    which has the layout pack_parameters gives the parameters."""
-
-    layers: list[LayerGrads]
-    readout_w: np.ndarray
-    readout_b: np.ndarray
-    flat: np.ndarray
 
 
 def default_layer_count(n_samples: int) -> int:
@@ -129,64 +140,15 @@ def parameters(net: Network) -> list[np.ndarray]:
     return params
 
 
-def _views(flat: np.ndarray, arrays) -> list[np.ndarray]:
-    """Consecutive views into flat, shaped like arrays, in their order."""
+def unflatten(net: Network, vec: np.ndarray) -> list[np.ndarray]:
+    """Views into vec, a vector laid out like net.flat, shaped like parameters(net), in that order."""
+    if vec.shape != net.flat.shape:
+        raise ShapeError(f"vector shape {vec.shape} != parameter buffer shape {net.flat.shape}")
     views, pos = [], 0
-    for a in arrays:
-        views.append(flat[pos:pos + a.size].reshape(a.shape))
-        pos += a.size
+    for p in parameters(net):
+        views.append(vec[pos:pos + p.size].reshape(p.shape))
+        pos += p.size
     return views
-
-
-def pack_parameters(net: Network) -> np.ndarray:
-    """Copy every trainable array into one contiguous float64 buffer, in
-    parameters() order, and rebind the network's arrays as views into it.
-
-    Returns the buffer: an element-wise update of it (Adam, SGD, the L2 term)
-    then updates every parameter with one numpy call.
-    """
-    params = parameters(net)
-    flat = np.empty(sum(p.size for p in params))
-    views = _views(flat, params)
-    for view, p in zip(views, params):
-        view[...] = p
-    it = iter(views)
-    for layer in net.layers:
-        layer.omega = next(it)
-        if layer.batchnorm is not None:
-            layer.batchnorm.gamma = next(it)
-            layer.batchnorm.beta = next(it)
-    net.readout_w = next(it)
-    net.readout_b = next(it)
-    return flat
-
-
-def new_gradients(net: Network) -> Gradients:
-    """Zeroed gradients for net, laid out in one flat buffer like pack_parameters."""
-    params = parameters(net)
-    flat = np.zeros(sum(p.size for p in params))
-    it = iter(_views(flat, params))
-    layers = []
-    for layer in net.layers:
-        omega = next(it)
-        if layer.batchnorm is not None:
-            layers.append(LayerGrads(omega=omega, gamma=next(it), beta=next(it)))
-        else:
-            layers.append(LayerGrads(omega=omega))
-    return Gradients(layers=layers, readout_w=next(it), readout_b=next(it), flat=flat)
-
-
-def gradient_list(net: Network, grads: Gradients) -> list[np.ndarray]:
-    """Gradient arrays in the same order as parameters(net)."""
-    out = []
-    for layer, g in zip(net.layers, grads.layers):
-        out.append(g.omega)
-        if layer.batchnorm is not None:
-            out.append(g.gamma)
-            out.append(g.beta)
-    out.append(grads.readout_w)
-    out.append(grads.readout_b)
-    return out
 
 
 def validate_labels(y, n: int, class_count: int) -> np.ndarray:
@@ -281,11 +243,12 @@ def _targets(net: Network, y: np.ndarray, n: int) -> np.ndarray:
 
 
 def backward_full(net: Network, trace: ForwardTrace, grad_logits, lam: float,
-                  out: Gradients | None = None) -> Gradients:
-    """Chain rule through readout and every layer; adds lam * p to each gradient.
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Chain rule through readout and every layer, plus the L2 term lam * net.flat.
 
-    The gradients are written into ``out`` (from new_gradients) when given, so
-    a training loop reuses one buffer; otherwise into a new one.
+    Returns one gradient vector laid out like net.flat (unflatten gives its
+    per-array views). It is written into ``out`` when given, so a training
+    loop reuses one buffer; otherwise into a new one.
     """
     grad_logits = as_matrix(grad_logits, "grad_logits")
     if grad_logits.shape != trace.logits.shape:
@@ -293,20 +256,17 @@ def backward_full(net: Network, trace: ForwardTrace, grad_logits, lam: float,
     if len(trace.caches) != len(net.layers):
         raise ShapeError("trace does not match network depth")
     if out is None:
-        out = new_gradients(net)
-    s_last = trace.caches[-1].output
-    np.matmul(grad_logits.T, s_last, out=out.readout_w)
-    np.add.reduce(grad_logits, 0, out=out.readout_b)
+        out = np.empty_like(net.flat)
+    views = unflatten(net, out)
+    np.matmul(grad_logits.T, trace.caches[-1].output, out=views[-2])
+    np.add.reduce(grad_logits, 0, out=views[-1])
     g = grad_logits @ net.readout_w
+    end = len(views) - 2
     for i in range(len(net.layers) - 1, -1, -1):
-        _, g = backward(net.layers[i], trace.caches[i], g, out=out.layers[i], input_grad=i > 0)
-    params = parameters(net)
-    flat = params[0].base
-    if flat is not None and flat.shape == out.flat.shape and all(p.base is flat for p in params):
-        out.flat += lam * flat  # packed by pack_parameters: one op for every array
-    else:
-        for grad, p in zip(gradient_list(net, out), params):
-            grad += lam * p
+        start = end - (1 if net.layers[i].batchnorm is None else 3)
+        _, g = backward(net.layers[i], trace.caches[i], g, out=views[start:end], input_grad=i > 0)
+        end = start
+    out += lam * net.flat
     return out
 
 
@@ -392,7 +352,11 @@ def load_network(path):
 
 
 def _decode_snapshot(header: dict, data: np.ndarray):
-    """The arrays of data, shaped and assigned as header describes; every value must be used."""
+    """The arrays of data, shaped and assigned as header describes; every value must be used.
+
+    Trainable arrays are taken as views of data: Network copies them into its
+    parameter buffer. Everything else is copied here.
+    """
     pos = 0
 
     def take(*shape):
@@ -402,7 +366,7 @@ def _decode_snapshot(header: dict, data: np.ndarray):
         count = math.prod(shape)
         if pos + count > data.size:
             raise DataError(f"snapshot truncated: {data.size} values stored, more than {pos + count} described")
-        arr = data[pos:pos + count].reshape(shape).copy()
+        arr = data[pos:pos + count].reshape(shape)
         pos += count
         return arr
 
@@ -420,7 +384,7 @@ def _decode_snapshot(header: dict, data: np.ndarray):
             width = 2 * meta["D"]
             bn = BatchNormState(
                 gamma=take(width), beta=take(width),
-                running_mean=take(width), running_var=take(width),
+                running_mean=take(width).copy(), running_var=take(width).copy(),
                 momentum=float(meta["batchnorm"]["momentum"]),
                 epsilon=float(meta["batchnorm"]["epsilon"]),
             )
@@ -431,7 +395,7 @@ def _decode_snapshot(header: dict, data: np.ndarray):
     stages = []
     for _ in range(header["preprocess_stages"]):
         d = header["preprocess_dim"]
-        stages.append((take(d), take(d)))
+        stages.append((take(d).copy(), take(d).copy()))
     if pos != data.size:
         raise DataError(f"{8 * (data.size - pos)} bytes follow the last array the header describes")
     net = Network(layers=layers, readout_w=readout_w, readout_b=readout_b,

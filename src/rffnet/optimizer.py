@@ -13,8 +13,7 @@ from .network import (
     compute_loss,
     forward_full,
     loss_gradient,
-    new_gradients,
-    pack_parameters,
+    parameters,
     validate_labels,
 )
 from .numerics import Rng, as_matrix
@@ -22,10 +21,10 @@ from .numerics import Rng, as_matrix
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, one pair per parameter array."""
+    """First/second moment accumulators, shaped like the one array they update."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     lr: float = 1e-3
     beta1: float = 0.9
@@ -33,46 +32,40 @@ class AdamState:
     epsilon: float = 1e-8
 
     @classmethod
-    def for_params(cls, params, lr: float = 1e-3, beta1: float = 0.9,
+    def for_params(cls, params: np.ndarray, lr: float = 1e-3, beta1: float = 0.9,
                    beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
-        return cls(m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params],
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params),
                    lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
 
 
-def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState) -> None:
-    """One bias-corrected Adam update, applied to the parameter arrays in place."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ShapeError(f"parameter/gradient/state counts differ: {len(params)}/{len(grads)}/{len(state.m)}")
+def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState) -> None:
+    """One bias-corrected Adam update of p, in place (fit passes net.flat)."""
+    if p.shape != g.shape or p.shape != state.m.shape:
+        raise ShapeError(f"parameter/gradient/state shapes differ: {p.shape}/{g.shape}/{state.m.shape}")
     state.step += 1
     t = state.step
     # theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps), with scalars hoisted; the
     # update alpha * m / (sqrt(v) * root_bc2 + eps) is evaluated in place, in that order
     alpha = state.lr / (1.0 - state.beta1**t)
     root_bc2 = 1.0 / np.sqrt(1.0 - state.beta2**t)
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.shape != g.shape:
-            raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        denom = np.sqrt(v)
-        denom *= root_bc2
-        denom += state.epsilon
-        update = alpha * m
-        update /= denom
-        p -= update
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * g * g
+    denom = np.sqrt(v)
+    denom *= root_bc2
+    denom += state.epsilon
+    update = alpha * m
+    update /= denom
+    p -= update
 
 
-def sgd_step(params: list[np.ndarray], grads: list[np.ndarray], lr: float) -> None:
-    """Plain gradient descent step, in place."""
-    if len(params) != len(grads):
-        raise ShapeError(f"parameter/gradient counts differ: {len(params)}/{len(grads)}")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        p -= lr * g
+def sgd_step(p: np.ndarray, g: np.ndarray, lr: float) -> None:
+    """Plain gradient descent step of p, in place."""
+    if p.shape != g.shape:
+        raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
+    p -= lr * g
 
 
 @dataclass
@@ -152,10 +145,10 @@ def fit(net: Network, X, y, config: TrainConfig, X_val=None, y_val=None) -> Trai
     Shuffling for epoch e depends only on (config.seed, e), so two runs with the
     same seed and data produce bit-identical logs and final parameters.
 
-    The network's trainable arrays become views into one buffer
-    (pack_parameters), and each step writes its gradients into one reused
-    buffer of the same layout, so the optimizer updates everything with a
-    single call. Inputs and labels are validated once, before the first step.
+    Each step writes its gradients into one reused buffer laid out like
+    net.flat, so the optimizer updates every parameter with a single call.
+    Inputs, labels and that every parameter is still a view of net.flat are
+    checked once, before the first step.
     """
     X = _checked_input(net, X, "training input")
     n = X.shape[0]
@@ -173,9 +166,12 @@ def fit(net: Network, X, y, config: TrainConfig, X_val=None, y_val=None) -> Trai
         raise ParameterError("batch norm requires batches of at least 2 samples")
     if config.optimizer not in ("adam", "sgd"):
         raise ParameterError(f"unknown optimizer {config.optimizer!r}")
-    flat = pack_parameters(net)
-    grads = new_gradients(net)
-    state = AdamState.for_params([flat], lr=config.lr, beta1=config.beta1,
+    flat = net.flat
+    if not all(p.base is flat for p in parameters(net)):
+        raise ParameterError("a trainable array was rebound and is no longer a view of net.flat; "
+                             "assign into it in place, or build a new Network from the arrays")
+    grad = np.empty_like(flat)
+    state = AdamState.for_params(flat, lr=config.lr, beta1=config.beta1,
                                  beta2=config.beta2, epsilon=config.epsilon)
     log = TrainingLog()
     base_rng = Rng(config.seed)
@@ -189,11 +185,11 @@ def fit(net: Network, X, y, config: TrainConfig, X_val=None, y_val=None) -> Trai
         for lo, hi in _batch_slices(n, batch_size, merge_singleton=has_bn):
             idx = order[lo:hi]
             trace = forward_full(net, X[idx], training=True)
-            backward_full(net, trace, loss_gradient(net, trace.logits, y[idx]), config.reg_lambda, out=grads)
+            backward_full(net, trace, loss_gradient(net, trace.logits, y[idx]), config.reg_lambda, out=grad)
             if config.optimizer == "adam":
-                adam_step([flat], [grads.flat], state)
+                adam_step(flat, grad, state)
             else:
-                sgd_step([flat], [grads.flat], lr)
+                sgd_step(flat, grad, lr)
         if not np.isfinite(flat).all():
             raise NumericError(f"non-finite parameter after epoch {epoch}")
         report, train_acc = _evaluate(net, X, y, config.reg_lambda)

@@ -179,25 +179,25 @@ def forward(layer: RffLayer, X, training: bool = False):
     return output, LayerCache(x=X, pre_activation=f, features=features, output=output, bn=bn_cache)
 
 
-def backward(layer: RffLayer, cache: LayerCache, grad_output, out: LayerGrads | None = None,
-             input_grad: bool = True):
+def backward(layer: RffLayer, cache: LayerCache, grad_output, out=None, input_grad: bool = True):
     """Backpropagate through the layer; returns (LayerGrads, grad_input).
 
     grad_omega is summed over the batch. Derivatives of the trig pair are
     -sin(f) x for the cos branch and cos(f) x for the sin branch, carrying the
-    same sqrt(1/D) scale as the forward map. With ``out`` the parameter
-    gradients are written into its arrays. With ``input_grad=False``
+    same sqrt(1/D) scale as the forward map. With ``out``, a sequence of
+    arrays shaped like omega (then gamma and beta with batch norm), the
+    parameter gradients are written into it. With ``input_grad=False``
     grad_input is skipped and returned as None: a network's first layer has no
     use for it.
     """
     grad_output = as_matrix(grad_output, "grad_output")
     if grad_output.shape != cache.output.shape:
         raise ShapeError(f"grad_output shape {grad_output.shape} != layer output shape {cache.output.shape}")
-    omega_out, gamma_out, beta_out = (None, None, None) if out is None else (out.omega, out.gamma, out.beta)
+    if out is None:
+        out = (None, None, None)
     grad_gamma = grad_beta = None
     if layer.batchnorm is not None:
-        grad_feats, grad_gamma, grad_beta = batchnorm_backward(layer.batchnorm, cache.bn, grad_output,
-                                                               gamma_out, beta_out)
+        grad_feats, grad_gamma, grad_beta = batchnorm_backward(layer.batchnorm, cache.bn, grad_output, *out[1:])
     else:
         grad_feats = grad_output
     D = layer.D
@@ -205,6 +205,6 @@ def backward(layer: RffLayer, cache: LayerCache, grad_output, out: LayerGrads | 
     gs = grad_feats[:, D:]
     # scale*sin(f) and scale*cos(f) are already in the cached features
     dF = gs * cache.features[:, :D] - gc * cache.features[:, D:]
-    grad_omega = np.matmul(dF.T, cache.x, out=omega_out)
+    grad_omega = np.matmul(dF.T, cache.x, out=out[0])
     grad_input = dF @ layer.omega if input_grad else None
     return LayerGrads(omega=grad_omega, gamma=grad_gamma, beta=grad_beta), grad_input

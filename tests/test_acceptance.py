@@ -26,9 +26,9 @@ from rffnet.network import (
     build_network,
     compute_loss,
     forward_full,
-    gradient_list,
     loss_gradient,
     parameters,
+    unflatten,
 )
 from rffnet.numerics import Rng
 from rffnet.optimizer import TrainConfig, fit
@@ -121,7 +121,7 @@ def test_c6a_gradient_check_random_architectures():
         grad_logits = loss_gradient(net, trace.logits, y)
         grads = backward_full(net, trace, grad_logits, lam)
         h = 1e-6
-        for p, g in zip(parameters(net), gradient_list(net, grads)):
+        for p, g in zip(parameters(net), unflatten(net, grads)):
             flat, gflat = p.reshape(-1), g.reshape(-1)
             for k in range(flat.size):
                 orig = flat[k]

@@ -265,6 +265,21 @@ def test_eval_reuses_run_config_for_data(tmp_path, capsys):
     assert abs(printed - metrics_acc) < 1e-12
 
 
+def test_eval_data_path_overrides_config_test_file(tmp_path, capsys):
+    # the run trained on a provided split; --data-path must replace its test file too
+    save_csv(two_blobs(40, seed=2), tmp_path / "train.csv")
+    save_csv(two_blobs(20, seed=3), tmp_path / "test.csv")
+    save_csv(two_blobs(10, seed=4), tmp_path / "other.csv")
+    out = tmp_path / "run"
+    assert run_cli("train", "--data-path", str(tmp_path / "train.csv"), "--test-path", str(tmp_path / "test.csv"),
+                   "--epochs", "2", "--out", str(out)) == 0
+    ev = tmp_path / "ev"
+    assert run_cli("eval", str(out / "model-trial0.bin"), "--config", str(out / "config.txt"),
+                   "--data-path", str(tmp_path / "other.csv"), "--out", str(ev)) == 0
+    rows = [list(map(int, line.split(",")[1:])) for line in (ev / "confusion.csv").read_text().splitlines()[1:]]
+    assert sum(map(sum, rows)) == 10
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the blow-up itself warns
 def test_numeric_blowup_exits_3_without_snapshot(tmp_path):
     out = tmp_path / "run"

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from rffnet.dataio import (
     Dataset,
-    SplitSpec,
     apply_stages,
     load_csv,
     load_libsvm,
@@ -15,7 +14,7 @@ from rffnet.dataio import (
     save_csv,
     split,
 )
-from rffnet.errors import DataError, ParameterError, ParseError
+from rffnet.errors import DataError, ParseError
 from rffnet.numerics import Rng
 
 
@@ -193,10 +192,10 @@ def test_preprocess_pipeline_order():
 
 def test_split_even_and_odd():
     data = _dataset(Rng(8).normal((10, 2)))
-    tr, te = split(data, SplitSpec(seed=1))
+    tr, te = split(data, 1)
     assert tr.n == 5 and te.n == 5
     data11 = _dataset(Rng(9).normal((11, 2)))
-    tr, te = split(data11, SplitSpec(seed=1))
+    tr, te = split(data11, 1)
     assert tr.n == 6 and te.n == 5
 
 
@@ -205,7 +204,7 @@ def test_split_even_and_odd():
 def test_split_disjoint_exhaustive(n, seed):
     X = np.arange(n, dtype=np.float64)[:, None]
     data = _dataset(X)
-    tr, te = split(data, SplitSpec(seed=seed))
+    tr, te = split(data, seed)
     together = np.sort(np.concatenate([tr.X[:, 0], te.X[:, 0]]))
     assert np.array_equal(together, X[:, 0])
     assert tr.n == -(-n // 2)
@@ -213,19 +212,17 @@ def test_split_disjoint_exhaustive(n, seed):
 
 def test_split_deterministic():
     data = _dataset(Rng(10).normal((20, 2)))
-    tr1, _ = split(data, SplitSpec(seed=5))
-    tr2, _ = split(data, SplitSpec(seed=5))
+    tr1, _ = split(data, 5)
+    tr2, _ = split(data, 5)
     assert np.array_equal(tr1.X, tr2.X)
-    tr3, _ = split(data, SplitSpec(seed=6))
+    tr3, _ = split(data, 6)
     assert not np.array_equal(tr1.X, tr3.X)
 
 
-def test_split_rejects_tiny_and_provided():
+def test_split_rejects_tiny():
     data = _dataset(np.zeros((1, 2)) + 1.0)
     with pytest.raises(DataError):
-        split(data, SplitSpec(seed=0))
-    with pytest.raises(ParameterError):
-        split(_dataset(np.ones((4, 2))), SplitSpec(mode="provided"))
+        split(data, 0)
 
 
 def test_registry_parse_and_load(tmp_path):

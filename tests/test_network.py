@@ -15,17 +15,16 @@ from rffnet.network import (
     compute_loss,
     default_layer_count,
     forward_full,
-    gradient_list,
     load_network,
     loss_gradient,
-    new_gradients,
-    pack_parameters,
     parameters,
     predict,
     predict_from_logits,
     save_network,
+    unflatten,
 )
 from rffnet.numerics import Rng
+from rffnet.rff_layer import BatchNormState, RffLayer
 
 
 def relative_error(a, b, floor=1e-8):
@@ -165,8 +164,8 @@ def test_backward_zero_grad_zero_lambda():
     X = Rng(2).normal((5, 3))
     trace = forward_full(net, X, training=True)
     grads = backward_full(net, trace, np.zeros_like(trace.logits), 0.0)
-    for g in gradient_list(net, grads):
-        assert np.abs(g).max() == 0.0
+    assert grads.shape == net.flat.shape
+    assert np.abs(grads).max() == 0.0
 
 
 def test_backward_pure_regularizer():
@@ -175,28 +174,56 @@ def test_backward_pure_regularizer():
     X = Rng(2).normal((5, 3))
     trace = forward_full(net, X, training=True)
     grads = backward_full(net, trace, np.zeros_like(trace.logits), lam)
-    for p, g in zip(parameters(net), gradient_list(net, grads)):
+    for p, g in zip(parameters(net), unflatten(net, grads)):
         assert np.abs(g - lam * p).max() < 1e-14
 
 
 @pytest.mark.parametrize("bn", [False, True])
 def test_backward_packed_network_matches_separate_arrays(bn):
-    # the packed path adds lam * p with one op over the flat buffer; the result
-    # must equal the per-array path bit for bit, and land in the buffer given
+    # the L2 term is one op over the flat buffer; the result must equal adding
+    # lam * p to each array's gradient bit for bit, and land in the buffer given
     net = build_network(3, 2, 3, [4, 5, 3], "squared_hinge", Rng(6), batch_norm=bn)
     X = Rng(7).normal((6, 3))
     y = np.array([0, 1, 1, 0, 1, 0])
     trace = forward_full(net, X, training=True)
     grad_logits = loss_gradient(net, trace.logits, y)
-    separate = [g.copy() for g in gradient_list(net, backward_full(net, trace, grad_logits, 0.3))]
-    flat = pack_parameters(net)
-    assert all(p.base is flat for p in parameters(net))
-    out = new_gradients(net)
+    data_grads = unflatten(net, backward_full(net, trace, grad_logits, 0.0))
+    reference = [g + 0.3 * p for g, p in zip(data_grads, parameters(net))]
+    out = np.full_like(net.flat, np.nan)
     grads = backward_full(net, trace, grad_logits, 0.3, out=out)
     assert grads is out
-    for g, ref in zip(gradient_list(net, grads), separate):
-        assert g.base is out.flat
+    views = unflatten(net, grads)
+    assert [v.shape for v in views] == [p.shape for p in parameters(net)]
+    for g, ref in zip(views, reference):
+        assert g.base is out
         assert np.array_equal(g, ref)
+    with pytest.raises(ShapeError):
+        unflatten(net, out[1:])
+
+
+def _assert_packed(net):
+    params = parameters(net)
+    assert net.flat.size == sum(p.size for p in params)
+    assert all(p.base is net.flat for p in params)
+
+
+@pytest.mark.parametrize("bn", [False, True])
+def test_every_construction_packs_parameters_into_flat(tmp_path, bn):
+    net = build_network(3, 2, 2, [4, 5], "squared_hinge", Rng(3), batch_norm=bn)
+    _assert_packed(net)
+    save_network(net, tmp_path / "model.bin")
+    loaded, _, _ = load_network(tmp_path / "model.bin")
+    _assert_packed(loaded)
+    assert np.array_equal(loaded.flat, net.flat)
+    omega, readout_w, readout_b = np.arange(6.0).reshape(3, 2), np.ones((1, 6)), np.array([0.5])
+    batchnorm = BatchNormState.identity(6) if bn else None
+    arrays = [omega] + ([batchnorm.gamma, batchnorm.beta] if bn else []) + [readout_w, readout_b]
+    hand = Network(layers=[RffLayer(omega=omega, batchnorm=batchnorm)], readout_w=readout_w,
+                   readout_b=readout_b, loss_kind="squared_hinge", class_count=2)
+    _assert_packed(hand)
+    assert np.array_equal(hand.flat, np.concatenate([a.ravel() for a in arrays]))
+    hand.flat[0] = 7.0  # the parameters are views: writing the buffer moves them
+    assert hand.layers[0].omega[0, 0] == 7.0 and omega[0, 0] == 0.0
 
 
 def _objective(net, X, y, lam):
@@ -217,7 +244,7 @@ def test_full_network_gradient_check(loss_kind, bn):
     grad_logits = loss_gradient(net, trace.logits, y)
     grads = backward_full(net, trace, grad_logits, lam)
     h = 1e-6
-    for p, g in zip(parameters(net), gradient_list(net, grads)):
+    for p, g in zip(parameters(net), unflatten(net, grads)):
         flat, gflat = p.reshape(-1), g.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]

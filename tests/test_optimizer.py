@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from rffnet import optimizer
 from rffnet.errors import DataError, ParameterError, ShapeError
 from rffnet.network import accuracy, build_network, load_network, parameters, predict, save_network
 from rffnet.numerics import Rng
@@ -12,43 +15,46 @@ from rffnet.tasks import two_blobs
 
 
 def test_adam_zero_gradient_is_noop():
-    p = [np.array([1.0, -2.0])]
+    p = np.array([1.0, -2.0])
     state = AdamState.for_params(p)
-    adam_step(p, [np.zeros(2)], state)
-    assert np.array_equal(p[0], [1.0, -2.0])
+    adam_step(p, np.zeros(2), state)
+    assert np.array_equal(p, [1.0, -2.0])
     assert state.step == 1
 
 
 def test_adam_first_step_hand_value():
-    p = [np.array([0.0])]
+    p = np.array([0.0])
     state = AdamState.for_params(p, lr=0.001)
-    adam_step(p, [np.array([1.0])], state)
+    adam_step(p, np.array([1.0]), state)
     expected = -0.001 / (1.0 + 1e-8)
-    assert abs(p[0][0] - expected) < 1e-15
+    assert abs(p[0] - expected) < 1e-15
 
 
 def test_adam_minimizes_quadratic():
-    p = [np.array([1.0])]
+    p = np.array([1.0])
     state = AdamState.for_params(p, lr=0.001)
     for _ in range(5000):
-        adam_step(p, [2.0 * p[0]], state)
-    assert abs(p[0][0]) < 1e-3
+        adam_step(p, 2.0 * p, state)
+    assert abs(p[0]) < 1e-3
 
 
 def test_adam_second_moment_nonnegative():
     rng = Rng(0)
-    p = [rng.normal(5)]
+    p = rng.normal(5)
     state = AdamState.for_params(p)
     for i in range(50):
-        adam_step(p, [rng.derive(i).normal(5, 0.0, 10.0)], state)
-        assert np.all(state.v[0] >= 0.0)
+        adam_step(p, rng.derive(i).normal(5, 0.0, 10.0), state)
+        assert np.all(state.v >= 0.0)
 
 
 def test_adam_shape_mismatch():
-    p = [np.zeros(3)]
+    p = np.zeros(3)
     state = AdamState.for_params(p)
     with pytest.raises(ShapeError):
-        adam_step(p, [np.zeros(4)], state)
+        adam_step(p, np.zeros(4), state)
+    with pytest.raises(ShapeError):
+        adam_step(np.zeros(4), np.zeros(4), state)
+    assert state.step == 0
 
 
 _finite = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
@@ -65,7 +71,7 @@ def test_adam_on_one_flat_buffer_matches_per_array_updates(shapes, data):
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
     flat = np.concatenate([p.ravel() for p in params])
-    state = AdamState.for_params([flat], lr=lr)
+    state = AdamState.for_params(flat, lr=lr)
     for t, grads in enumerate(steps, start=1):
         alpha = lr / (1.0 - 0.9**t)
         root_bc2 = 1.0 / np.sqrt(1.0 - 0.999**t)
@@ -73,10 +79,10 @@ def test_adam_on_one_flat_buffer_matches_per_array_updates(shapes, data):
             mi[...] = mi * 0.9 + (1.0 - 0.9) * g
             vi[...] = vi * 0.999 + (1.0 - 0.999) * g * g
             p -= alpha * mi / (np.sqrt(vi) * root_bc2 + 1e-8)
-        adam_step([flat], [np.concatenate([g.ravel() for g in grads])], state)
+        adam_step(flat, np.concatenate([g.ravel() for g in grads]), state)
     assert np.array_equal(flat, np.concatenate([p.ravel() for p in ref]))
-    assert np.array_equal(state.m[0], np.concatenate([mi.ravel() for mi in m]))
-    assert np.array_equal(state.v[0], np.concatenate([vi.ravel() for vi in v]))
+    assert np.array_equal(state.m, np.concatenate([mi.ravel() for mi in m]))
+    assert np.array_equal(state.v, np.concatenate([vi.ravel() for vi in v]))
 
 
 @given(st.integers(0, 500), st.booleans(), st.sampled_from(["adam", "sgd"]))
@@ -86,9 +92,8 @@ def test_fit_leaves_parameters_in_one_buffer_that_round_trips(tmp_path_factory, 
     net = build_network(2, 2, 2, [3, 4], "squared_hinge", Rng(seed).derive("init"), batch_norm=bn)
     fit(net, data.X, data.y, TrainConfig(epochs=2, batch_size=8, seed=seed, optimizer=optimizer))
     params = parameters(net)
-    base = params[0].base
-    assert base is not None and base.size == sum(p.size for p in params)
-    assert all(p.base is base for p in params)
+    assert net.flat.size == sum(p.size for p in params)
+    assert all(p.base is net.flat for p in params)
     path = tmp_path_factory.mktemp("fit") / "model.bin"
     save_network(net, path)
     loaded, _, _ = load_network(path)
@@ -112,9 +117,54 @@ def test_fit_validates_labels_and_columns_before_training():
 
 
 def test_sgd_step():
-    p = [np.array([1.0, 2.0])]
-    sgd_step(p, [np.array([0.5, -0.5])], lr=0.1)
-    assert np.allclose(p[0], [0.95, 2.05])
+    p = np.array([1.0, 2.0])
+    sgd_step(p, np.array([0.5, -0.5]), lr=0.1)
+    assert np.allclose(p, [0.95, 2.05])
+    with pytest.raises(ShapeError):
+        sgd_step(p, np.zeros(3), lr=0.1)
+
+
+@pytest.mark.parametrize("rebind", [
+    lambda net: setattr(net, "readout_w", np.zeros_like(net.readout_w)),
+    lambda net: setattr(net.layers[0], "omega", net.layers[0].omega.copy()),
+    lambda net: setattr(net.layers[1].batchnorm, "gamma", np.ones_like(net.layers[1].batchnorm.gamma)),
+])
+def test_fit_rejects_a_rebound_parameter_before_training(rebind, monkeypatch):
+    # a rebound array is no longer part of net.flat: training would update the
+    # stale buffer and leave the array the network computes with untouched
+    data = two_blobs(20, seed=1)
+    net = build_network(2, 2, 2, [4, 3], "squared", Rng(0), batch_norm=True)
+    rebind(net)
+    flat_before = net.flat.copy()
+    checks = []
+    monkeypatch.setattr(optimizer, "parameters", lambda n: checks.append(n) or parameters(n))
+    with pytest.raises(ParameterError, match="rebound"):
+        fit(net, data.X, data.y, TrainConfig(epochs=2, batch_size=4))
+    assert np.array_equal(net.flat, flat_before)
+    # once per fit, not once per step
+    fresh = build_network(2, 2, 2, [4, 3], "squared", Rng(0), batch_norm=True)
+    checks.clear()
+    fit(fresh, data.X, data.y, TrainConfig(epochs=2, batch_size=4))
+    assert checks == [fresh]
+
+
+def test_fit_after_reloading_a_snapshot_golden(tmp_path):
+    # training resumed from a snapshot keeps every seeded bit (see test_fit_golden.py)
+    data = two_blobs(40, seed=12)
+    net = build_network(2, 2, 2, [6, 5], "squared_hinge", Rng(13).derive("init"), batch_norm=True)
+    fit(net, data.X, data.y, TrainConfig(epochs=6, batch_size=8, lr=0.01, seed=4))
+    save_network(net, tmp_path / "model.bin")
+    loaded, _, _ = load_network(tmp_path / "model.bin")
+    log = fit(loaded, data.X, data.y, TrainConfig(epochs=6, batch_size=8, lr=0.01, seed=5))
+    h = hashlib.sha256()
+    for p in parameters(loaded):
+        h.update(np.ascontiguousarray(p, dtype="<f8").tobytes())
+    for layer in loaded.layers:
+        h.update(layer.batchnorm.running_mean.astype("<f8").tobytes())
+        h.update(layer.batchnorm.running_var.astype("<f8").tobytes())
+    assert h.hexdigest() == "baf18b3322d14d3e01cbfc5162491aa00b717b33edddc33cdebe9eb3d0c5cc55"
+    assert hashlib.sha256(log.to_csv_text().encode()).hexdigest() == (
+        "70d695df100c64fa563d460efdf7dce8aee71b4affaacb520bb4cbe13b8a1493")
 
 
 def test_fit_zero_epochs_is_identity():
