@@ -269,19 +269,18 @@ def run_training(cfg: RunConfig) -> list[TrialResult]:
     # validate the whole configuration before any output is created
     if cfg.normalize not in dataio.NORMALIZE_SCHEMES:
         raise ParameterError(f"unknown normalization scheme {cfg.normalize!r}")
+    # every trial's training split has the same size and classes, so one resolution serves all
     probe_train, _ = data.for_trial(cfg.seed)
-    probe = resolve_model(cfg, probe_train.n, probe_train.class_count)
-    if cfg.batch_norm and (probe.batch_size or probe_train.n) < 2:
+    resolved = resolve_model(cfg, probe_train.n, probe_train.class_count)
+    if cfg.batch_norm and (resolved.batch_size or probe_train.n) < 2:
         raise ParameterError("batch norm requires batches of at least 2 samples")
     os.makedirs(cfg.out, exist_ok=True)
     write_text_atomic(os.path.join(cfg.out, "config.txt"), config_to_text(cfg))
     results = []
-    resolved = None
     for t in range(cfg.trials):
         seed_t = cfg.seed + t
         train_raw, test_raw = data.for_trial(seed_t)
         train, test, stages = preprocess_pair(train_raw, test_raw, cfg.normalize)
-        resolved = resolve_model(cfg, train.n, train.class_count)
         net = build_network(
             d_in=train.d,
             n_classes=train.class_count,
@@ -346,7 +345,7 @@ def cmd_train(args) -> int:
 # --- eval -------------------------------------------------------------------
 
 
-def _load_eval_data(args, label_names, raw_width: int):
+def _load_eval_data(args, raw_width: int):
     """Resolve the dataset for eval/inspect from --task / --data-path / --config.
 
     --data-path evaluates the whole file, also over a config's data section
@@ -367,8 +366,7 @@ def _load_eval_data(args, label_names, raw_width: int):
     if not cfg.task and not cfg.path:
         raise ParameterError("need --task, --data-path, or a --config naming one")
     if cfg.path and not cfg.test_path:
-        label_map = {n: i for i, n in enumerate(label_names)} if label_names else None
-        return dataio.load_source(cfg.fmt, cfg.path, cfg.label_column, label_map=label_map, min_dim=raw_width)[0]
+        return dataio.load_source(cfg.fmt, cfg.path, cfg.label_column, min_dim=raw_width)[0]
     data = load_task_data(cfg)
     if data.provided:
         return data.train if args.on == "train" else data.test
@@ -379,16 +377,25 @@ def _load_eval_data(args, label_names, raw_width: int):
 
 def _eval_inputs(args):
     """Load the snapshot args.model and the data to run it on; returns
-    (net, label_names, preprocessed features, labels)."""
+    (net, label_names, preprocessed features, labels).
+
+    Every source codes its labels in its own first-appearance order, so the
+    labels are recoded by name onto the snapshot's label_names."""
     net, stages, label_names = load_network(args.model)
     raw_width = stages[0][0].shape[0] if stages else net.d_in
-    data = _load_eval_data(args, label_names, raw_width)
+    data = _load_eval_data(args, raw_width)
     if data.d != raw_width:
         raise ShapeError(f"model expects {raw_width} raw features, dataset has {data.d}")
     X = apply_stages(data.X, [AffineStage(shift=s, div=d) for s, d in stages])
     if X.shape[1] != net.d_in:
         raise ShapeError(f"model expects {net.d_in} input features, dataset has {X.shape[1]}")
-    return net, label_names, X, data.y
+    y = data.y
+    if label_names:
+        unknown = sorted(set(data.label_names) - set(label_names))
+        if unknown:
+            raise DataError(f"labels {unknown} are not among the model's classes {label_names}")
+        y = np.array([label_names.index(name) for name in data.label_names], dtype=np.int64)[y]
+    return net, label_names, X, y
 
 
 def cmd_eval(args) -> int:

@@ -83,8 +83,7 @@ def _map_labels(tokens: list[str], label_map: dict | None):
     return y, names
 
 
-def load_csv(path, label_column: int = -1, has_header: bool = False,
-             label_map: dict | None = None) -> Dataset:
+def load_csv(path, label_column: int = -1, label_map: dict | None = None) -> Dataset:
     """Read a rectangular numeric CSV; one column holds class labels, which are
     mapped to contiguous integers in first-appearance order."""
     rows = []
@@ -94,9 +93,6 @@ def load_csv(path, label_column: int = -1, has_header: bool = False,
         reader = csv.reader(fh)
         for line_no, row in enumerate(reader, start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if has_header and not rows and not label_tokens and width is None:
-                width = len(row)
                 continue
             if width is None:
                 width = len(row)
@@ -124,12 +120,10 @@ def load_csv(path, label_column: int = -1, has_header: bool = False,
     return Dataset(X=X, y=y, class_count=len(names), label_names=names)
 
 
-def save_csv(data: Dataset, path, header: bool = False) -> None:
+def save_csv(data: Dataset, path) -> None:
     """Write features plus a trailing label column (original label tokens)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if header:
-            writer.writerow([f"x{j}" for j in range(data.d)] + ["label"])
         for i in range(data.n):
             writer.writerow([repr(float(v)) for v in data.X[i]] + [data.label_names[data.y[i]]])
 
@@ -173,14 +167,12 @@ def load_libsvm(path, label_map: dict | None = None, min_dim: int = 0) -> Datase
     return Dataset(X=X, y=y, class_count=len(names), label_names=names)
 
 
-def load_source(fmt: str, path, label_column: int = -1, test_path=None,
-                label_map: dict | None = None, min_dim: int = 0):
+def load_source(fmt: str, path, label_column: int = -1, test_path=None, min_dim: int = 0):
     """Load a dataset file in ``fmt`` (csv or libsvm) and, if ``test_path`` is
     given, its test file with the training label map and feature width.
 
-    ``label_map`` fixes the label coding (e.g. a snapshot's). ``min_dim``
-    zero-pads libsvm rows, which omit trailing zero features, to at least that
-    width. Returns (data, test); test is None without ``test_path``.
+    ``min_dim`` zero-pads libsvm rows, which omit trailing zero features, to at
+    least that width. Returns (data, test); test is None without ``test_path``.
     """
 
     def load(p, label_map, min_dim):
@@ -190,7 +182,7 @@ def load_source(fmt: str, path, label_column: int = -1, test_path=None,
             return load_libsvm(p, label_map=label_map, min_dim=min_dim)
         raise ParameterError(f"unknown data format {fmt!r}")
 
-    data = load(path, label_map, min_dim)
+    data = load(path, None, min_dim)
     if not test_path:
         return data, None
     test = load(test_path, {n: i for i, n in enumerate(data.label_names)}, data.d)
@@ -293,11 +285,3 @@ def parse_registry(path) -> dict[str, TaskEntry]:
             tasks[name] = TaskEntry(name=name, fmt=fmt, label_column=label_column,
                                     split_mode=split_mode, path=resolve(p), test_path=test_path)
     return tasks
-
-
-def load_task(entry: TaskEntry, split_seed: int = 0):
-    """Load a registry task as (train, test) with a shared label mapping."""
-    train, test = load_source(entry.fmt, entry.path, entry.label_column, entry.test_path)
-    if test is not None:
-        return train, test
-    return split(train, split_seed)

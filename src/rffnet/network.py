@@ -2,8 +2,7 @@
 
 The readout produces one logit column per class (one-vs-all margin targets for
 the squared-hinge loss, one-hot targets for the squared loss, softmax for cross
-entropy). A manually built network may instead carry a single score column for
-binary margin classification; predict then thresholds at zero.
+entropy); predict takes the argmax.
 """
 
 from __future__ import annotations
@@ -26,19 +25,21 @@ LOSS_KINDS = ("squared", "squared_hinge", "cross_entropy")
 class Network:
     """Layers plus readout. Construction copies every trainable array into one
     contiguous float64 buffer, ``flat``, in parameters() order, and rebinds the
-    arrays as views into it: an element-wise update of ``flat`` (Adam, SGD, the
-    L2 term) updates every parameter with one numpy call. Update parameters in
+    arrays as views into it: an element-wise update of ``flat`` (Adam, the L2
+    term) updates every parameter with one numpy call. Update parameters in
     place; an array rebound afterwards is no longer part of ``flat``.
     """
 
     layers: list[RffLayer]
-    readout_w: np.ndarray  # (out_dim, 2 * D_last)
-    readout_b: np.ndarray  # (out_dim,)
+    readout_w: np.ndarray  # (class_count, 2 * D_last)
+    readout_b: np.ndarray  # (class_count,)
     loss_kind: str
     class_count: int
     flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.readout_w.shape[0] != self.class_count:
+            raise ParameterError(f"readout has {self.readout_w.shape[0]} rows for {self.class_count} classes")
         params = parameters(self)
         self.flat = np.empty(sum(p.size for p in params))
         views = unflatten(self, self.flat)
@@ -51,10 +52,6 @@ class Network:
                 layer.batchnorm.gamma = next(it)
                 layer.batchnorm.beta = next(it)
         self.readout_w, self.readout_b = it
-
-    @property
-    def out_dim(self) -> int:
-        return self.readout_w.shape[0]
 
     @property
     def d_in(self) -> int:
@@ -164,9 +161,7 @@ def validate_labels(y, n: int, class_count: int) -> np.ndarray:
 
 
 def predict_from_logits(logits: np.ndarray) -> np.ndarray:
-    """Argmax per row (ties to the lowest index); sign rule for a single score column."""
-    if logits.shape[1] == 1:
-        return (logits[:, 0] > 0).astype(np.int64)
+    """Argmax per row (ties to the lowest index)."""
     return np.argmax(logits, axis=1).astype(np.int64)
 
 
@@ -176,8 +171,6 @@ def _data_loss(net: Network, logits: np.ndarray, y: np.ndarray, grad: bool):
     validated."""
     n = logits.shape[0]
     if net.loss_kind == "cross_entropy":
-        if logits.shape[1] < 2:
-            raise ParameterError("cross entropy needs one logit column per class")
         shifted = logits - logits.max(axis=1, keepdims=True)
         expd = np.exp(shifted)
         sums = expd.sum(axis=1, keepdims=True)
@@ -227,14 +220,7 @@ def compute_loss(net: Network, logits, y, lam: float) -> LossReport:
 
 
 def _targets(net: Network, y: np.ndarray, n: int) -> np.ndarray:
-    """One-hot targets (squared) or +1/-1 margins (squared hinge), matching out_dim."""
-    if net.out_dim == 1:
-        if net.class_count != 2:
-            raise ParameterError("single-column readout requires exactly 2 classes")
-        t = np.where(y == 1, 1.0, -1.0)[:, None]
-        return t
-    if net.out_dim != net.class_count:
-        raise ShapeError(f"readout has {net.out_dim} outputs for {net.class_count} classes")
+    """One-hot targets (squared) or +1/-1 margins (squared hinge), one column per class."""
     onehot = np.zeros((n, net.class_count))
     onehot[np.arange(n), y] = 1.0
     if net.loss_kind == "squared_hinge":
@@ -305,7 +291,7 @@ def save_network(net: Network, path, preprocess=None, label_names=None) -> None:
     header = {
         "loss_kind": net.loss_kind,
         "class_count": net.class_count,
-        "out_dim": net.out_dim,
+        "out_dim": net.class_count,
         "layers": layers_meta,
         "preprocess_dim": None,
         "preprocess_stages": 0,

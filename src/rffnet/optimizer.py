@@ -1,4 +1,4 @@
-"""Adam / SGD updates and the minibatch training loop."""
+"""The Adam update and the minibatch training loop that applies it."""
 
 from __future__ import annotations
 
@@ -61,13 +61,6 @@ def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState) -> None:
     p -= update
 
 
-def sgd_step(p: np.ndarray, g: np.ndarray, lr: float) -> None:
-    """Plain gradient descent step of p, in place."""
-    if p.shape != g.shape:
-        raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-    p -= lr * g
-
-
 @dataclass
 class TrainConfig:
     epochs: int = 300
@@ -78,9 +71,7 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    lr_schedule: tuple = ()  # ((epoch, lr), ...) applied from that epoch on
     shuffle: bool = True
-    optimizer: str = "adam"  # or "sgd"
 
 
 @dataclass
@@ -115,14 +106,6 @@ class TrainingLog:
         return cls(records=records)
 
 
-def _epoch_lr(config: TrainConfig, epoch: int) -> float:
-    lr = config.lr
-    for ep, val in sorted(config.lr_schedule):
-        if epoch >= ep:
-            lr = val
-    return lr
-
-
 def _batch_slices(n: int, batch_size: int, merge_singleton: bool):
     starts = list(range(0, n, batch_size))
     slices = [(s, min(s + batch_size, n)) for s in starts]
@@ -146,7 +129,7 @@ def fit(net: Network, X, y, config: TrainConfig, X_val=None, y_val=None) -> Trai
     same seed and data produce bit-identical logs and final parameters.
 
     Each step writes its gradients into one reused buffer laid out like
-    net.flat, so the optimizer updates every parameter with a single call.
+    net.flat, so Adam updates every parameter with a single call.
     Inputs, labels and that every parameter is still a view of net.flat are
     checked once, before the first step.
     """
@@ -164,8 +147,6 @@ def fit(net: Network, X, y, config: TrainConfig, X_val=None, y_val=None) -> Trai
         raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
     if has_bn and min(batch_size, n) < 2:
         raise ParameterError("batch norm requires batches of at least 2 samples")
-    if config.optimizer not in ("adam", "sgd"):
-        raise ParameterError(f"unknown optimizer {config.optimizer!r}")
     flat = net.flat
     if not all(p.base is flat for p in parameters(net)):
         raise ParameterError("a trainable array was rebound and is no longer a view of net.flat; "
@@ -176,8 +157,6 @@ def fit(net: Network, X, y, config: TrainConfig, X_val=None, y_val=None) -> Trai
     log = TrainingLog()
     base_rng = Rng(config.seed)
     for epoch in range(config.epochs):
-        lr = _epoch_lr(config, epoch)
-        state.lr = lr
         if config.shuffle:
             order = base_rng.derive("shuffle", epoch).permutation(n)
         else:
@@ -186,17 +165,14 @@ def fit(net: Network, X, y, config: TrainConfig, X_val=None, y_val=None) -> Trai
             idx = order[lo:hi]
             trace = forward_full(net, X[idx], training=True)
             backward_full(net, trace, loss_gradient(net, trace.logits, y[idx]), config.reg_lambda, out=grad)
-            if config.optimizer == "adam":
-                adam_step(flat, grad, state)
-            else:
-                sgd_step(flat, grad, lr)
+            adam_step(flat, grad, state)
         if not np.isfinite(flat).all():
             raise NumericError(f"non-finite parameter after epoch {epoch}")
         report, train_acc = _evaluate(net, X, y, config.reg_lambda)
         val_acc = None
         if X_val is not None:
             _, val_acc = _evaluate(net, X_val, y_val, config.reg_lambda)
-        log.records.append(EpochRecord(epoch=epoch, lr=lr, loss=report.total,
+        log.records.append(EpochRecord(epoch=epoch, lr=config.lr, loss=report.total,
                                        reg_loss=report.reg_loss, train_acc=train_acc,
                                        val_acc=val_acc))
     return log

@@ -76,8 +76,7 @@ class LayerCache:
     """Intermediates of one forward call, consumed by backward."""
 
     x: np.ndarray            # (batch, d_in)
-    pre_activation: np.ndarray  # f = x @ omega^T, (batch, D)
-    features: np.ndarray     # sqrt(1/D) [cos f | sin f], before batch norm
+    features: np.ndarray     # sqrt(1/D) [cos f | sin f] with f = x @ omega^T, before batch norm
     output: np.ndarray       # after batch norm (== features when disabled)
     bn: BatchNormCache | None = None
 
@@ -176,7 +175,7 @@ def forward(layer: RffLayer, X, training: bool = False):
         output, bn_cache = batchnorm_forward(layer.batchnorm, features, training)
     else:
         output, bn_cache = features, None
-    return output, LayerCache(x=X, pre_activation=f, features=features, output=output, bn=bn_cache)
+    return output, LayerCache(x=X, features=features, output=output, bn=bn_cache)
 
 
 def backward(layer: RffLayer, cache: LayerCache, grad_output, out=None, input_grad: bool = True):

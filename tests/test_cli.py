@@ -1,6 +1,6 @@
 import os
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -278,6 +278,58 @@ def test_eval_data_path_overrides_config_test_file(tmp_path, capsys):
                    "--data-path", str(tmp_path / "other.csv"), "--out", str(ev)) == 0
     rows = [list(map(int, line.split(",")[1:])) for line in (ev / "confusion.csv").read_text().splitlines()[1:]]
     assert sum(map(sum, rows)) == 10
+
+
+def test_eval_and_inspect_recode_labels_onto_the_snapshot_by_name(tmp_path, capsys):
+    # "orig" and "flipped" hold the same rows, but flipped's training file starts with
+    # the other class, so that source codes the two labels the other way round
+    save_csv(two_blobs(40, seed=2, separation=6.0), tmp_path / "train.csv")
+    save_csv(two_blobs(30, seed=3, separation=6.0), tmp_path / "test.csv")
+    rows = (tmp_path / "train.csv").read_text().splitlines()
+    first_label = rows[0].rsplit(",", 1)[1]
+    rows.sort(key=lambda row: row.rsplit(",", 1)[1] == first_label)
+    (tmp_path / "flipped.csv").write_text("\n".join(rows) + "\n")
+    blobs = two_blobs(20, seed=4)
+    save_csv(replace(blobs, y=np.where(np.arange(20) < 3, 2, blobs.y), class_count=3,
+                     label_names=["0", "1", "2"]), tmp_path / "three.csv")
+    registry = tmp_path / "registry.txt"
+    registry.write_text("orig csv -1 provided train.csv test.csv\n"
+                        "flipped csv -1 provided flipped.csv test.csv\n"
+                        "three csv -1 random_half three.csv\n")
+    out = tmp_path / "run"
+    assert run_cli("train", "--task", "orig", "--registry", str(registry), "--epochs", "30",
+                   "--layers", "1", "--dim", "8", "--out", str(out)) == 0
+    model = str(out / "model-trial0.bin")
+    results = []
+    for task in ("orig", "flipped"):
+        capsys.readouterr()
+        source = ["--task", task, "--registry", str(registry)]
+        assert run_cli("eval", model, *source, "--out", str(tmp_path / "ev" / task)) == 0
+        acc = capsys.readouterr().out
+        assert run_cli("inspect", model, *source, "--out", str(tmp_path / "in" / task)) == 0
+        results.append((acc, (tmp_path / "ev" / task / "confusion.csv").read_bytes(),
+                        (tmp_path / "in" / task / "kpca-layer0.csv").read_bytes()))
+    assert results[0] == results[1]
+    assert float(results[0][0]) > 0.9
+    # a label the snapshot does not know is a data error, for every source
+    capsys.readouterr()
+    for source in (["--task", "three", "--registry", str(registry), "--on", "train"],
+                   ["--data-path", str(tmp_path / "three.csv")]):
+        assert run_cli("eval", model, *source, "--out", str(tmp_path / "ev3")) == 2
+        assert "'2'" in capsys.readouterr().err
+
+
+def test_run_training_sets_every_train_config_field(tmp_path, monkeypatch):
+    # a TrainConfig field that no train key reaches is a knob no command can turn
+    real_fit, configs = cli.fit, []
+    monkeypatch.setattr(cli, "fit", lambda net, X, y, config: configs.append(config) or real_fit(net, X, y, config))
+    cfg = cli.RunConfig(task="monks1", epochs="1", batch_size="16", lr=0.01, reg_lambda=0.5, beta1=0.8,
+                        beta2=0.99, epsilon=1e-6, seed=5, trials=2, shuffle=False, out=str(tmp_path / "run"))
+    assert all(getattr(cfg, f.name) != f.default for f in fields(cfg) if f.metadata["key"].startswith("train."))
+    cli.run_training(cfg)
+    assert len(configs) == 2
+    for config in configs:
+        assert [f.name for f in fields(config) if getattr(config, f.name) == f.default] == []
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the blow-up itself warns

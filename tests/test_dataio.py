@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rffnet.cli import RunConfig, load_task_data
 from rffnet.dataio import (
     Dataset,
     apply_stages,
     load_csv,
     load_libsvm,
-    load_task,
     parse_registry,
     preprocess_pair,
     save_csv,
@@ -38,10 +38,14 @@ def test_load_csv_label_mapping_order(tmp_path):
 
 
 def test_load_csv_header_and_label_column(tmp_path):
-    p = write(tmp_path / "d.csv", "label,x0,x1\na,1,2\nb,3,4\n")
-    data = load_csv(p, label_column=0, has_header=True)
+    p = write(tmp_path / "d.csv", "a,1,2\nb,3,4\n")
+    data = load_csv(p, label_column=0)
     assert data.n == 2 and data.d == 2
     assert data.label_names == ["a", "b"]
+    # files carry no header row: a line of column names is a non-numeric first row
+    p = write(tmp_path / "h.csv", "label,x0,x1\na,1,2\n")
+    with pytest.raises(ParseError, match="line 1"):
+        load_csv(p, label_column=0)
 
 
 def test_load_csv_ragged_row_names_line(tmp_path):
@@ -240,11 +244,11 @@ def test_registry_parse_and_load(tmp_path):
     )
     tasks = parse_registry(str(reg))
     assert set(tasks) == {"paired", "solo"}
-    tr, te = load_task(tasks["paired"])
+    tr, te = load_task_data(RunConfig(task="paired", registry=str(reg))).for_trial(0)
     assert tr.n == 3 and te.n == 2
     assert tr.label_names == te.label_names  # shared mapping
     assert te.y[0] == 1  # 'b' mapped via training order
-    tr, te = load_task(tasks["solo"], split_seed=3)
+    tr, te = load_task_data(RunConfig(task="solo", registry=str(reg))).for_trial(3)
     assert tr.n == 5 and te.n == 5
 
 

@@ -1,7 +1,9 @@
 """Seeded training is bit-identical to recorded digests.
 
 The digests were recorded with the original per-array training step (a loss
-that also computed the report, one Adam loop iteration per parameter array).
+that also computed the report, one Adam loop iteration per parameter array);
+the full-batch and merged-trailing-row digests were recorded with the code of
+the last commit that still had SGD and the lr schedule, run without either.
 Any later change to the training hot path must keep every seeded bit: the same
 element-wise operation order, the same per-array L2 sums and the same matmul
 operand layouts.
@@ -44,13 +46,13 @@ def test_monks1_batchnorm_adam_minibatch_golden():
     )
 
 
-def test_no_batchnorm_sgd_full_batch_golden():
+def test_no_batchnorm_full_batch_golden():
     data = two_blobs(90, seed=3)
     net = build_network(2, 2, 2, [8, 6], "squared", Rng(5).derive("init"))
-    log = fit(net, data.X, data.y, TrainConfig(epochs=25, optimizer="sgd", lr=0.05, reg_lambda=1e-3, seed=2))
+    log = fit(net, data.X, data.y, TrainConfig(epochs=25, lr=0.05, reg_lambda=1e-3, seed=2))
     assert _digests(net, log) == (
-        "0232adbdcd5b4584b04ee19056d0e170226f4bb529020e8a7cdbc2e166119a9c",
-        "900a7f73dc66b3dbf8aa4ef5c19d19f2e3b557cb6f63cbf398cade03e65d9148",
+        "bc1885acb108a09268bbbf5cd13e38bab097c0006728f4c70ab230322ecbcc7d",
+        "03432c2a661d3bd44128f0329bb035bdd9c0398398a26b46c5644af56b549c09",
     )
 
 
@@ -59,12 +61,11 @@ def test_batchnorm_trailing_single_row_merged_golden():
     data = two_blobs(33, seed=4)
     val = two_blobs(20, seed=6)
     net = build_network(2, 2, 2, [5, 7], "squared_hinge", Rng(6).derive("init"), batch_norm=True)
-    log = fit(net, data.X, data.y, TrainConfig(epochs=15, batch_size=8, lr=0.01, seed=7,
-                                               lr_schedule=((10, 0.003),)),
+    log = fit(net, data.X, data.y, TrainConfig(epochs=15, batch_size=8, lr=0.01, seed=7),
               X_val=val.X, y_val=val.y)
     assert _digests(net, log) == (
-        "adcdd883dac1bfc0b7d3e2491e0d0affd526bd6239412a55747e235774479211",
-        "8407a2dd30e88123a583a7bb4d0d7a950df7f8e8b3d46bd151adcf21b6d1d919",
+        "ebad9d3b088613a3e8549e1284afd465c48e9d65d925754b385b4ea45844f240",
+        "de87c7e39c472dadb364be41fa0d54dde344de91e1588bddb8703aa5b203672c",
     )
 
 

@@ -101,16 +101,20 @@ def test_squared_loss_at_minimum():
 
 
 def test_squared_hinge_margin_values():
-    # one-column readout, margin labels: score 2 with y=+1 -> loss 0; score 0 -> loss 1
+    # y=1 gives margin targets (-1, +1): logits (-2, 2) clear both margins -> loss 0;
+    # logits (0, 0) miss each by 1 -> loss 1 + 1, gradient -2 * target * 1 per column
     net = Network(layers=build_network(2, 2, 1, [4], "squared_hinge", Rng(0)).layers,
-                  readout_w=np.zeros((1, 8)), readout_b=np.zeros(1),
+                  readout_w=np.zeros((2, 8)), readout_b=np.zeros(2),
                   loss_kind="squared_hinge", class_count=2)
-    report = compute_loss(net, np.array([[2.0]]), np.array([1]), 0.0)
+    report = compute_loss(net, np.array([[-2.0, 2.0]]), np.array([1]), 0.0)
     assert report.data_loss == 0.0
-    report = compute_loss(net, np.array([[0.0]]), np.array([1]), 0.0)
-    grad = loss_gradient(net, np.array([[0.0]]), np.array([1]))
-    assert report.data_loss == 1.0
-    assert abs(grad[0, 0] + 2.0) < 1e-15
+    report = compute_loss(net, np.array([[0.0, 0.0]]), np.array([1]), 0.0)
+    grad = loss_gradient(net, np.array([[0.0, 0.0]]), np.array([1]))
+    assert report.data_loss == 2.0
+    assert np.array_equal(grad, [[2.0, -2.0]])
+    # half a margin short on each column: 0.5^2 + 0.5^2
+    report = compute_loss(net, np.array([[-0.5, 0.5]]), np.array([1]), 0.0)
+    assert report.data_loss == 0.5
 
 
 def test_cross_entropy_uniform_logits():
@@ -215,7 +219,7 @@ def test_every_construction_packs_parameters_into_flat(tmp_path, bn):
     loaded, _, _ = load_network(tmp_path / "model.bin")
     _assert_packed(loaded)
     assert np.array_equal(loaded.flat, net.flat)
-    omega, readout_w, readout_b = np.arange(6.0).reshape(3, 2), np.ones((1, 6)), np.array([0.5])
+    omega, readout_w, readout_b = np.arange(6.0).reshape(3, 2), np.ones((2, 6)), np.array([0.5, -0.5])
     batchnorm = BatchNormState.identity(6) if bn else None
     arrays = [omega] + ([batchnorm.gamma, batchnorm.beta] if bn else []) + [readout_w, readout_b]
     hand = Network(layers=[RffLayer(omega=omega, batchnorm=batchnorm)], readout_w=readout_w,
@@ -224,6 +228,14 @@ def test_every_construction_packs_parameters_into_flat(tmp_path, bn):
     assert np.array_equal(hand.flat, np.concatenate([a.ravel() for a in arrays]))
     hand.flat[0] = 7.0  # the parameters are views: writing the buffer moves them
     assert hand.layers[0].omega[0, 0] == 7.0 and omega[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_network_needs_one_readout_row_per_class(rows):
+    layer = RffLayer(omega=np.ones((3, 2)))
+    with pytest.raises(ParameterError, match=f"{rows} rows for 2 classes"):
+        Network(layers=[layer], readout_w=np.zeros((rows, 6)), readout_b=np.zeros(rows),
+                loss_kind="squared_hinge", class_count=2)
 
 
 def _objective(net, X, y, lam):
@@ -260,10 +272,6 @@ def test_predict_basic_and_tie_break():
     assert predict_from_logits(np.array([[0.9, 0.1]]))[0] == 0
     assert predict_from_logits(np.array([[0.5, 0.5]]))[0] == 0
     assert predict_from_logits(np.array([[0.1, 0.9]]))[0] == 1
-    # margin mode on a single score column: sign rule, ties to class 0
-    assert predict_from_logits(np.array([[0.4]]))[0] == 1
-    assert predict_from_logits(np.array([[0.0]]))[0] == 0
-    assert predict_from_logits(np.array([[-0.2]]))[0] == 0
 
 
 @given(st.integers(0, 1000))
@@ -354,6 +362,7 @@ def _header_end(blob):
     lambda b: b.replace(b'"layers": [', b'"lay": [', 1),         # missing key
     lambda b: b.replace(b'"loss_kind": "squared_hinge"', b'"loss_kind": "hinge"', 1),
     lambda b: b[:8] + b"[]" + b[_header_end(b):],               # header is not an object
+    lambda b: b.replace(b'"class_count": 2', b'"class_count": 3', 1),  # readout rows != classes
 ])
 def test_load_rejects_malformed_snapshot(tmp_path, mangle):
     _, blob = _snapshot_bytes(tmp_path)

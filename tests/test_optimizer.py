@@ -10,7 +10,7 @@ from rffnet import optimizer
 from rffnet.errors import DataError, ParameterError, ShapeError
 from rffnet.network import accuracy, build_network, load_network, parameters, predict, save_network
 from rffnet.numerics import Rng
-from rffnet.optimizer import AdamState, TrainConfig, TrainingLog, adam_step, fit, sgd_step
+from rffnet.optimizer import AdamState, TrainConfig, TrainingLog, adam_step, fit
 from rffnet.tasks import two_blobs
 
 
@@ -85,12 +85,12 @@ def test_adam_on_one_flat_buffer_matches_per_array_updates(shapes, data):
     assert np.array_equal(state.v, np.concatenate([vi.ravel() for vi in v]))
 
 
-@given(st.integers(0, 500), st.booleans(), st.sampled_from(["adam", "sgd"]))
+@given(st.integers(0, 500), st.booleans())
 @settings(max_examples=10, deadline=None)
-def test_fit_leaves_parameters_in_one_buffer_that_round_trips(tmp_path_factory, seed, bn, optimizer):
+def test_fit_leaves_parameters_in_one_buffer_that_round_trips(tmp_path_factory, seed, bn):
     data = two_blobs(24, seed=seed)
     net = build_network(2, 2, 2, [3, 4], "squared_hinge", Rng(seed).derive("init"), batch_norm=bn)
-    fit(net, data.X, data.y, TrainConfig(epochs=2, batch_size=8, seed=seed, optimizer=optimizer))
+    fit(net, data.X, data.y, TrainConfig(epochs=2, batch_size=8, seed=seed))
     params = parameters(net)
     assert net.flat.size == sum(p.size for p in params)
     assert all(p.base is net.flat for p in params)
@@ -114,14 +114,6 @@ def test_fit_validates_labels_and_columns_before_training():
         fit(net, data.X, data.y, TrainConfig(epochs=1), X_val=data.X, y_val=-data.y)
     for b, a in zip(before, parameters(net)):
         assert np.array_equal(b, a)
-
-
-def test_sgd_step():
-    p = np.array([1.0, 2.0])
-    sgd_step(p, np.array([0.5, -0.5]), lr=0.1)
-    assert np.allclose(p, [0.95, 2.05])
-    with pytest.raises(ShapeError):
-        sgd_step(p, np.zeros(3), lr=0.1)
 
 
 @pytest.mark.parametrize("rebind", [
@@ -250,14 +242,6 @@ def test_fit_final_train_acc_matches_posthoc_eval():
     net = build_network(2, 2, 1, [8], "squared_hinge", Rng(4), batch_norm=True)
     log = fit(net, data.X, data.y, TrainConfig(epochs=4, batch_size=16, seed=1))
     assert abs(log.records[-1].train_acc - accuracy(net, data.X, data.y)) < 1e-12
-
-
-def test_lr_schedule_applies():
-    data = two_blobs(30, seed=10)
-    net = build_network(2, 2, 1, [4], "squared", Rng(0))
-    cfg = TrainConfig(epochs=4, lr=0.01, lr_schedule=((2, 0.001),))
-    log = fit(net, data.X, data.y, cfg)
-    assert [r.lr for r in log.records] == [0.01, 0.01, 0.001, 0.001]
 
 
 def test_fit_deep_minibatch_pipeline_smoke():

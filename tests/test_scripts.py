@@ -43,11 +43,12 @@ def test_make_datasets_writes_registry_and_files(tmp_path):
         capture_output=True, text=True, env=env,
     )
     assert result.returncode == 0, result.stderr
-    from rffnet.dataio import load_task, parse_registry
+    from rffnet.cli import RunConfig, load_task_data
+    from rffnet.dataio import parse_registry
 
-    registry = parse_registry(str(tmp_path / "registry.txt"))
-    assert set(registry) == {"monks1", "monks2", "monks3"}
-    train, test = load_task(registry["monks1"])
+    registry = str(tmp_path / "registry.txt")
+    assert set(parse_registry(registry)) == {"monks1", "monks2", "monks3"}
+    train, test = load_task_data(RunConfig(task="monks1", registry=registry)).for_trial(0)
     assert train.n == 124 and test.n == 432
     # files round-trip the generator exactly (up to label-index naming)
     from rffnet.tasks import make_monks
