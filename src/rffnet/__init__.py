@@ -11,9 +11,7 @@ from .errors import (
     SymmetryError,
 )
 from .kernel_analysis import (
-    KernelMatrix,
     SpectralDensity,
-    composed_rbf_oracle,
     empirical_kernel,
     kpca_project,
     omega_histogram,

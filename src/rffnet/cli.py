@@ -4,12 +4,14 @@ Run configs are flat dotted-key text files (e.g. ``model.layers = 2``); command
 line flags override file values. Every run directory is self-describing: the
 resolved config, seeds, metrics, and logs are enough to replay it exactly.
 
-Exit codes: 0 success, 1 usage or config error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage or config error, 2 data error (also a file that
+cannot be read or decoded), 3 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import dataio, kernel_analysis, tasks
-from .dataio import AffineStage, Dataset, apply_stages, preprocess_pair, split
+from .dataio import Dataset, apply_stages, preprocess_pair, split
 from .errors import DataError, NumericError, ParameterError, ParseError, ShapeError
 from .kernel_analysis import SpectralDensity, empirical_kernel, kpca_project, omega_histogram, rff_approx_error
 from .network import (
@@ -118,7 +120,7 @@ def load_config_file(path) -> RunConfig:
     try:
         with open(path) as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read config file {path}: {exc}") from None
     for line_no, line in enumerate(lines, start=1):
         line = line.split("#", 1)[0].strip()
@@ -269,6 +271,11 @@ def run_training(cfg: RunConfig) -> list[TrialResult]:
     # validate the whole configuration before any output is created
     if cfg.normalize not in dataio.NORMALIZE_SCHEMES:
         raise ParameterError(f"unknown normalization scheme {cfg.normalize!r}")
+    for key, beta in (("train.beta1", cfg.beta1), ("train.beta2", cfg.beta2)):
+        if not 0.0 <= beta < 1.0:
+            raise ParameterError(f"{key} must lie in [0, 1), got {beta!r}")
+    if not (math.isfinite(cfg.reg_lambda) and cfg.reg_lambda >= 0.0):
+        raise ParameterError(f"train.lambda must be finite and >= 0, got {cfg.reg_lambda!r}")
     # every trial's training split has the same size and classes, so one resolution serves all
     probe_train, _ = data.for_trial(cfg.seed)
     resolved = resolve_model(cfg, probe_train.n, probe_train.class_count)
@@ -300,8 +307,7 @@ def run_training(cfg: RunConfig) -> list[TrialResult]:
         test_acc = accuracy(net, test.X, test.y)
         train_acc = log.records[-1].train_acc if log.records else accuracy(net, train.X, train.y)
         save_network(net, os.path.join(cfg.out, f"model-trial{t}.bin"),
-                     preprocess=[(s.shift, s.div) for s in stages],
-                     label_names=train.label_names)
+                     preprocess=stages, label_names=train.label_names)
         write_text_atomic(os.path.join(cfg.out, f"log-trial{t}.csv"), log.to_csv_text())
         results.append(TrialResult(trial=t, seed=seed_t, test_acc=test_acc, train_acc=train_acc))
     metrics_lines = ["trial,seed,test_acc,train_acc"]
@@ -386,7 +392,7 @@ def _eval_inputs(args):
     data = _load_eval_data(args, raw_width)
     if data.d != raw_width:
         raise ShapeError(f"model expects {raw_width} raw features, dataset has {data.d}")
-    X = apply_stages(data.X, [AffineStage(shift=s, div=d) for s, d in stages])
+    X = apply_stages(data.X, stages)
     if X.shape[1] != net.d_in:
         raise ShapeError(f"model expects {net.d_in} input features, dataset has {X.shape[1]}")
     y = data.y
@@ -437,12 +443,12 @@ def cmd_inspect(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     for i in layer_indices:
         feats = trace.caches[i].features  # raw trig features, before batch norm
-        K = empirical_kernel(feats, layer_index=i)
+        K = empirical_kernel(feats)
         write_text_atomic(os.path.join(args.out, f"kernel-layer{i}.csv"),
                           kernel_analysis.kernel_to_csv_text(K))
-        proj = kpca_project(K, args.kpca_dim)
+        coords = kpca_project(K, args.kpca_dim)
         write_text_atomic(os.path.join(args.out, f"kpca-layer{i}.csv"),
-                          kernel_analysis.kpca_to_csv_text(proj, labels=y))
+                          kernel_analysis.kpca_to_csv_text(coords, labels=y))
         for dim in hist_dims:
             edges, counts = omega_histogram(net.layers[i], dim, args.bins)
             write_text_atomic(os.path.join(args.out, f"hist-layer{i}-dim{dim}.csv"),
@@ -549,7 +555,7 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, ParseError, ShapeError, FileNotFoundError) as exc:
+    except (DataError, ParseError, ShapeError, OSError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

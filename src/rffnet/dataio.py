@@ -2,8 +2,8 @@
 benchmark-task registry.
 
 Normalization is always fitted on the training split and applied unchanged to
-the test split; transforms are recorded as (shift, divisor) stages so a saved
-model can replay them exactly on raw data.
+the test split; each transform is a (shift, div) pair of per-column arrays,
+x' = (x - shift) / div, so a saved model can replay them exactly on raw data.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -19,21 +20,20 @@ from .errors import DataError, ParameterError, ParseError
 from .numerics import Rng
 
 
-@dataclass
-class AffineStage:
-    """One normalization stage: x' = (x - shift) / div, with div == 1 where a
-    column was constant (the shift already maps such columns to 0)."""
-
-    shift: np.ndarray
-    div: np.ndarray
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        return (X - self.shift) / self.div
+@contextmanager
+def _open_text(path, **kwargs):
+    """open(path) for reading text; bytes that do not decode raise a DataError naming the file."""
+    with open(path, **kwargs) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 def apply_stages(X: np.ndarray, stages) -> np.ndarray:
-    for stage in stages:
-        X = stage.apply(X)
+    """X with each (shift, div) stage applied in order: X = (X - shift) / div."""
+    for shift, div in stages:
+        X = (X - shift) / div
     return X
 
 
@@ -89,7 +89,7 @@ def load_csv(path, label_column: int = -1, label_map: dict | None = None) -> Dat
     rows = []
     label_tokens = []
     width = None
-    with open(path, newline="") as fh:
+    with _open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         for line_no, row in enumerate(reader, start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -134,7 +134,7 @@ def load_libsvm(path, label_map: dict | None = None, min_dim: int = 0) -> Datase
     entries = []
     label_tokens = []
     d = min_dim
-    with open(path) as fh:
+    with _open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -191,16 +191,17 @@ def load_source(fmt: str, path, label_column: int = -1, test_path=None, min_dim:
     return data, test
 
 
-def minmax_stage(X: np.ndarray) -> AffineStage:
-    """Scale each column of X to [0, 1]; constant columns map to 0."""
+def minmax_stage(X: np.ndarray):
+    """(shift, div) scaling each column of X to [0, 1]; div is 1 where a column
+    is constant, which the shift already maps to 0."""
     lo = X.min(axis=0)
     span = X.max(axis=0) - lo
-    return AffineStage(shift=lo, div=np.where(span > 0, span, 1.0))
+    return lo, np.where(span > 0, span, 1.0)
 
 
-def whiten_stage(X: np.ndarray) -> AffineStage:
-    """Standardize each column of X with its mean and population std (floored at 1e-12)."""
-    return AffineStage(shift=X.mean(axis=0), div=np.maximum(X.std(axis=0), 1e-12))
+def whiten_stage(X: np.ndarray):
+    """(shift, div) standardizing each column of X with its mean and population std (floored at 1e-12)."""
+    return X.mean(axis=0), np.maximum(X.std(axis=0), 1e-12)
 
 
 NORMALIZE_SCHEMES = ("none", "minmax", "whiten", "minmax+whiten")
@@ -209,15 +210,15 @@ NORMALIZE_SCHEMES = ("none", "minmax", "whiten", "minmax+whiten")
 def preprocess_pair(train: Dataset, test: Dataset | None, scheme: str = "minmax+whiten"):
     """Fit the scheme's stages on the training split, apply to both splits.
 
-    Returns (train', test', stages)."""
+    Returns (train', test', stages), stages a list of (shift, div) pairs."""
     if scheme not in NORMALIZE_SCHEMES:
         raise ParameterError(f"unknown normalization scheme {scheme!r}, expected one of {NORMALIZE_SCHEMES}")
-    stages: list[AffineStage] = []
+    stages = []
     Xtr = train.X
     for name in [s for s in scheme.split("+") if s != "none"]:
         stage = minmax_stage(Xtr) if name == "minmax" else whiten_stage(Xtr)
         stages.append(stage)
-        Xtr = stage.apply(Xtr)
+        Xtr = apply_stages(Xtr, [stage])
     train_out = replace(train, X=Xtr)
     test_out = None
     if test is not None:
@@ -265,7 +266,7 @@ def parse_registry(path) -> dict[str, TaskEntry]:
         return p if os.path.isabs(p) else os.path.join(base, p)
 
     tasks = {}
-    with open(path) as fh:
+    with _open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:

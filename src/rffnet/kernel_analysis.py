@@ -1,6 +1,5 @@
 """Kernel-view diagnostics: empirical kernel matrices, spectral-density sampling,
-feature-map approximation error, the composed-RBF closed form, kernel PCA, and
-frequency histograms.
+feature-map approximation error, kernel PCA, and frequency histograms.
 
 These tools read raw cos/sin features (before batch normalization): only those
 carry the unit-diagonal kernel interpretation.
@@ -38,34 +37,12 @@ class SpectralDensity:
             raise ParameterError(f"bandwidth must be positive, got {self.bandwidth}")
 
 
-@dataclass
-class KernelMatrix:
-    values: np.ndarray
-    layer_index: int = 0
-
-    def validate(self, sym_tol: float = 1e-10, psd_tol: float = -1e-8,
-                 diag_tol: float = 1e-10, check_diag: bool = True) -> None:
-        """Assert symmetry, positive semi-definiteness, and (optionally) a unit diagonal."""
-        K = self.values
-        n = K.shape[0]
-        sym_err = float(np.abs(K - K.T).max())
-        if sym_err > sym_tol:
-            raise DataError(f"kernel matrix asymmetric by {sym_err:.3g}")
-        if check_diag:
-            diag_err = float(np.abs(np.diag(K) - 1.0).max())
-            if diag_err > diag_tol:
-                raise DataError(f"kernel diagonal deviates from 1 by {diag_err:.3g}")
-        vals, _ = sym_eig_topk(K, n)
-        if float(vals[-1]) < psd_tol:
-            raise DataError(f"kernel matrix not PSD: min eigenvalue {vals[-1]:.3g}")
-
-
-def empirical_kernel(features, layer_index: int = 0) -> KernelMatrix:
+def empirical_kernel(features) -> np.ndarray:
     """K = S S^T over raw layer features; rows of S are unit norm, so diag(K) = 1."""
     S = as_matrix(features, "features")
     if S.shape[0] == 0:
         raise DataError("cannot build a kernel matrix from an empty feature set")
-    return KernelMatrix(values=S @ S.T, layer_index=layer_index)
+    return S @ S.T
 
 
 def sample_frequencies(density: SpectralDensity, D: int, d: int, rng: Rng) -> np.ndarray:
@@ -124,47 +101,30 @@ def rff_approx_error(density: SpectralDensity, D: int, U, V, rng: Rng) -> Approx
     return ApproxError(mean_error=float(err.mean()), max_error=float(err.max()))
 
 
-def composed_rbf_oracle(k_inner: float, lam: float) -> float:
-    """Two stacked RBF maps: the outer kernel exp(-lam ||a - b||^2) evaluated on
-    unit-norm inner features reduces to exp(-2 lam (1 - k_inner))."""
-    if not 0.0 <= k_inner <= 1.0:
-        raise ParameterError(f"k_inner must lie in [0, 1], got {k_inner}")
-    if lam <= 0:
-        raise ParameterError(f"lambda must be positive, got {lam}")
-    return float(np.exp(-2.0 * lam * (1.0 - k_inner)))
-
-
-@dataclass
-class KpcaResult:
-    coordinates: np.ndarray  # (n, k), columns ordered by descending eigenvalue
-    eigenvalues: np.ndarray
-    degenerate: bool
-
-
-def kpca_project(K: KernelMatrix, k: int) -> KpcaResult:
+def kpca_project(K: np.ndarray, k: int) -> np.ndarray:
     """Kernel PCA: double-center K, eigendecompose, scale projections by sqrt(eigenvalue).
 
+    Returns the (n, k) coordinates, columns ordered by descending eigenvalue.
     Sign convention: the largest-magnitude coordinate of each component is made
     positive, so outputs are reproducible. Near-zero or negative eigenvalues
     (numerical noise on a centered PSD matrix) yield zero columns.
     """
-    Kv = K.values
-    n = Kv.shape[0]
+    n = K.shape[0]
     if not 1 <= k <= n:
         raise ParameterError(f"k must be in [1, {n}], got {k}")
-    row_mean = Kv.mean(axis=1, keepdims=True)
-    col_mean = Kv.mean(axis=0, keepdims=True)
-    Kc = Kv - row_mean - col_mean + Kv.mean()
+    row_mean = K.mean(axis=1, keepdims=True)
+    col_mean = K.mean(axis=0, keepdims=True)
+    Kc = K - row_mean - col_mean + K.mean()
     Kc = (Kc + Kc.T) / 2.0
-    if float(np.abs(Kc).max()) < 1e-12 * max(1.0, float(np.abs(Kv).max())):
-        return KpcaResult(coordinates=np.zeros((n, k)), eigenvalues=np.zeros(k), degenerate=True)
+    if float(np.abs(Kc).max()) < 1e-12 * max(1.0, float(np.abs(K).max())):
+        return np.zeros((n, k))
     vals, vecs = sym_eig_topk(Kc, k)
     coords = vecs * np.sqrt(np.maximum(vals, 0.0))
     for j in range(k):
         i = int(np.argmax(np.abs(coords[:, j])))
         if coords[i, j] < 0:
             coords[:, j] = -coords[:, j]
-    return KpcaResult(coordinates=coords, eigenvalues=vals, degenerate=False)
+    return coords
 
 
 def omega_histogram(layer: RffLayer, dim_index: int, bins: int):
@@ -180,27 +140,21 @@ def omega_histogram(layer: RffLayer, dim_index: int, bins: int):
 # --- CSV export ------------------------------------------------------------
 
 
-def kernel_to_csv_text(K: KernelMatrix) -> str:
-    n = K.values.shape[0]
+def kernel_to_csv_text(K: np.ndarray) -> str:
+    n = K.shape[0]
     lines = [",".join(f"s{j}" for j in range(n))]
-    for row in K.values:
+    for row in K:
         lines.append(",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
 
 
-def kernel_from_csv_text(text: str, layer_index: int = 0) -> KernelMatrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    values = np.array([[float(tok) for tok in ln.split(",")] for ln in lines[1:]])
-    return KernelMatrix(values=values, layer_index=layer_index)
-
-
-def kpca_to_csv_text(result: KpcaResult, labels=None) -> str:
-    k = result.coordinates.shape[1]
+def kpca_to_csv_text(coords: np.ndarray, labels=None) -> str:
+    k = coords.shape[1]
     header = ",".join(f"pc{j + 1}" for j in range(k))
     if labels is not None:
         header += ",label"
     lines = [header]
-    for i, row in enumerate(result.coordinates):
+    for i, row in enumerate(coords):
         line = ",".join(repr(float(v)) for v in row)
         if labels is not None:
             line += f",{int(labels[i])}"

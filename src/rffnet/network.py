@@ -89,8 +89,6 @@ def build_network(
     batch_norm: bool = False,
     omega_stddev: float = 0.1,
     readout_stddev: float = 0.1,
-    bn_momentum: float = 0.1,
-    bn_epsilon: float = 1e-5,
 ) -> Network:
     """Chain layer_count layers (widths from D_per_layer) plus a linear readout."""
     if loss_kind not in LOSS_KINDS:
@@ -104,8 +102,7 @@ def build_network(
     layers = []
     dim = d_in
     for D in D_per_layer:
-        layers.append(init_layer(dim, D, omega_stddev, rng, batchnorm=batch_norm,
-                                 bn_momentum=bn_momentum, bn_epsilon=bn_epsilon))
+        layers.append(init_layer(dim, D, omega_stddev, rng, batchnorm=batch_norm))
         dim = 2 * D
     readout_w = gaussian_matrix(n_classes, dim, 0.0, readout_stddev, rng)
     readout_b = np.zeros(n_classes)
@@ -250,7 +247,7 @@ def backward_full(net: Network, trace: ForwardTrace, grad_logits, lam: float,
     end = len(views) - 2
     for i in range(len(net.layers) - 1, -1, -1):
         start = end - (1 if net.layers[i].batchnorm is None else 3)
-        _, g = backward(net.layers[i], trace.caches[i], g, out=views[start:end], input_grad=i > 0)
+        g = backward(net.layers[i], trace.caches[i], g, views[start:end], input_grad=i > 0)
         end = start
     out += lam * net.flat
     return out

@@ -95,16 +95,6 @@ class TrainingLog:
             lines.append(f"{r.epoch},{r.lr!r},{r.loss!r},{r.reg_loss!r},{r.train_acc!r},{val}")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_csv_text(cls, text: str) -> "TrainingLog":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        records = []
-        for ln in lines[1:]:
-            epoch, lr, loss, reg, tacc, vacc = ln.split(",")
-            records.append(EpochRecord(int(epoch), float(lr), float(loss), float(reg),
-                                       float(tacc), float(vacc) if vacc else None))
-        return cls(records=records)
-
 
 def _batch_slices(n: int, batch_size: int, merge_singleton: bool):
     starts = list(range(0, n, batch_size))

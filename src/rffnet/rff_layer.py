@@ -45,7 +45,6 @@ class BatchNormState:
 
 @dataclass
 class BatchNormCache:
-    x: np.ndarray
     x_hat: np.ndarray
     inv_std: np.ndarray
     training: bool
@@ -66,10 +65,6 @@ class RffLayer:
     def d_in(self) -> int:
         return self.omega.shape[1]
 
-    @property
-    def d_out(self) -> int:
-        return 2 * self.omega.shape[0]
-
 
 @dataclass
 class LayerCache:
@@ -81,29 +76,14 @@ class LayerCache:
     bn: BatchNormCache | None = None
 
 
-@dataclass
-class LayerGrads:
-    omega: np.ndarray
-    gamma: np.ndarray | None = None
-    beta: np.ndarray | None = None
-
-
-def init_layer(
-    d_in: int,
-    D: int,
-    stddev: float,
-    rng: Rng,
-    batchnorm: bool = False,
-    bn_momentum: float = 0.1,
-    bn_epsilon: float = 1e-5,
-) -> RffLayer:
+def init_layer(d_in: int, D: int, stddev: float, rng: Rng, batchnorm: bool = False) -> RffLayer:
     """Fresh layer with omega ~ N(0, stddev^2), i.e. an RBF-like spectral density."""
     if d_in < 1 or D < 1:
         raise ParameterError(f"layer dimensions must be positive, got d_in={d_in}, D={D}")
     if stddev <= 0:
         raise ParameterError(f"init stddev must be positive, got {stddev}")
     omega = gaussian_matrix(D, d_in, 0.0, stddev, rng)
-    bn = BatchNormState.identity(2 * D, bn_momentum, bn_epsilon) if batchnorm else None
+    bn = BatchNormState.identity(2 * D) if batchnorm else None
     return RffLayer(omega=omega, batchnorm=bn)
 
 
@@ -128,24 +108,24 @@ def batchnorm_forward(bn: BatchNormState, x: np.ndarray, training: bool):
         inv_std = 1.0 / np.sqrt(bn.running_var + bn.epsilon)
         x_hat = (x - bn.running_mean) * inv_std
     y = bn.gamma * x_hat + bn.beta
-    return y, BatchNormCache(x=x, x_hat=x_hat, inv_std=inv_std, training=training)
+    return y, BatchNormCache(x_hat=x_hat, inv_std=inv_std, training=training)
 
 
 def batchnorm_backward(bn: BatchNormState, cache: BatchNormCache, grad_y: np.ndarray,
-                       gamma_out: np.ndarray | None = None, beta_out: np.ndarray | None = None):
-    """Gradients w.r.t. input, gamma, beta for one batch-norm forward.
+                       gamma_out: np.ndarray, beta_out: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. the input of one batch-norm forward.
 
-    The gamma and beta gradients are written into gamma_out and beta_out when
-    given (views into a flat gradient buffer during training)."""
-    if grad_y.shape != cache.x.shape:
-        raise ShapeError(f"batch norm grad shape {grad_y.shape} != input shape {cache.x.shape}")
-    grad_gamma = np.add.reduce(grad_y * cache.x_hat, 0, out=gamma_out)
-    grad_beta = np.add.reduce(grad_y, 0, out=beta_out)
+    The gamma and beta gradients are written into gamma_out and beta_out
+    (views into a flat gradient buffer during training)."""
+    if grad_y.shape != cache.x_hat.shape:
+        raise ShapeError(f"batch norm grad shape {grad_y.shape} != input shape {cache.x_hat.shape}")
+    np.add.reduce(grad_y * cache.x_hat, 0, out=gamma_out)
+    np.add.reduce(grad_y, 0, out=beta_out)
     grad_xhat = grad_y * bn.gamma
     if cache.training:
         # inv_std / n * (n * grad_xhat - sum(grad_xhat) - x_hat * sum(grad_xhat * x_hat)),
         # evaluated in place in the same operation order
-        n = cache.x.shape[0]
+        n = cache.x_hat.shape[0]
         proj = np.add.reduce(grad_xhat * cache.x_hat, 0)
         grad_x = n * grad_xhat
         grad_x -= np.add.reduce(grad_xhat, 0)
@@ -153,7 +133,7 @@ def batchnorm_backward(bn: BatchNormState, cache: BatchNormCache, grad_y: np.nda
         grad_x *= cache.inv_std / n
     else:
         grad_x = grad_xhat * cache.inv_std
-    return grad_x, grad_gamma, grad_beta
+    return grad_x
 
 
 def forward(layer: RffLayer, X, training: bool = False):
@@ -178,25 +158,21 @@ def forward(layer: RffLayer, X, training: bool = False):
     return output, LayerCache(x=X, features=features, output=output, bn=bn_cache)
 
 
-def backward(layer: RffLayer, cache: LayerCache, grad_output, out=None, input_grad: bool = True):
-    """Backpropagate through the layer; returns (LayerGrads, grad_input).
+def backward(layer: RffLayer, cache: LayerCache, grad_output, out, input_grad: bool = True):
+    """Backpropagate through the layer; returns grad_input.
 
-    grad_omega is summed over the batch. Derivatives of the trig pair are
-    -sin(f) x for the cos branch and cos(f) x for the sin branch, carrying the
-    same sqrt(1/D) scale as the forward map. With ``out``, a sequence of
-    arrays shaped like omega (then gamma and beta with batch norm), the
-    parameter gradients are written into it. With ``input_grad=False``
-    grad_input is skipped and returned as None: a network's first layer has no
-    use for it.
+    The parameter gradients are written into ``out``, a sequence of arrays
+    shaped like omega (then gamma and beta with batch norm). grad_omega is
+    summed over the batch. Derivatives of the trig pair are -sin(f) x for the
+    cos branch and cos(f) x for the sin branch, carrying the same sqrt(1/D)
+    scale as the forward map. With ``input_grad=False`` grad_input is skipped
+    and returned as None: a network's first layer has no use for it.
     """
     grad_output = as_matrix(grad_output, "grad_output")
     if grad_output.shape != cache.output.shape:
         raise ShapeError(f"grad_output shape {grad_output.shape} != layer output shape {cache.output.shape}")
-    if out is None:
-        out = (None, None, None)
-    grad_gamma = grad_beta = None
     if layer.batchnorm is not None:
-        grad_feats, grad_gamma, grad_beta = batchnorm_backward(layer.batchnorm, cache.bn, grad_output, *out[1:])
+        grad_feats = batchnorm_backward(layer.batchnorm, cache.bn, grad_output, *out[1:])
     else:
         grad_feats = grad_output
     D = layer.D
@@ -204,6 +180,5 @@ def backward(layer: RffLayer, cache: LayerCache, grad_output, out=None, input_gr
     gs = grad_feats[:, D:]
     # scale*sin(f) and scale*cos(f) are already in the cached features
     dF = gs * cache.features[:, :D] - gc * cache.features[:, D:]
-    grad_omega = np.matmul(dF.T, cache.x, out=out[0])
-    grad_input = dF @ layer.omega if input_grad else None
-    return LayerGrads(omega=grad_omega, gamma=grad_gamma, beta=grad_beta), grad_input
+    np.matmul(dF.T, cache.x, out=out[0])
+    return dF @ layer.omega if input_grad else None

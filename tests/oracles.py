@@ -1,0 +1,52 @@
+"""Reference checks and readers that only tests use: kernel-matrix invariants,
+the closed-form composed-RBF kernel, and parsers for the CSV files the commands
+write."""
+
+import numpy as np
+
+from rffnet.errors import DataError, ParameterError
+from rffnet.numerics import sym_eig_topk
+from rffnet.optimizer import EpochRecord, TrainingLog
+
+
+def assert_valid_kernel(K: np.ndarray, sym_tol: float = 1e-10, psd_tol: float = -1e-8,
+                        diag_tol: float = 1e-10, check_diag: bool = True) -> None:
+    """Assert symmetry, positive semi-definiteness, and (optionally) a unit diagonal."""
+    n = K.shape[0]
+    sym_err = float(np.abs(K - K.T).max())
+    if sym_err > sym_tol:
+        raise DataError(f"kernel matrix asymmetric by {sym_err:.3g}")
+    if check_diag:
+        diag_err = float(np.abs(np.diag(K) - 1.0).max())
+        if diag_err > diag_tol:
+            raise DataError(f"kernel diagonal deviates from 1 by {diag_err:.3g}")
+    vals, _ = sym_eig_topk(K, n)
+    if float(vals[-1]) < psd_tol:
+        raise DataError(f"kernel matrix not PSD: min eigenvalue {vals[-1]:.3g}")
+
+
+def composed_rbf_oracle(k_inner: float, lam: float) -> float:
+    """Two stacked RBF maps: the outer kernel exp(-lam ||a - b||^2) evaluated on
+    unit-norm inner features reduces to exp(-2 lam (1 - k_inner))."""
+    if not 0.0 <= k_inner <= 1.0:
+        raise ParameterError(f"k_inner must lie in [0, 1], got {k_inner}")
+    if lam <= 0:
+        raise ParameterError(f"lambda must be positive, got {lam}")
+    return float(np.exp(-2.0 * lam * (1.0 - k_inner)))
+
+
+def kernel_from_csv_text(text: str) -> np.ndarray:
+    """The matrix kernel_analysis.kernel_to_csv_text wrote."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    return np.array([[float(tok) for tok in ln.split(",")] for ln in lines[1:]])
+
+
+def training_log_from_csv_text(text: str) -> TrainingLog:
+    """The log TrainingLog.to_csv_text wrote."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    records = []
+    for ln in lines[1:]:
+        epoch, lr, loss, reg, tacc, vacc = ln.split(",")
+        records.append(EpochRecord(int(epoch), float(lr), float(loss), float(reg),
+                                   float(tacc), float(vacc) if vacc else None))
+    return TrainingLog(records=records)

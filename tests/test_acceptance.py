@@ -10,12 +10,12 @@ import os
 
 import numpy as np
 import pytest
+from oracles import assert_valid_kernel, composed_rbf_oracle
 
 from rffnet.cli import RunConfig, run_training
 from rffnet.kernel_analysis import (
     SpectralDensity,
     closed_form_kernel,
-    composed_rbf_oracle,
     empirical_kernel,
     feature_map,
     rff_approx_error,
@@ -180,9 +180,9 @@ def test_c6d_kernel_invariants_on_trained_model():
                         batch_norm=True)
     fit(net, tr.X, tr.y, TrainConfig(epochs=200, batch_size=32, seed=7))
     trace = forward_full(net, tr.X, training=False)
-    for i, cache in enumerate(trace.caches):
-        K = empirical_kernel(cache.features, layer_index=i)
-        K.validate(sym_tol=1e-10, psd_tol=-1e-8, diag_tol=1e-10)
+    for cache in trace.caches:
+        K = empirical_kernel(cache.features)
+        assert_valid_kernel(K, sym_tol=1e-10, psd_tol=-1e-8, diag_tol=1e-10)
     report("C6d trained-model kernel invariants", True,
            "symmetry, PSD >= -1e-8, unit diagonal on both layers of a trained monks1 model")
 

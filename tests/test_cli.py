@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import assert_valid_kernel, kernel_from_csv_text, training_log_from_csv_text
+
 from rffnet import cli
 from rffnet.dataio import save_csv
-from rffnet.kernel_analysis import kernel_from_csv_text
-from rffnet.optimizer import TrainingLog
 from rffnet.tasks import two_blobs
 
 
@@ -57,7 +57,7 @@ def test_train_zero_epochs_still_evaluates(tmp_path):
     assert code == 0
     metrics = (out / "metrics.csv").read_text().splitlines()
     assert len(metrics) == 2  # header + one trial row
-    log = TrainingLog.from_csv_text((out / "log-trial0.csv").read_text())
+    log = training_log_from_csv_text((out / "log-trial0.csv").read_text())
     assert log.records == []
 
 
@@ -153,7 +153,7 @@ def test_train_mismatched_dims_no_partial_output(tmp_path):
 def test_eval_matches_final_train_accuracy(tmp_path, capsys):
     out = tmp_path / "run"
     assert run_cli(*train_args(out, "--epochs", "30")) == 0
-    log = TrainingLog.from_csv_text((out / "log-trial0.csv").read_text())
+    log = training_log_from_csv_text((out / "log-trial0.csv").read_text())
     final_train_acc = log.records[-1].train_acc
     capsys.readouterr()
     code = run_cli("eval", str(out / "model-trial0.bin"), "--task", "monks1",
@@ -204,7 +204,7 @@ def test_inspect_artifact_count_and_validity(tmp_path):
     ]
     for i in range(2):
         K = kernel_from_csv_text((ins / f"kernel-layer{i}.csv").read_text())
-        K.validate()  # symmetry, PSD, unit diagonal survive the round trip
+        assert_valid_kernel(K)  # symmetry, PSD, unit diagonal survive the round trip
     hist = (ins / "hist-layer0-dim0.csv").read_text().splitlines()[1:]
     assert sum(int(r.split(",")[2]) for r in hist) == 64
 
@@ -339,6 +339,43 @@ def test_numeric_blowup_exits_3_without_snapshot(tmp_path):
                    "--lr", "1e308", "--trials", "1", "--out", str(out))
     assert code == 3
     assert not (out / "model-trial0.bin").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--set", "train.beta1=1"],
+    ["train", "--set", "train.beta2=1"],
+    ["train", "--set", "train.beta1=-0.5"],
+    ["train", "--reg-lambda=-1e308"],
+    ["train", "--reg-lambda=inf"],
+])
+def test_out_of_range_adam_or_l2_setting_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    assert run_cli(*argv, "--task", "monks1", "--epochs", "1", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "train.beta" in err or "train.lambda" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case, code", [
+    ("data_path_is_dir", 2), ("model_is_dir", 2), ("out_is_file", 2),
+    ("config_not_utf8", 1), ("registry_not_utf8", 2), ("csv_not_utf8", 2),
+])
+def test_unreadable_or_undecodable_file_exits_naming_it(tmp_path, capsys, case, code):
+    bad = tmp_path / "bad"
+    if case.endswith("_dir"):
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"\xff\xfe1,2,0\n")
+    argv = {
+        "data_path_is_dir": ["train", "--data-path", str(bad)],
+        "model_is_dir": ["eval", str(bad), "--task", "monks1"],
+        "out_is_file": ["train", "--task", "monks1", "--epochs", "1", "--out", str(bad)],
+        "config_not_utf8": ["train", "--config", str(bad)],
+        "registry_not_utf8": ["train", "--task", "monks1", "--registry", str(bad)],
+        "csv_not_utf8": ["train", "--data-path", str(bad)],
+    }[case]
+    assert run_cli(*argv) == code
+    assert str(bad) in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

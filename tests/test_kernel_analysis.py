@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
+from oracles import assert_valid_kernel, composed_rbf_oracle, kernel_from_csv_text
 
 from rffnet.errors import DataError, ParameterError
 from rffnet.kernel_analysis import (
     ApproxError,
-    KernelMatrix,
     SpectralDensity,
     closed_form_kernel,
-    composed_rbf_oracle,
     empirical_kernel,
     feature_map,
-    kernel_from_csv_text,
     kernel_to_csv_text,
     kpca_project,
     omega_histogram,
@@ -33,19 +31,19 @@ def test_empirical_kernel_identical_rows():
     x = Rng(1).normal((1, 3))
     feats, _ = forward(layer, np.vstack([x, x]))
     K = empirical_kernel(feats)
-    assert abs(K.values[0, 1] - 1.0) < 1e-12
+    assert abs(K[0, 1] - 1.0) < 1e-12
 
 
 def test_empirical_kernel_unit_diagonal():
     layer = init_layer(4, 32, 0.3, Rng(2))
     feats, _ = forward(layer, Rng(3).normal((10, 4)))
     K = empirical_kernel(feats)
-    assert np.abs(np.diag(K.values) - 1.0).max() < 1e-12
+    assert np.abs(np.diag(K) - 1.0).max() < 1e-12
 
 
 def test_empirical_kernel_matches_brute_force():
     S = Rng(4).normal((4, 6))
-    K = empirical_kernel(S).values
+    K = empirical_kernel(S)
     for i in range(4):
         for j in range(4):
             assert abs(K[i, j] - float(S[i] @ S[j])) < 1e-12
@@ -54,7 +52,7 @@ def test_empirical_kernel_matches_brute_force():
 def test_empirical_kernel_invariants_validate():
     layer = init_layer(5, 64, 0.2, Rng(5))
     feats, _ = forward(layer, Rng(6).normal((20, 5)))
-    empirical_kernel(feats).validate()
+    assert_valid_kernel(empirical_kernel(feats))
 
 
 def test_empirical_kernel_rejects_empty():
@@ -141,19 +139,6 @@ def test_approx_error_loglog_slope():
     assert abs(slope + 0.5) < 0.15
 
 
-def test_composed_oracle_values():
-    assert composed_rbf_oracle(1.0, 0.5) == 1.0
-    assert composed_rbf_oracle(1.0, 3.0) == 1.0
-    assert abs(composed_rbf_oracle(0.0, 0.5) - np.exp(-1.0)) < 1e-15
-
-
-def test_composed_oracle_validation():
-    with pytest.raises(ParameterError):
-        composed_rbf_oracle(1.5, 0.5)
-    with pytest.raises(ParameterError):
-        composed_rbf_oracle(0.5, 0.0)
-
-
 def composed_two_layer_estimate(U, V, D1, D2, rng, chunk=512):
     """Monte Carlo <psi2(psi1(u)), psi2(psi1(v))> with streamed outer frequencies."""
     density = SpectralDensity("rbf", 1.0)
@@ -186,16 +171,15 @@ def test_composed_two_layers_match_oracle_small():
 def test_kpca_degenerate_identical_rows():
     feats = np.tile(Rng(16).normal((1, 8)), (6, 1))
     K = empirical_kernel(feats)
-    res = kpca_project(K, 2)
-    assert res.degenerate
-    assert np.abs(res.coordinates).max() == 0.0
+    coords = kpca_project(K, 2)
+    assert np.abs(coords).max() == 0.0
 
 
 def test_kpca_component_variances_nonincreasing():
     layer = init_layer(3, 32, 0.4, Rng(17))
     feats, _ = forward(layer, Rng(18).normal((25, 3)))
-    res = kpca_project(empirical_kernel(feats), 4)
-    variances = res.coordinates.var(axis=0)
+    coords = kpca_project(empirical_kernel(feats), 4)
+    variances = coords.var(axis=0)
     assert np.all(np.diff(variances) <= 1e-12)
 
 
@@ -203,40 +187,40 @@ def test_kpca_matches_brute_force_oracle():
     S = Rng(19).normal((5, 7))
     S /= np.linalg.norm(S, axis=1, keepdims=True)
     K = empirical_kernel(S)
-    res = kpca_project(K, 3)
+    coords = kpca_project(K, 3)
     # independent route: explicit centering matrix + LAPACK eigensolver
     n = 5
     J = np.eye(n) - np.ones((n, n)) / n
-    Kc = J @ K.values @ J
+    Kc = J @ K @ J
     vals, vecs = np.linalg.eigh(Kc)
     order = np.argsort(vals)[::-1][:3]
     ref = vecs[:, order] * np.sqrt(np.maximum(vals[order], 0.0))
     for j in range(3):
-        diff = min(np.abs(res.coordinates[:, j] - ref[:, j]).max(),
-                   np.abs(res.coordinates[:, j] + ref[:, j]).max())
+        diff = min(np.abs(coords[:, j] - ref[:, j]).max(),
+                   np.abs(coords[:, j] + ref[:, j]).max())
         assert diff < 1e-8
 
 
 def test_kpca_sign_convention():
     layer = init_layer(2, 16, 0.5, Rng(20))
     feats, _ = forward(layer, Rng(21).normal((12, 2)))
-    res = kpca_project(empirical_kernel(feats), 3)
+    coords = kpca_project(empirical_kernel(feats), 3)
     for j in range(3):
-        i = int(np.argmax(np.abs(res.coordinates[:, j])))
-        assert res.coordinates[i, j] >= 0.0
+        i = int(np.argmax(np.abs(coords[:, j])))
+        assert coords[i, j] >= 0.0
 
 
 def test_kpca_permutation_consistency():
     layer = init_layer(3, 16, 0.4, Rng(22))
     X = Rng(23).normal((9, 3))
     feats, _ = forward(layer, X)
-    K = empirical_kernel(feats).values
+    K = empirical_kernel(feats)
     perm = Rng(24).permutation(9)
-    res_a = kpca_project(KernelMatrix(values=K), 2)
-    res_b = kpca_project(KernelMatrix(values=K[np.ix_(perm, perm)]), 2)
+    coords_a = kpca_project(K, 2)
+    coords_b = kpca_project(K[np.ix_(perm, perm)], 2)
     for j in range(2):
-        a = res_a.coordinates[perm, j]
-        b = res_b.coordinates[:, j]
+        a = coords_a[perm, j]
+        b = coords_b[:, j]
         assert min(np.abs(a - b).max(), np.abs(a + b).max()) < 1e-8
 
 
@@ -294,7 +278,7 @@ def test_deeper_layer_separates_classes_in_kpca():
     log = fit(net, tr.X, tr.y, TrainConfig(epochs=600, batch_size=32, seed=0))
     assert log.records[-1].train_acc == 1.0
     trace = forward_full(net, tr.X, training=False)
-    ratios = [fisher_ratio(kpca_project(empirical_kernel(c.features), 2).coordinates, tr.y)
+    ratios = [fisher_ratio(kpca_project(empirical_kernel(c.features), 2), tr.y)
               for c in trace.caches]
     assert ratios[1] > 5.0 * ratios[0]
 
@@ -302,7 +286,7 @@ def test_deeper_layer_separates_classes_in_kpca():
 def test_kernel_csv_roundtrip():
     layer = init_layer(3, 16, 0.3, Rng(29))
     feats, _ = forward(layer, Rng(30).normal((6, 3)))
-    K = empirical_kernel(feats, layer_index=1)
-    back = kernel_from_csv_text(kernel_to_csv_text(K), layer_index=1)
-    assert np.array_equal(back.values, K.values)
-    back.validate()
+    K = empirical_kernel(feats)
+    back = kernel_from_csv_text(kernel_to_csv_text(K))
+    assert np.array_equal(back, K)
+    assert_valid_kernel(back)

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from oracles import training_log_from_csv_text
 
 from rffnet import optimizer
 from rffnet.errors import DataError, ParameterError, ShapeError
 from rffnet.network import accuracy, build_network, load_network, parameters, predict, save_network
 from rffnet.numerics import Rng
-from rffnet.optimizer import AdamState, TrainConfig, TrainingLog, adam_step, fit
+from rffnet.optimizer import AdamState, TrainConfig, adam_step, fit
 from rffnet.tasks import two_blobs
 
 
@@ -260,6 +261,6 @@ def test_training_log_csv_roundtrip():
     net = build_network(2, 2, 1, [4], "squared", Rng(0))
     log = fit(net, data.X, data.y, TrainConfig(epochs=3))
     text = log.to_csv_text()
-    back = TrainingLog.from_csv_text(text)
+    back = training_log_from_csv_text(text)
     assert back.to_csv_text() == text
     assert len(back.records) == 3

@@ -20,6 +20,12 @@ def relative_error(a, b, floor=1e-8):
     return abs(a - b) / max(abs(a), abs(b), floor)
 
 
+def grad_arrays(layer):
+    """NaN-filled arrays for backward's ``out``: omega, then gamma and beta with batch norm."""
+    shapes = [layer.omega.shape] + ([(2 * layer.D,)] * 2 if layer.batchnorm is not None else [])
+    return [np.full(shape, np.nan) for shape in shapes]
+
+
 def test_init_shapes_and_variance():
     layer = init_layer(6, 64, 0.1, Rng(0))
     assert layer.omega.shape == (64, 6)
@@ -98,16 +104,18 @@ def test_backward_zero_grad_output():
     layer = init_layer(3, 4, 0.1, Rng(2))
     X = Rng(3).normal((5, 3))
     _, cache = forward(layer, X)
-    grads, grad_in = backward(layer, cache, np.zeros((5, 8)))
-    assert np.array_equal(grads.omega, np.zeros((4, 3)))
+    grads = grad_arrays(layer)
+    grad_in = backward(layer, cache, np.zeros((5, 8)), grads)
+    assert np.array_equal(grads[0], np.zeros((4, 3)))
     assert np.array_equal(grad_in, np.zeros((5, 3)))
 
 
 def test_backward_zero_input_gives_zero_omega_grad():
     layer = init_layer(3, 4, 0.1, Rng(2))
     _, cache = forward(layer, np.zeros((5, 3)))
-    grads, _ = backward(layer, cache, Rng(4).normal((5, 8)))
-    assert np.abs(grads.omega).max() == 0.0
+    grads = grad_arrays(layer)
+    backward(layer, cache, Rng(4).normal((5, 8)), grads)
+    assert np.abs(grads[0]).max() == 0.0
 
 
 def _layer_loss(layer, X, w_out, training=False):
@@ -125,7 +133,8 @@ def test_gradient_matches_finite_differences(seed):
     X = rng.derive("x").normal((batch, d))
     w_out = rng.derive("w").normal((batch, 2 * D))
     _, cache = forward(layer, X)
-    grads, grad_in = backward(layer, cache, w_out)
+    grads = grad_arrays(layer)
+    grad_in = backward(layer, cache, w_out, grads)
     h = 1e-6
     for i in range(D):
         for j in range(d):
@@ -135,7 +144,7 @@ def test_gradient_matches_finite_differences(seed):
             layer.omega[i, j] = orig - h
             lm = _layer_loss(layer, X, w_out)
             layer.omega[i, j] = orig
-            assert relative_error((lp - lm) / (2 * h), grads.omega[i, j]) < 1e-5
+            assert relative_error((lp - lm) / (2 * h), grads[0][i, j]) < 1e-5
     for i in range(batch):
         for j in range(d):
             orig = X[i, j]
@@ -201,7 +210,8 @@ def test_batchnorm_backward_finite_differences():
         return float(np.sum(y * w))
 
     y, cache = batchnorm_forward(bn, x, training=True)
-    gx, ggamma, gbeta = batchnorm_backward(bn, cache, w)
+    ggamma, gbeta = np.full(6, np.nan), np.full(6, np.nan)
+    gx = batchnorm_backward(bn, cache, w, ggamma, gbeta)
     h = 1e-6
     for i in range(4):
         for j in range(6):
@@ -231,9 +241,7 @@ def test_backward_shapes_roundtrip(seed):
     X = rng.derive("x").normal((batch, d))
     out, cache = forward(layer, X, training=True)
     assert out.shape == (batch, 2 * D)
-    grads, grad_in = backward(layer, cache, np.ones_like(out))
-    assert grads.omega.shape == (D, d)
+    grads = grad_arrays(layer)
+    grad_in = backward(layer, cache, np.ones_like(out), grads)
     assert grad_in.shape == (batch, d)
-    if layer.batchnorm is not None:
-        assert grads.gamma.shape == (2 * D,)
-        assert grads.beta.shape == (2 * D,)
+    assert all(np.isfinite(g).all() for g in grads)  # every parameter gradient was written

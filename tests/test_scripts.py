@@ -1,7 +1,10 @@
+import ast
 import importlib.util
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -55,3 +58,34 @@ def test_make_datasets_writes_registry_and_files(tmp_path):
 
     gen_train, _ = make_monks("monks1")
     assert np.array_equal(np.sort(train.X, axis=0), np.sort(gen_train.X, axis=0))
+
+
+def _public_definitions(tree):
+    """(name, line) of every public function, class and method defined in a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield member.name, member.lineno
+
+
+def test_every_public_src_name_has_a_non_test_caller():
+    # code that only tests call belongs in tests/, next to the tests that use it
+    sources = {}
+    for top in ("src", "scripts", "perfbench"):
+        for path in sorted(Path(ROOT, top).rglob("*.py")):
+            if path.name != "__init__.py" and path.name != "conftest.py" and not path.name.startswith("test_"):
+                sources[path] = path.read_text().splitlines()
+    orphans = []
+    for path in sorted(Path(ROOT, "src", "rffnet").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for name, def_line in _public_definitions(ast.parse(path.read_text())):
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            used = any(word.search(line) for file, lines in sources.items()
+                       for no, line in enumerate(lines, start=1) if (file, no) != (path, def_line))
+            if not used:
+                orphans.append(f"{path.stem}.{name}")
+    assert orphans == []
