@@ -276,6 +276,9 @@ def run_training(cfg: RunConfig) -> list[TrialResult]:
             raise ParameterError(f"{key} must lie in [0, 1), got {beta!r}")
     if not (math.isfinite(cfg.reg_lambda) and cfg.reg_lambda >= 0.0):
         raise ParameterError(f"train.lambda must be finite and >= 0, got {cfg.reg_lambda!r}")
+    for key, value in (("train.lr", cfg.lr), ("train.epsilon", cfg.epsilon)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ParameterError(f"{key} must be finite and > 0, got {value!r}")
     # every trial's training split has the same size and classes, so one resolution serves all
     probe_train, _ = data.for_trial(cfg.seed)
     resolved = resolve_model(cfg, probe_train.n, probe_train.class_count)

@@ -371,6 +371,13 @@ def _decode_snapshot(header: dict, data: np.ndarray):
                 momentum=float(meta["batchnorm"]["momentum"]),
                 epsilon=float(meta["batchnorm"]["epsilon"]),
             )
+            # inference divides by sqrt(running_var + epsilon): both must keep it real and non-zero
+            if not (math.isfinite(bn.epsilon) and bn.epsilon > 0.0):
+                raise DataError(f"batch-norm epsilon {bn.epsilon!r} is not finite and > 0")
+            if not 0.0 <= bn.momentum <= 1.0:
+                raise DataError(f"batch-norm momentum {bn.momentum!r} lies outside [0, 1]")
+            if not (np.isfinite(bn.running_var).all() and (bn.running_var >= 0.0).all()):
+                raise DataError("batch-norm running variance has a negative or non-finite entry")
         layers.append(RffLayer(omega=omega, batchnorm=bn))
     out_dim = header["out_dim"]
     readout_w = take(out_dim, 2 * header["layers"][-1]["D"])

@@ -45,20 +45,24 @@ def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState) -> None:
     state.step += 1
     t = state.step
     # theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps), with scalars hoisted; the
-    # update alpha * m / (sqrt(v) * root_bc2 + eps) is evaluated in place, in that order
+    # update alpha * m / (sqrt(v) * root_bc2 + eps) is evaluated in place, in that
+    # order, through one scratch array besides denom
     alpha = state.lr / (1.0 - state.beta1**t)
     root_bc2 = 1.0 / np.sqrt(1.0 - state.beta2**t)
     m, v = state.m, state.v
+    scratch = np.multiply(1.0 - state.beta1, g)
     m *= state.beta1
-    m += (1.0 - state.beta1) * g
+    m += scratch
+    np.multiply(1.0 - state.beta2, g, out=scratch)
+    scratch *= g
     v *= state.beta2
-    v += (1.0 - state.beta2) * g * g
+    v += scratch
     denom = np.sqrt(v)
     denom *= root_bc2
     denom += state.epsilon
-    update = alpha * m
-    update /= denom
-    p -= update
+    np.multiply(alpha, m, out=scratch)
+    scratch /= denom
+    p -= scratch
 
 
 @dataclass
@@ -119,7 +123,8 @@ def fit(net: Network, X, y, config: TrainConfig, X_val=None, y_val=None) -> Trai
     same seed and data produce bit-identical logs and final parameters.
 
     Each step writes its gradients into one reused buffer laid out like
-    net.flat, so Adam updates every parameter with a single call.
+    net.flat, so Adam updates every parameter with a single call. A step's
+    activations are freed before Adam runs, so at most one trace is alive.
     Inputs, labels and that every parameter is still a view of net.flat are
     checked once, before the first step.
     """
@@ -155,6 +160,8 @@ def fit(net: Network, X, y, config: TrainConfig, X_val=None, y_val=None) -> Trai
             idx = order[lo:hi]
             trace = forward_full(net, X[idx], training=True)
             backward_full(net, trace, loss_gradient(net, trace.logits, y[idx]), config.reg_lambda, out=grad)
+            # free this step's activations before Adam, the next forward and the evaluation
+            del trace
             adam_step(flat, grad, state)
         if not np.isfinite(flat).all():
             raise NumericError(f"non-finite parameter after epoch {epoch}")

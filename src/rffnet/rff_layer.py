@@ -98,16 +98,21 @@ def batchnorm_forward(bn: BatchNormState, x: np.ndarray, training: bool):
             raise ParameterError("batch norm in training mode needs a batch of at least 2")
         # np.add.reduce(.., 0) / n is what x.mean(axis=0) computes, minus the wrapper's overhead
         mean = np.add.reduce(x, 0) / n
-        centered = x - mean
-        var = np.add.reduce(centered * centered, 0) / n
+        # x_hat is normalised in place from x - mean; y holds the squares until it is built
+        x_hat = x - mean
+        y = x_hat * x_hat
+        var = np.add.reduce(y, 0) / n
         inv_std = 1.0 / np.sqrt(var + bn.epsilon)
-        x_hat = centered * inv_std
+        x_hat *= inv_std
         bn.running_mean = (1.0 - bn.momentum) * bn.running_mean + bn.momentum * mean
         bn.running_var = (1.0 - bn.momentum) * bn.running_var + bn.momentum * var
+        np.multiply(x_hat, bn.gamma, out=y)
     else:
         inv_std = 1.0 / np.sqrt(bn.running_var + bn.epsilon)
-        x_hat = (x - bn.running_mean) * inv_std
-    y = bn.gamma * x_hat + bn.beta
+        x_hat = x - bn.running_mean
+        x_hat *= inv_std
+        y = x_hat * bn.gamma
+    y += bn.beta
     return y, BatchNormCache(x_hat=x_hat, inv_std=inv_std, training=training)
 
 
@@ -119,20 +124,24 @@ def batchnorm_backward(bn: BatchNormState, cache: BatchNormCache, grad_y: np.nda
     (views into a flat gradient buffer during training)."""
     if grad_y.shape != cache.x_hat.shape:
         raise ShapeError(f"batch norm grad shape {grad_y.shape} != input shape {cache.x_hat.shape}")
-    np.add.reduce(grad_y * cache.x_hat, 0, out=gamma_out)
+    scratch = grad_y * cache.x_hat
+    np.add.reduce(scratch, 0, out=gamma_out)
     np.add.reduce(grad_y, 0, out=beta_out)
-    grad_xhat = grad_y * bn.gamma
+    grad_x = grad_y * bn.gamma  # grad_xhat, turned into grad_x in place
     if cache.training:
         # inv_std / n * (n * grad_xhat - sum(grad_xhat) - x_hat * sum(grad_xhat * x_hat)),
-        # evaluated in place in the same operation order
+        # evaluated in place in the same operation order, products through scratch
         n = cache.x_hat.shape[0]
-        proj = np.add.reduce(grad_xhat * cache.x_hat, 0)
-        grad_x = n * grad_xhat
-        grad_x -= np.add.reduce(grad_xhat, 0)
-        grad_x -= cache.x_hat * proj
+        np.multiply(grad_x, cache.x_hat, out=scratch)
+        proj = np.add.reduce(scratch, 0)
+        total = np.add.reduce(grad_x, 0)
+        grad_x *= n
+        grad_x -= total
+        np.multiply(cache.x_hat, proj, out=scratch)
+        grad_x -= scratch
         grad_x *= cache.inv_std / n
     else:
-        grad_x = grad_xhat * cache.inv_std
+        grad_x *= cache.inv_std
     return grad_x
 
 
@@ -150,6 +159,7 @@ def forward(layer: RffLayer, X, training: bool = False):
     features = np.empty((X.shape[0], 2 * D))
     np.cos(f, out=features[:, :D])
     np.sin(f, out=features[:, D:])
+    del f
     features *= np.sqrt(1.0 / D)
     if layer.batchnorm is not None:
         output, bn_cache = batchnorm_forward(layer.batchnorm, features, training)
@@ -179,6 +189,7 @@ def backward(layer: RffLayer, cache: LayerCache, grad_output, out, input_grad: b
     gc = grad_feats[:, :D]
     gs = grad_feats[:, D:]
     # scale*sin(f) and scale*cos(f) are already in the cached features
-    dF = gs * cache.features[:, :D] - gc * cache.features[:, D:]
+    dF = gs * cache.features[:, :D]
+    dF -= gc * cache.features[:, D:]
     np.matmul(dF.T, cache.x, out=out[0])
     return dF @ layer.omega if input_grad else None

@@ -347,12 +347,19 @@ def test_numeric_blowup_exits_3_without_snapshot(tmp_path):
     ["train", "--set", "train.beta1=-0.5"],
     ["train", "--reg-lambda=-1e308"],
     ["train", "--reg-lambda=inf"],
+    ["train", "--lr=-1"],
+    ["train", "--lr=0"],
+    ["train", "--lr=nan"],
+    ["train", "--lr=inf"],
+    ["train", "--set", "train.epsilon=0"],
+    ["train", "--set", "train.epsilon=-1"],
+    ["train", "--set", "train.epsilon=nan"],
 ])
 def test_out_of_range_adam_or_l2_setting_is_usage_error(tmp_path, capsys, argv):
     out = tmp_path / "run"
     assert run_cli(*argv, "--task", "monks1", "--epochs", "1", "--out", str(out)) == 1
     err = capsys.readouterr().err
-    assert "train.beta" in err or "train.lambda" in err
+    assert any(key in err for key in ("train.beta", "train.lambda", "train.lr", "train.epsilon"))
     assert not out.exists()
 
 

@@ -349,6 +349,12 @@ def _header_end(blob):
     return blob.index(b"\n", len(b"RFFNET1\n"))
 
 
+def _set_first_running_var(blob, value):
+    # layer 0 stores omega (4x3), then gamma, beta, running_mean and running_var (8 each)
+    at = _header_end(blob) + 1 + 8 * (4 * 3 + 3 * 8)
+    return blob[:at] + np.array([value], dtype="<f8").tobytes() + blob[at + 8:]
+
+
 @pytest.mark.parametrize("mangle", [
     lambda b: b[:-16],                                          # two values short
     lambda b: b[:-3],                                           # not a whole float64
@@ -363,6 +369,16 @@ def _header_end(blob):
     lambda b: b.replace(b'"loss_kind": "squared_hinge"', b'"loss_kind": "hinge"', 1),
     lambda b: b[:8] + b"[]" + b[_header_end(b):],               # header is not an object
     lambda b: b.replace(b'"class_count": 2', b'"class_count": 3', 1),  # readout rows != classes
+    lambda b: b.replace(b'"epsilon": 1e-05', b'"epsilon": -10', 1),    # batch norm: epsilon <= 0
+    lambda b: b.replace(b'"epsilon": 1e-05', b'"epsilon": 0', 1),
+    lambda b: b.replace(b'"epsilon": 1e-05', b'"epsilon": NaN', 1),
+    lambda b: b.replace(b'"epsilon": 1e-05', b'"epsilon": Infinity', 1),
+    lambda b: b.replace(b'"momentum": 0.1', b'"momentum": -0.5', 1),   # momentum outside [0, 1]
+    lambda b: b.replace(b'"momentum": 0.1', b'"momentum": 1.5', 1),
+    lambda b: b.replace(b'"momentum": 0.1', b'"momentum": NaN', 1),
+    lambda b: _set_first_running_var(b, -1.0),                  # negative running variance
+    lambda b: _set_first_running_var(b, float("nan")),
+    lambda b: _set_first_running_var(b, float("inf")),
 ])
 def test_load_rejects_malformed_snapshot(tmp_path, mangle):
     _, blob = _snapshot_bytes(tmp_path)

@@ -1,4 +1,5 @@
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -220,6 +221,29 @@ def test_fit_loss_nonincreasing_early_epochs():
         if all(b <= a + 1e-12 for a, b in zip(losses, losses[1:])):
             wins += 1
     assert wins >= 18
+
+
+@pytest.mark.parametrize("bn", [False, True])
+def test_fit_frees_each_step_trace_before_the_next_forward(monkeypatch, bn):
+    # a step's activations must be gone before the next training step's forward
+    # and before the per-epoch inference forward: only one trace is alive at a time
+    real_forward, alive, checked = optimizer.forward_full, [], {True: 0, False: 0}
+
+    def forward_full(net, X, training=False):
+        assert all(ref() is None for ref in alive), "a previous step's trace is still alive"
+        checked[training] += bool(alive)
+        alive.clear()
+        trace = real_forward(net, X, training=training)
+        if training:
+            alive.append(weakref.ref(trace.caches[-1].features))
+        return trace
+
+    monkeypatch.setattr(optimizer, "forward_full", forward_full)
+    data = two_blobs(40, seed=3)
+    val = two_blobs(20, seed=4)
+    net = build_network(2, 2, 2, [6, 5], "squared_hinge", Rng(8), batch_norm=bn)
+    fit(net, data.X, data.y, TrainConfig(epochs=3, batch_size=16, seed=2), X_val=val.X, y_val=val.y)
+    assert checked == {True: 6, False: 3}
 
 
 def test_fit_validation_accuracy_logged():

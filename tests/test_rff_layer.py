@@ -156,6 +156,24 @@ def test_gradient_matches_finite_differences(seed):
             assert relative_error((lp - lm) / (2 * h), grad_in[i, j]) < 1e-5
 
 
+@pytest.mark.parametrize("training", [True, False])
+def test_batchnorm_forward_leaves_features_and_input_unchanged(training):
+    # batch norm works in place on its own arrays, never on the cached features or the input
+    rng = Rng(21)
+    layer = init_layer(5, 8, 0.7, rng, batchnorm=True)
+    layer.batchnorm.running_mean = rng.derive("mean").normal(16, 0.0, 0.1)
+    layer.batchnorm.running_var = 0.5 + 1.5 * rng.derive("var").uniform(16)
+    X = rng.derive("x").normal((12, 5), 0.0, 2.0)
+    X_before = X.copy()
+    _, cache = forward(layer, X, training=training)
+    assert np.array_equal(X, X_before)
+    f = X @ layer.omega.T
+    expected = np.sqrt(1.0 / 8) * np.concatenate([np.cos(f), np.sin(f)], axis=1)
+    assert np.abs(cache.features - expected).max() < 1e-15
+    assert np.array_equal(cache.features, forward(RffLayer(omega=layer.omega), X)[0])
+    assert not np.shares_memory(cache.output, cache.features)
+
+
 def test_batchnorm_constant_column_maps_to_zero():
     bn = BatchNormState.identity(3)
     x = np.column_stack([np.full(5, 2.0), np.arange(5.0), np.full(5, -1.0)])
