@@ -23,6 +23,7 @@ from .dataio import Dataset, apply_stages, preprocess_pair, split
 from .errors import DataError, NumericError, ParameterError, ParseError, ShapeError
 from .kernel_analysis import SpectralDensity, empirical_kernel, kpca_project, omega_histogram, rff_approx_error
 from .network import (
+    LOSS_KINDS,
     accuracy,
     build_network,
     default_layer_count,
@@ -42,15 +43,21 @@ LARGE_DATA_BATCH = 256
 BUILTIN_TASKS = ("monks1", "monks2", "monks3", "blobs")
 
 
-def _key(default, key: str, flag: str | None = None, choices=None):
-    """A RunConfig field with its dotted config key and, if it has one, its `train` flag."""
-    return field(default=default, metadata={"key": key, "flag": flag, "choices": choices})
+def _key(default, key: str, flag: str | None = None, choices=None, check=None):
+    """A RunConfig field: its dotted config key, its flag if it has one, and the values
+    it admits, as `choices` or as a `check` pair (predicate, description)."""
+    return field(default=default, metadata={"key": key, "flag": flag, "choices": choices, "check": check})
+
+
+_UNIT_INTERVAL = (lambda v: 0.0 <= v < 1.0, "in [0, 1)")
+_FINITE_NONNEGATIVE = (lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0")
+_FINITE_POSITIVE = (lambda v: math.isfinite(v) and v > 0.0, "finite and > 0")
 
 
 @dataclass
 class RunConfig:
     """Every run setting; each field's metadata is its row in the one table of
-    config keys, from which the key parser, config.txt and the `train` flags follow."""
+    config keys, from which the key parser, config.txt, the flags and the value checks follow."""
 
     # data
     task: str | None = _key(None, "data.task", "--task")
@@ -60,30 +67,32 @@ class RunConfig:
     label_column: int = _key(-1, "data.label_column", "--label-column")
     test_path: str | None = _key(None, "data.test_path", "--test-path")
     split_mode: str = _key("random_half", "data.split", "--data-split", ["provided", "random_half"])
-    normalize: str = _key("minmax+whiten", "data.normalize", "--normalize")
+    normalize: str = _key("minmax+whiten", "data.normalize", "--normalize", dataio.NORMALIZE_SCHEMES)
     # model
     layers: str = _key("auto", "model.layers", "--layers")
     dim: str = _key("64", "model.dim", "--dim")
     batch_norm: bool = _key(True, "model.batch_norm")  # --batch-norm / --no-batch-norm
-    loss: str = _key("auto", "model.loss", "--loss", ["auto", "squared", "squared_hinge", "cross_entropy"])
-    omega_stddev: float = _key(0.1, "model.omega_stddev")
-    readout_stddev: float = _key(0.1, "model.readout_stddev")
+    loss: str = _key("auto", "model.loss", "--loss", ["auto", *LOSS_KINDS])
+    omega_stddev: float = _key(0.1, "model.omega_stddev", check=_FINITE_POSITIVE)
+    readout_stddev: float = _key(0.1, "model.readout_stddev", check=_FINITE_NONNEGATIVE)
     # training
     epochs: str = _key("auto", "train.epochs", "--epochs")
     batch_size: str = _key("auto", "train.batch_size", "--batch-size")
-    lr: float = _key(1e-3, "train.lr", "--lr")
-    reg_lambda: float = _key(1e-4, "train.lambda", "--reg-lambda")
-    beta1: float = _key(0.9, "train.beta1")
-    beta2: float = _key(0.999, "train.beta2")
-    epsilon: float = _key(1e-8, "train.epsilon")
+    lr: float = _key(1e-3, "train.lr", "--lr", check=_FINITE_POSITIVE)
+    reg_lambda: float = _key(1e-4, "train.lambda", "--reg-lambda", check=_FINITE_NONNEGATIVE)
+    beta1: float = _key(0.9, "train.beta1", check=_UNIT_INTERVAL)
+    beta2: float = _key(0.999, "train.beta2", check=_UNIT_INTERVAL)
+    epsilon: float = _key(1e-8, "train.epsilon", check=_FINITE_POSITIVE)
     seed: int = _key(0, "train.seed", "--seed")
-    trials: int = _key(1, "train.trials", "--trials")
+    trials: int = _key(1, "train.trials", "--trials", check=(lambda v: v >= 1, ">= 1"))
     shuffle: bool = _key(True, "train.shuffle")
     out: str = _key("runs/run", "out", "--out")
 
 
 _FIELD_BY_KEY = {f.metadata["key"]: f for f in fields(RunConfig)}
 _FLAG_TYPES = {"int": int, "float": float}
+# eval/inspect's data flags; overriding only these keeps their own --seed and --out off train.seed and out
+_EVAL_DATA_FIELDS = [_FIELD_BY_KEY[k] for k in ("data.task", "data.registry", "data.path", "data.format", "data.label_column")]
 
 
 def _parse_bool(value: str) -> bool:
@@ -109,7 +118,7 @@ def set_config_key(cfg: RunConfig, key: str, value: str) -> None:
         elif ftype == "float":
             parsed = float(value)
         else:
-            parsed = None if value.lower() == "none" else value
+            parsed = None if f.default is None and value.lower() == "none" else value
     except ValueError:
         raise ParameterError(f"bad value {value!r} for config key {key!r}") from None
     setattr(cfg, f.name, parsed)
@@ -134,6 +143,16 @@ def load_config_file(path) -> RunConfig:
         except (ValueError, ParameterError) as exc:
             raise ParameterError(f"{path} line {line_no}: {exc}") from None
     return cfg
+
+
+def _check_config(cfg: RunConfig) -> None:
+    """Raise ParameterError naming the first key whose value its row does not admit."""
+    for f in fields(cfg):
+        value, meta = getattr(cfg, f.name), f.metadata
+        if meta["choices"] is not None and value not in meta["choices"]:
+            raise ParameterError(f"{meta['key']} must be one of {', '.join(meta['choices'])}, got {value!r}")
+        if meta["check"] is not None and not meta["check"][0](value):
+            raise ParameterError(f"{meta['key']} must be {meta['check'][1]}, got {value!r}")
 
 
 def config_to_text(cfg: RunConfig) -> str:
@@ -178,7 +197,6 @@ def _builtin_task(name: str) -> TaskData:
         return TaskData(name=name, provided=True, train=train, test=test)
     if name == "blobs":
         return TaskData(name=name, provided=False, full=tasks.two_blobs(400))
-    raise ParameterError(f"unknown built-in task {name!r}")
 
 
 def load_task_data(cfg: RunConfig) -> TaskData:
@@ -234,6 +252,8 @@ def resolve_model(cfg: RunConfig, n_train: int, n_classes: int) -> ResolvedModel
         dims = dim_parts
     else:
         raise ParameterError(f"model.dim lists {len(dim_parts)} widths for {layer_count} layers")
+    if min(dims) < 1:
+        raise ParameterError(f"model.dim widths must be >= 1, got {cfg.dim!r}")
     if cfg.loss == "auto":
         loss_kind = "squared_hinge" if n_classes == 2 else "cross_entropy"
     else:
@@ -246,6 +266,8 @@ def resolve_model(cfg: RunConfig, n_train: int, n_classes: int) -> ResolvedModel
         batch_size = None
     else:
         batch_size = _to_int(cfg.batch_size, "train.batch_size")
+        if batch_size < 1:
+            raise ParameterError(f"train.batch_size must be >= 1, 'full' or 'auto', got {batch_size}")
     if epochs < 0:
         raise ParameterError(f"train.epochs must be >= 0, got {epochs}")
     return ResolvedModel(layer_count=layer_count, dims=dims, loss_kind=loss_kind,
@@ -265,20 +287,9 @@ class TrialResult:
 
 def run_training(cfg: RunConfig) -> list[TrialResult]:
     """Train cfg.trials models (seeds seed, seed+1, ...) and write all artifacts."""
-    if cfg.trials < 1:
-        raise ParameterError(f"train.trials must be >= 1, got {cfg.trials}")
-    data = load_task_data(cfg)
     # validate the whole configuration before any output is created
-    if cfg.normalize not in dataio.NORMALIZE_SCHEMES:
-        raise ParameterError(f"unknown normalization scheme {cfg.normalize!r}")
-    for key, beta in (("train.beta1", cfg.beta1), ("train.beta2", cfg.beta2)):
-        if not 0.0 <= beta < 1.0:
-            raise ParameterError(f"{key} must lie in [0, 1), got {beta!r}")
-    if not (math.isfinite(cfg.reg_lambda) and cfg.reg_lambda >= 0.0):
-        raise ParameterError(f"train.lambda must be finite and >= 0, got {cfg.reg_lambda!r}")
-    for key, value in (("train.lr", cfg.lr), ("train.epsilon", cfg.epsilon)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ParameterError(f"{key} must be finite and > 0, got {value!r}")
+    _check_config(cfg)
+    data = load_task_data(cfg)
     # every trial's training split has the same size and classes, so one resolution serves all
     probe_train, _ = data.for_trial(cfg.seed)
     resolved = resolve_model(cfg, probe_train.n, probe_train.class_count)
@@ -329,9 +340,10 @@ def run_training(cfg: RunConfig) -> list[TrialResult]:
     return results
 
 
-def _config_from_args(args) -> RunConfig:
+def _config_from_args(args, table=fields(RunConfig)) -> RunConfig:
+    """--config's keys (or the defaults), overridden by each flag of table's rows that was given."""
     cfg = load_config_file(args.config) if args.config else RunConfig()
-    for f in fields(RunConfig):
+    for f in table:
         flag = f.metadata["flag"]
         value = getattr(args, flag[2:].replace("-", "_"), None) if flag else None  # argparse's dest
         if value is not None:
@@ -355,27 +367,18 @@ def cmd_train(args) -> int:
 
 
 def _load_eval_data(args, raw_width: int):
-    """Resolve the dataset for eval/inspect from --task / --data-path / --config.
+    """Resolve the dataset for eval/inspect from --task / --data-path / --config;
+    a data flag overrides the config only when given.
 
-    --data-path evaluates the whole file, also over a config's data section
-    (libsvm rows zero-padded to the model's raw width); task-style sources
-    honour --on train|test (random-half tasks replay the split for --split-seed)."""
-    cfg = load_config_file(args.config) if getattr(args, "config", None) else RunConfig()
-    if args.task:
-        cfg.task = args.task
-        cfg.path = None
-    if args.registry:
-        cfg.registry = args.registry
+    A given --data-path is evaluated whole (libsvm rows zero-padded to the model's
+    raw width). A task, or a config's own data.path, honours --on train|test: a
+    random half replays the split for --split-seed (default: the config's train.seed)."""
+    cfg = _config_from_args(args, _EVAL_DATA_FIELDS)
+    _check_config(cfg)
     if args.data_path:
-        cfg.task = None
-        cfg.path = args.data_path
-        cfg.test_path = None
-        cfg.fmt = args.format
-        cfg.label_column = args.label_column
+        return dataio.load_source(cfg.fmt, cfg.path, cfg.label_column, min_dim=raw_width)[0]
     if not cfg.task and not cfg.path:
         raise ParameterError("need --task, --data-path, or a --config naming one")
-    if cfg.path and not cfg.test_path:
-        return dataio.load_source(cfg.fmt, cfg.path, cfg.label_column, min_dim=raw_width)[0]
     data = load_task_data(cfg)
     if data.provided:
         return data.train if args.on == "train" else data.test
@@ -493,13 +496,14 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
+def _add_key_flags(p, table) -> None:
+    for f in (f for f in table if f.metadata["flag"]):
+        p.add_argument(f.metadata["flag"], type=_FLAG_TYPES.get(f.type), choices=f.metadata["choices"])
+
+
 def _add_data_args(p):
     p.add_argument("--config", help="reuse a run config's data section")
-    p.add_argument("--task", help="registry or built-in task name")
-    p.add_argument("--registry", default=None, help="registry manifest path")
-    p.add_argument("--data-path", help="dataset file (alternative to --task)")
-    p.add_argument("--format", choices=["csv", "libsvm"], default="csv")
-    p.add_argument("--label-column", type=int, default=-1)
+    _add_key_flags(p, _EVAL_DATA_FIELDS)
     p.add_argument("--on", choices=["train", "test"], default="test")
     p.add_argument("--split-seed", type=int, default=None,
                    help="split seed for random-half tasks (default: the config's train.seed)")
@@ -511,9 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train one or more models")
     p_train.add_argument("--config", help="flat key=value config file")
-    for f in fields(RunConfig):
-        if f.metadata["flag"]:
-            p_train.add_argument(f.metadata["flag"], type=_FLAG_TYPES.get(f.type), choices=f.metadata["choices"])
+    _add_key_flags(p_train, fields(RunConfig))
     p_train.add_argument("--batch-norm", dest="batch_norm", action="store_true", default=None)
     p_train.add_argument("--no-batch-norm", dest="batch_norm", action="store_false")
     p_train.add_argument("--set", action="append", metavar="KEY=VALUE")
@@ -538,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inspect.set_defaults(func=cmd_inspect)
 
     p_bench = sub.add_parser("approx-bench", help="feature-map approximation error vs. D")
-    p_bench.add_argument("--density", choices=["rbf", "laplacian", "cauchy"], default="rbf")
+    p_bench.add_argument("--density", choices=kernel_analysis.DENSITY_KINDS, default="rbf")
     p_bench.add_argument("--bandwidth", type=float, default=1.0)
     p_bench.add_argument("--dims", default="64,256,1024,4096")
     p_bench.add_argument("--pairs", type=int, default=200)

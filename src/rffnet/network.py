@@ -312,8 +312,9 @@ def load_network(path):
 
     Any file that is not exactly such a snapshot raises DataError: a wrong
     magic line, an unterminated or malformed header, dimensions that are not
-    positive integers, or a data section shorter or longer than the header
-    describes.
+    positive integers, label names that are not null or one distinct string
+    per class, batch-norm settings that are not usable numbers, or a data
+    section shorter or longer than the header describes.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -357,6 +358,10 @@ def _decode_snapshot(header: dict, data: np.ndarray):
         raise DataError(f"unknown loss kind {header['loss_kind']!r}")
     if type(header["class_count"]) is not int or header["class_count"] < 2:
         raise DataError(f"class count {header['class_count']!r} is not an integer >= 2")
+    names = header["label_names"]
+    if names is not None and not (type(names) is list and all(type(n) is str for n in names)
+                                  and len(set(names)) == len(names) == header["class_count"]):
+        raise DataError(f"label names {names!r} are not null or {header['class_count']} distinct strings")
     if not header["layers"]:
         raise DataError("snapshot has no layers")
     layers = []
@@ -365,11 +370,13 @@ def _decode_snapshot(header: dict, data: np.ndarray):
         bn = None
         if meta["batchnorm"] is not None:
             width = 2 * meta["D"]
+            momentum, epsilon = meta["batchnorm"]["momentum"], meta["batchnorm"]["epsilon"]
+            if not {type(momentum), type(epsilon)} <= {int, float}:
+                raise DataError(f"batch-norm momentum {momentum!r} and epsilon {epsilon!r} must be numbers")
             bn = BatchNormState(
                 gamma=take(width), beta=take(width),
                 running_mean=take(width).copy(), running_var=take(width).copy(),
-                momentum=float(meta["batchnorm"]["momentum"]),
-                epsilon=float(meta["batchnorm"]["epsilon"]),
+                momentum=float(momentum), epsilon=float(epsilon),
             )
             # inference divides by sqrt(running_var + epsilon): both must keep it real and non-zero
             if not (math.isfinite(bn.epsilon) and bn.epsilon > 0.0):

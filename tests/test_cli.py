@@ -280,6 +280,20 @@ def test_eval_data_path_overrides_config_test_file(tmp_path, capsys):
     assert sum(map(sum, rows)) == 10
 
 
+def test_eval_config_replays_the_random_half_of_its_own_data_path(tmp_path, blob_csv, capsys):
+    # only a given --data-path is scored whole; the run's own data.path is split as in training
+    out = tmp_path / "run"
+    assert run_cli("train", "--data-path", blob_csv, "--epochs", "3", "--layers", "1", "--dim", "8",
+                   "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run_cli("eval", str(out / "model-trial0.bin"), "--config", str(out / "config.txt"),
+                   "--out", str(tmp_path / "ev")) == 0
+    printed = float(capsys.readouterr().out)
+    assert abs(printed - float((out / "metrics.csv").read_text().splitlines()[1].split(",")[2])) < 1e-12
+    rows = (tmp_path / "ev" / "confusion.csv").read_text().splitlines()[1:]
+    assert sum(int(v) for row in rows for v in row.split(",")[1:]) == 30  # the test half of 60 rows
+
+
 def test_eval_and_inspect_recode_labels_onto_the_snapshot_by_name(tmp_path, capsys):
     # "orig" and "flipped" hold the same rows, but flipped's training file starts with
     # the other class, so that source codes the two labels the other way round
@@ -354,13 +368,29 @@ def test_numeric_blowup_exits_3_without_snapshot(tmp_path):
     ["train", "--set", "train.epsilon=0"],
     ["train", "--set", "train.epsilon=-1"],
     ["train", "--set", "train.epsilon=nan"],
+    ["train", "--set", "data.split=bogus"],
+    ["train", "--set", "model.loss=bogus"],
+    ["train", "--dim", "0"],
+    ["train", "--dim", "64,0"],
+    ["train", "--batch-size", "0"],
+    ["train", "--set", "model.omega_stddev=0"],
+    ["train", "--set", "model.omega_stddev=nan"],
+    ["train", "--set", "model.readout_stddev=-1"],
+    ["train", "--set", "train.trials=0"],
+    ["train", "--layers", "none"],
 ])
 def test_out_of_range_adam_or_l2_setting_is_usage_error(tmp_path, capsys, argv):
     out = tmp_path / "run"
     assert run_cli(*argv, "--task", "monks1", "--epochs", "1", "--out", str(out)) == 1
-    err = capsys.readouterr().err
-    assert any(key in err for key in ("train.beta", "train.lambda", "train.lr", "train.epsilon"))
+    setting = (argv[2] if argv[1] == "--set" else argv[1]).split("=")[0]  # a key, or the flag of one
+    assert FLAG_KEYS.get(setting, setting) in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_normalize_none_is_a_scheme_not_a_missing_value(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli(*train_args(out, "--normalize", "none")) == 0
+    assert "data.normalize = none\n" in (out / "config.txt").read_text()
 
 
 @pytest.mark.parametrize("case, code", [
@@ -403,6 +433,48 @@ def test_libsvm_test_file_wider_than_training_is_data_error(tmp_path, capsys):
         assert "has 3 features" in err and "has 2" in err
 
 
+def test_eval_and_inspect_keep_the_config_label_column_under_data_path(tmp_path, capsys):
+    # a data flag overrides --config only when given: --data-path alone keeps data.label_column
+    blobs = two_blobs(40, seed=2, separation=6.0)
+    rows = [f"{'ab'[label]},{float(x0)!r},{float(x1)!r}" for (x0, x1), label in zip(blobs.X, blobs.y)]
+    data = tmp_path / "label-first.csv"
+    data.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "run"
+    assert run_cli("train", "--data-path", str(data), "--label-column", "0", "--epochs", "5",
+                   "--layers", "1", "--dim", "8", "--out", str(out)) == 0
+    model = str(out / "model-trial0.bin")
+    results = []
+    for source in (["--config", str(out / "config.txt")], ["--label-column", "0"]):
+        capsys.readouterr()
+        where = tmp_path / source[0].strip("-")
+        assert run_cli("eval", model, *source, "--data-path", str(data), "--out", str(where / "ev")) == 0
+        acc = capsys.readouterr().out
+        assert run_cli("inspect", model, *source, "--data-path", str(data), "--out", str(where / "in")) == 0
+        results.append((acc, (where / "ev" / "confusion.csv").read_bytes(),
+                        (where / "in" / "kpca-layer0.csv").read_bytes()))
+    assert results[0] == results[1]
+    assert sum(int(v) for line in results[0][1].decode().splitlines()[1:] for v in line.split(",")[1:]) == 40
+
+
+def test_eval_and_inspect_config_split_ignores_their_own_seed_and_out(tmp_path, capsys):
+    # inspect's --seed (subsampling) and eval/inspect's --out share names with train.seed and
+    # out; the config's split seed must still decide which half is scored
+    out = tmp_path / "run"
+    assert run_cli("train", "--task", "blobs", "--seed", "3", "--epochs", "2", "--layers", "1",
+                   "--dim", "8", "--out", str(out)) == 0
+    model = str(out / "model-trial0.bin")
+    results = []
+    for source in (["--config", str(out / "config.txt")], ["--task", "blobs", "--split-seed", "3"]):
+        capsys.readouterr()
+        where = tmp_path / source[0].strip("-")
+        assert run_cli("eval", model, *source, "--out", str(where / "ev")) == 0
+        acc = capsys.readouterr().out
+        assert run_cli("inspect", model, *source, "--max-samples", "50", "--out", str(where / "in")) == 0
+        results.append((acc, sorted((p.name, p.read_bytes()) for p in where.glob("*/*.csv"))))
+    assert results[0] == results[1]
+    assert len(results[0][1]) == 4
+
+
 def test_eval_pads_sparse_libsvm_to_model_width(tmp_path, capsys):
     (tmp_path / "tr.svm").write_text("1 1:0.5 2:1.0\n-1 1:1.5 2:0.2\n1 1:0.3 2:0.9\n-1 1:1.1\n")
     out = tmp_path / "run"
@@ -432,7 +504,7 @@ TRAIN_OPTIONS = [
     (["--label-column"], "label_column", None, int),
     (["--test-path"], "test_path", None, None),
     (["--data-split"], "data_split", ["provided", "random_half"], None),
-    (["--normalize"], "normalize", None, None),
+    (["--normalize"], "normalize", ("none", "minmax", "whiten", "minmax+whiten"), None),
     (["--layers"], "layers", None, None),
     (["--dim"], "dim", None, None),
     (["--loss"], "loss", ["auto", "squared", "squared_hinge", "cross_entropy"], None),
@@ -476,9 +548,15 @@ def test_config_table_pins_keys_flags_and_readme(tmp_path):
     sets = [arg for line in text.splitlines() for arg in ("--set", line.replace(" = ", "=", 1))]
     assert cli._config_from_args(parser.parse_args(["train", *sets])) == cfg
     # the train flags: same options, choices and types, each setting the same key
-    train = next(a for a in parser._actions if a.dest == "command").choices["train"]
-    assert [(a.option_strings, a.dest, a.choices, a.type) for a in train._actions] == TRAIN_OPTIONS
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    assert [(a.option_strings, a.dest, a.choices, a.type) for a in commands["train"]._actions] == TRAIN_OPTIONS
     assert {f.metadata["flag"]: f.metadata["key"] for f in table if f.metadata["flag"]} == FLAG_KEYS
+    # eval and inspect take --task .. --label-column from the same rows, between --config and --on
+    for command in ("eval", "inspect"):
+        options = [(a.option_strings, a.dest, a.choices, a.type) for a in commands[command]._actions]
+        assert [o[0] for o in options[:3]] == [["-h", "--help"], [], ["--config"]]
+        assert options[3:8] == TRAIN_OPTIONS[2:7]
+        assert options[8][0] == ["--on"]
     # README's table of config keys lists every key with its default and flag
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     rows = re.findall(r"^\| `([a-z_.0-9]+)` \| `([^`]*)` \| (.*) \|$", readme, re.M)

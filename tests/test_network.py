@@ -379,6 +379,11 @@ def _set_first_running_var(blob, value):
     lambda b: _set_first_running_var(b, -1.0),                  # negative running variance
     lambda b: _set_first_running_var(b, float("nan")),
     lambda b: _set_first_running_var(b, float("inf")),
+    lambda b: b.replace(b'"label_names": ["a", "b"]', b'"label_names": 5', 1),    # not a list
+    lambda b: b.replace(b'"label_names": ["a", "b"]', b'"label_names": "10"', 1),  # two characters, not a list
+    lambda b: b.replace(b'"momentum": 0.1', b'"momentum": true', 1),              # batch norm: not a number
+    lambda b: b.replace(b'"epsilon": 1e-05', b'"epsilon": "1e-05"', 1),
+    lambda b: b.replace(b'"label_names": ["a", "b"]', b'"label_names": ["a", "a"]', 1),  # not distinct
 ])
 def test_load_rejects_malformed_snapshot(tmp_path, mangle):
     _, blob = _snapshot_bytes(tmp_path)
