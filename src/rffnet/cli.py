@@ -63,10 +63,10 @@ class RunConfig:
     task: str | None = _key(None, "data.task", "--task")
     registry: str = _key("data/registry.txt", "data.registry", "--registry")
     path: str | None = _key(None, "data.path", "--data-path")
-    fmt: str = _key("csv", "data.format", "--format", ["csv", "libsvm"])
+    fmt: str = _key("csv", "data.format", "--format", list(dataio.DATA_FORMATS))
     label_column: int = _key(-1, "data.label_column", "--label-column")
     test_path: str | None = _key(None, "data.test_path", "--test-path")
-    split_mode: str = _key("random_half", "data.split", "--data-split", ["provided", "random_half"])
+    split_mode: str = _key("random_half", "data.split", "--data-split", list(dataio.SPLIT_MODES))
     normalize: str = _key("minmax+whiten", "data.normalize", "--normalize", dataio.NORMALIZE_SCHEMES)
     # model
     layers: str = _key("auto", "model.layers", "--layers")
@@ -432,12 +432,21 @@ def cmd_eval(args) -> int:
 # --- inspect ----------------------------------------------------------------
 
 
+def _int_list(text: str, flag: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ParameterError(f"{flag} must be a comma list of integers, got {text!r}") from None
+
+
 def cmd_inspect(args) -> int:
+    # every flag is checked before any work, so a usage error leaves no file behind
+    if args.bins < 1:
+        raise ParameterError(f"--bins must be >= 1, got {args.bins}")
+    if args.max_samples < 0:
+        raise ParameterError(f"--max-samples must be >= 0 (0 keeps every row), got {args.max_samples}")
+    hist_dims = _int_list(args.hist_dims, "--hist-dims") if args.hist_dims else [0]
     net, _, X, y = _eval_inputs(args)
-    if args.max_samples and X.shape[0] > args.max_samples:
-        keep = np.sort(Rng(args.seed).derive("inspect").permutation(X.shape[0])[: args.max_samples])
-        X, y = X[keep], y[keep]
-    trace = forward_full(net, X, training=False)
     n_layers = len(net.layers)
     if args.layer is None:
         layer_indices = list(range(n_layers))
@@ -445,7 +454,16 @@ def cmd_inspect(args) -> int:
         if not 0 <= args.layer < n_layers:
             raise ParameterError(f"layer index {args.layer} out of range for {n_layers} layers")
         layer_indices = [args.layer]
-    hist_dims = [int(tok) for tok in args.hist_dims.split(",") if tok.strip()] if args.hist_dims else [0]
+    for i in layer_indices:
+        d_in = net.layers[i].d_in
+        if any(not 0 <= dim < d_in for dim in hist_dims):
+            raise ParameterError(f"--hist-dims {args.hist_dims!r} must lie in [0, {d_in}) for layer {i}")
+    if args.max_samples and X.shape[0] > args.max_samples:
+        keep = np.sort(Rng(args.seed).derive("inspect").permutation(X.shape[0])[: args.max_samples])
+        X, y = X[keep], y[keep]
+    if args.kpca_dim > X.shape[0]:
+        raise ParameterError(f"--kpca-dim {args.kpca_dim} exceeds the {X.shape[0]} samples")
+    trace = forward_full(net, X, training=False)
     os.makedirs(args.out, exist_ok=True)
     for i in layer_indices:
         feats = trace.caches[i].features  # raw trig features, before batch norm
@@ -467,9 +485,11 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_approx_bench(args) -> int:
-    dims = [int(tok) for tok in args.dims.split(",") if tok.strip()]
+    dims = _int_list(args.dims, "--dims")
     if not dims:
         raise ParameterError("need at least one feature count in --dims")
+    if not math.isfinite(args.spread):
+        raise ParameterError(f"--spread must be finite, got {args.spread}")
     density = SpectralDensity(kind=args.density, bandwidth=args.bandwidth)
     rng = Rng(args.seed)
     U = rng.derive("points").normal((args.pairs, args.features))

@@ -19,6 +19,9 @@ import numpy as np
 from .errors import DataError, ParameterError, ParseError
 from .numerics import Rng
 
+DATA_FORMATS = ("csv", "libsvm")
+SPLIT_MODES = ("provided", "random_half")  # a given test file, or a seeded random half
+
 
 @contextmanager
 def _open_text(path, **kwargs):
@@ -174,13 +177,13 @@ def load_source(fmt: str, path, label_column: int = -1, test_path=None, min_dim:
     ``min_dim`` zero-pads libsvm rows, which omit trailing zero features, to at
     least that width. Returns (data, test); test is None without ``test_path``.
     """
+    if fmt not in DATA_FORMATS:
+        raise ParameterError(f"unknown data format {fmt!r}, expected one of {DATA_FORMATS}")
 
     def load(p, label_map, min_dim):
         if fmt == "csv":
             return load_csv(p, label_column=label_column, label_map=label_map)
-        if fmt == "libsvm":
-            return load_libsvm(p, label_map=label_map, min_dim=min_dim)
-        raise ParameterError(f"unknown data format {fmt!r}")
+        return load_libsvm(p, label_map=label_map, min_dim=min_dim)
 
     data = load(path, None, min_dim)
     if not test_path:
@@ -275,9 +278,9 @@ def parse_registry(path) -> dict[str, TaskEntry]:
             if len(parts) not in (5, 6):
                 raise ParseError(f"expected 5 or 6 fields, found {len(parts)}", line=line_no)
             name, fmt, label_col, split_mode, p = parts[:5]
-            if fmt not in ("csv", "libsvm"):
+            if fmt not in DATA_FORMATS:
                 raise ParseError(f"unknown format {fmt!r}", line=line_no)
-            if split_mode not in ("provided", "random_half"):
+            if split_mode not in SPLIT_MODES:
                 raise ParseError(f"unknown split mode {split_mode!r}", line=line_no)
             label_column = 0 if label_col == "-" else int(label_col)
             test_path = resolve(parts[5]) if len(parts) == 6 and split_mode == "provided" else None

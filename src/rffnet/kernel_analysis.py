@@ -7,15 +7,18 @@ carry the unit-diagonal kernel interpretation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .numerics import Rng, as_matrix, sym_eig_topk
+from .numerics import Rng, as_matrix, row_blocks, sym_eig_topk
 from .rff_layer import RffLayer, forward
 
 DENSITY_KINDS = ("rbf", "laplacian", "cauchy")
+# bytes of one block's feature map in rff_approx_error: 16 rows at D = 4096, 1024 at D = 64
+APPROX_BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -33,8 +36,8 @@ class SpectralDensity:
     def __post_init__(self):
         if self.kind not in DENSITY_KINDS:
             raise ParameterError(f"unknown density kind {self.kind!r}, expected one of {DENSITY_KINDS}")
-        if self.bandwidth <= 0:
-            raise ParameterError(f"bandwidth must be positive, got {self.bandwidth}")
+        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise ParameterError(f"bandwidth must be finite and positive, got {self.bandwidth}")
 
 
 def empirical_kernel(features) -> np.ndarray:
@@ -89,16 +92,33 @@ class ApproxError:
 
 def rff_approx_error(density: SpectralDensity, D: int, U, V, rng: Rng) -> ApproxError:
     """|<psi(u), psi(v)> - k(u - v)| statistics over paired points, for a fresh
-    D-frequency draw from the density."""
+    D-frequency draw from the density.
+
+    The estimates are computed in row blocks of about APPROX_BLOCK_BYTES per
+    feature map, so memory is O(block x D) whatever the number of pairs; each
+    estimate has the same bits as a one-shot map of all pairs."""
     U = as_matrix(U, "U")
     V = as_matrix(V, "V")
     if U.shape[0] == 0:
         raise ParameterError("need at least one point pair")
+    exact = closed_form_kernel(density, U, V)  # checks the shapes before any feature work
     omega = sample_frequencies(density, D, U.shape[1], rng)
-    est = np.sum(feature_map(omega, U) * feature_map(omega, V), axis=1)
-    exact = closed_form_kernel(density, U, V)
+    est = _kernel_estimate(omega, U, V)
     err = np.abs(est - exact)
     return ApproxError(mean_error=float(err.mean()), max_error=float(err.max()))
+
+
+def _kernel_estimate(omega: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """<psi(u_i), psi(v_i)> for each row pair, one feature_map call per block and side.
+
+    No block has a single row unless all of U is one row: a one-row matmul takes
+    another BLAS path and would change the last bit."""
+    row_bytes = 2 * omega.shape[0] * 8  # D cos and D sin float64 columns
+    rows = max(2, APPROX_BLOCK_BYTES // row_bytes)
+    est = np.empty(U.shape[0])
+    for lo, hi in row_blocks(U.shape[0], rows, merge_singleton=True):
+        est[lo:hi] = np.sum(feature_map(omega, U[lo:hi]) * feature_map(omega, V[lo:hi]), axis=1)
+    return est
 
 
 def kpca_project(K: np.ndarray, k: int) -> np.ndarray:

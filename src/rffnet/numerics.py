@@ -1,4 +1,5 @@
-"""Dense float64 helpers: matrix coercion, a portable PRNG, and a symmetric top-k eigensolver.
+"""Dense float64 helpers: matrix coercion, row blocking, a portable PRNG, and a
+symmetric top-k eigensolver.
 
 All matrices are plain 2-D float64 numpy arrays in row-major order. The PRNG is a
 counter-based splitmix64 stream defined here (not the platform default) so that a
@@ -23,6 +24,20 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if m.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got shape {m.shape}")
     return m
+
+
+def row_blocks(n: int, size: int, merge_singleton: bool) -> list[tuple[int, int]]:
+    """(lo, hi) bounds cutting range(n) into consecutive blocks of ``size`` rows.
+
+    With ``merge_singleton`` a trailing one-row block is folded into the block
+    before it: one row breaks batch-norm statistics, and a one-row matmul takes
+    another BLAS path whose last bits differ from a many-row product's.
+    """
+    blocks = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+    if merge_singleton and len(blocks) > 1 and blocks[-1][1] - blocks[-1][0] == 1:
+        last = blocks.pop()
+        blocks[-1] = (blocks[-1][0], last[1])
+    return blocks
 
 
 def _mix64_int(z: int) -> int:

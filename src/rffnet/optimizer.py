@@ -16,7 +16,7 @@ from .network import (
     parameters,
     validate_labels,
 )
-from .numerics import Rng, as_matrix
+from .numerics import Rng, as_matrix, row_blocks
 
 
 @dataclass
@@ -100,17 +100,6 @@ class TrainingLog:
         return "\n".join(lines) + "\n"
 
 
-def _batch_slices(n: int, batch_size: int, merge_singleton: bool):
-    starts = list(range(0, n, batch_size))
-    slices = [(s, min(s + batch_size, n)) for s in starts]
-    # a trailing batch of one sample breaks batch-norm statistics; fold it back
-    if merge_singleton and len(slices) > 1 and slices[-1][1] - slices[-1][0] == 1:
-        last = slices.pop()
-        prev = slices.pop()
-        slices.append((prev[0], last[1]))
-    return slices
-
-
 def _evaluate(net: Network, X, y, lam: float):
     report = compute_loss(net, forward_full(net, X, training=False).logits, y, lam)
     return report, report.correct_count / len(y)
@@ -156,7 +145,7 @@ def fit(net: Network, X, y, config: TrainConfig, X_val=None, y_val=None) -> Trai
             order = base_rng.derive("shuffle", epoch).permutation(n)
         else:
             order = np.arange(n)
-        for lo, hi in _batch_slices(n, batch_size, merge_singleton=has_bn):
+        for lo, hi in row_blocks(n, batch_size, merge_singleton=has_bn):
             idx = order[lo:hi]
             trace = forward_full(net, X[idx], training=True)
             backward_full(net, trace, loss_gradient(net, trace.logits, y[idx]), config.reg_lambda, out=grad)

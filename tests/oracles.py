@@ -1,10 +1,11 @@
 """Reference checks and readers that only tests use: kernel-matrix invariants,
-the closed-form composed-RBF kernel, and parsers for the CSV files the commands
-write."""
+the closed-form composed-RBF kernel, the one-shot feature-map kernel estimate,
+and parsers for the CSV files the commands write."""
 
 import numpy as np
 
 from rffnet.errors import DataError, ParameterError
+from rffnet.kernel_analysis import feature_map
 from rffnet.numerics import sym_eig_topk
 from rffnet.optimizer import EpochRecord, TrainingLog
 
@@ -33,6 +34,11 @@ def composed_rbf_oracle(k_inner: float, lam: float) -> float:
     if lam <= 0:
         raise ParameterError(f"lambda must be positive, got {lam}")
     return float(np.exp(-2.0 * lam * (1.0 - k_inner)))
+
+
+def oneshot_kernel_estimate(omega: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """<psi(u_i), psi(v_i)> for every row pair from one feature map of all of U and V."""
+    return np.sum(feature_map(omega, U) * feature_map(omega, V), axis=1)
 
 
 def kernel_from_csv_text(text: str) -> np.ndarray:

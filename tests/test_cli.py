@@ -217,6 +217,50 @@ def test_inspect_unknown_layer_is_usage_error(tmp_path):
     assert code == 1
 
 
+@pytest.fixture(scope="module")
+def monks1_model(tmp_path_factory):
+    out = tmp_path_factory.mktemp("run")
+    assert run_cli(*train_args(out)) == 0
+    return str(out / "model-trial0.bin")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--bins", "0"],
+    ["--hist-dims", "9"],  # layer 0 has 6 inputs
+    ["--layer", "1", "--hist-dims", "128"],  # layer 1 has 128
+    ["--hist-dims", "0,x"],
+    ["--kpca-dim", "3", "--max-samples", "2"],
+    ["--max-samples", "-1"],
+], ids=" ".join)
+def test_inspect_bad_flag_is_usage_error_before_any_file(monks1_model, tmp_path, flags):
+    out = tmp_path / "d"
+    assert run_cli("inspect", monks1_model, "--task", "monks1", *flags, "--out", str(out)) == 1
+    assert not out.exists()
+
+
+def test_inspect_max_samples_zero_keeps_every_row(monks1_model, tmp_path):
+    out = tmp_path / "d"
+    assert run_cli("inspect", monks1_model, "--task", "monks1", "--layer", "0",
+                   "--max-samples", "0", "--out", str(out)) == 0
+    assert len((out / "kpca-layer0.csv").read_text().splitlines()) == 1 + 432  # monks1's test set
+
+
+@pytest.mark.parametrize("flags", [
+    ["--spread", "nan"],
+    ["--spread", "inf"],
+    ["--spread", "-inf"],
+    ["--bandwidth", "nan"],
+    ["--bandwidth", "inf"],
+    ["--bandwidth", "0"],
+    ["--dims", "64,x"],
+], ids=" ".join)
+def test_approx_bench_bad_setting_is_usage_error_before_any_output(tmp_path, capsys, flags):
+    out = tmp_path / "bench.csv"
+    assert run_cli("approx-bench", *flags, "--out", str(out)) == 1
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
 def test_approx_bench_rows_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,16 +7,19 @@ from hypothesis import strategies as st
 
 from rffnet.cli import RunConfig, load_task_data
 from rffnet.dataio import (
+    DATA_FORMATS,
+    SPLIT_MODES,
     Dataset,
     apply_stages,
     load_csv,
     load_libsvm,
+    load_source,
     parse_registry,
     preprocess_pair,
     save_csv,
     split,
 )
-from rffnet.errors import DataError, ParseError
+from rffnet.errors import DataError, ParameterError, ParseError
 from rffnet.numerics import Rng
 
 
@@ -257,6 +262,23 @@ def test_registry_rejects_malformed(tmp_path):
     reg.write_text("bad csv -1\n")
     with pytest.raises(ParseError, match="line 1"):
         parse_registry(str(reg))
+
+
+def test_config_registry_and_loader_admit_the_same_formats_and_split_modes(tmp_path):
+    choices = {f.metadata["key"]: f.metadata["choices"] for f in fields(RunConfig)}
+    assert tuple(choices["data.format"]) == DATA_FORMATS
+    assert tuple(choices["data.split"]) == SPLIT_MODES
+    reg = tmp_path / "registry.txt"
+    reg.write_text("".join(f"t-{fmt}-{mode} {fmt} -1 {mode} d.txt d.txt\n"
+                           for fmt in DATA_FORMATS for mode in SPLIT_MODES))
+    assert len(parse_registry(str(reg))) == len(DATA_FORMATS) * len(SPLIT_MODES)
+    for line in ("t arff -1 random_half d.txt\n", "t csv -1 kfold d.txt\n"):
+        reg.write_text(line)
+        with pytest.raises(ParseError, match="line 1"):
+            parse_registry(str(reg))
+    # an unknown format is rejected before the file is opened
+    with pytest.raises(ParameterError, match="unknown data format"):
+        load_source("arff", tmp_path / "missing.arff")
 
 
 def test_dataset_rejects_nan():

@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from oracles import assert_valid_kernel, composed_rbf_oracle, kernel_from_csv_text
+from oracles import assert_valid_kernel, composed_rbf_oracle, kernel_from_csv_text, oneshot_kernel_estimate
 
 from rffnet.errors import DataError, ParameterError
 from rffnet.kernel_analysis import (
+    APPROX_BLOCK_BYTES,
+    DENSITY_KINDS,
     ApproxError,
+    _kernel_estimate,
     SpectralDensity,
     closed_form_kernel,
     empirical_kernel,
@@ -22,8 +27,9 @@ from rffnet.rff_layer import RffLayer, forward, init_layer
 def test_density_validation():
     with pytest.raises(ParameterError):
         SpectralDensity(kind="triangular")
-    with pytest.raises(ParameterError):
-        SpectralDensity(kind="rbf", bandwidth=0.0)
+    for bandwidth in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ParameterError):
+            SpectralDensity(kind="rbf", bandwidth=bandwidth)
 
 
 def test_empirical_kernel_identical_rows():
@@ -137,6 +143,41 @@ def test_approx_error_loglog_slope():
         means.append(np.mean(errs))
     slope = np.polyfit(np.log(dims), np.log(means), 1)[0]
     assert abs(slope + 0.5) < 0.15
+
+
+@pytest.mark.parametrize("D", [16, 64, 256, 1024, 4096])
+@pytest.mark.parametrize("kind", DENSITY_KINDS)
+def test_blocked_estimate_matches_the_oneshot_map_bit_for_bit(kind, D):
+    # the block is 16 rows at D = 4096 and 1024 at D = 64; block + 1 leaves a trailing single row
+    block = APPROX_BLOCK_BYTES // (16 * D)
+    density = SpectralDensity(kind, 1.3)
+    for d in (1, 3, 5):
+        for pairs in (1, 2, block, block + 1, 3 * block + 5):
+            rng = Rng(D).derive(kind, d, pairs)
+            U = rng.derive("u").normal((pairs, d))
+            V = U + rng.derive("v").normal((pairs, d))
+            omega = sample_frequencies(density, D, d, rng.derive("omega"))
+            est = _kernel_estimate(omega, U, V)
+            oracle = oneshot_kernel_estimate(omega, U, V)
+            assert est.tobytes() == oracle.tobytes(), (d, pairs)
+    # the error statistics are those of the one-shot estimate of the same draw
+    err = np.abs(oracle - closed_form_kernel(density, U, V))
+    got = rff_approx_error(density, D, U, V, rng.derive("omega"))
+    assert (got.mean_error, got.max_error) == (float(err.mean()), float(err.max()))
+
+
+def test_approx_error_memory_is_bounded_by_the_block_not_the_pairs():
+    # the one-shot map of 1000 pairs at D = 2048 peaks at about 100 MB
+    rng = Rng(3)
+    U = rng.derive("u").normal((1000, 3))
+    V = U + rng.derive("v").normal((1000, 3))
+    tracemalloc.start()
+    try:
+        rff_approx_error(SpectralDensity("rbf", 1.0), 2048, U, V, rng.derive("omega"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 def composed_two_layer_estimate(U, V, D1, D2, rng, chunk=512):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rffnet.errors import ParameterError, ShapeError, SymmetryError
-from rffnet.numerics import Rng, gaussian_matrix, sym_eig_topk
+from rffnet.numerics import Rng, gaussian_matrix, row_blocks, sym_eig_topk
 
 
 def test_gaussian_zero_stddev_is_constant():
@@ -114,3 +114,12 @@ def test_sym_eig_k_out_of_range():
 def test_sym_eig_rejects_non_square():
     with pytest.raises(ShapeError):
         sym_eig_topk(np.zeros((2, 3)), 1)
+
+
+def test_row_blocks_cover_the_rows_and_merge_only_a_trailing_single_row():
+    assert row_blocks(10, 4, merge_singleton=True) == [(0, 4), (4, 8), (8, 10)]
+    assert row_blocks(9, 4, merge_singleton=False) == [(0, 4), (4, 8), (8, 9)]
+    assert row_blocks(9, 4, merge_singleton=True) == [(0, 4), (4, 9)]
+    assert row_blocks(1, 4, merge_singleton=True) == [(0, 1)]  # the whole set may be one row
+    assert row_blocks(5, 1, merge_singleton=True) == [(0, 1), (1, 2), (2, 3), (3, 5)]
+    assert row_blocks(0, 4, merge_singleton=True) == []
