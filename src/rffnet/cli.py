@@ -179,24 +179,24 @@ def write_text_atomic(path, text: str) -> None:
 
 @dataclass
 class TaskData:
+    """A task's data and its provided test split; test None means a random half of data."""
+
     name: str
-    provided: bool
-    train: Dataset | None = None
+    data: Dataset
     test: Dataset | None = None
-    full: Dataset | None = None
 
     def for_trial(self, seed: int):
-        if self.provided:
-            return self.train, self.test
-        return split(self.full, seed)
+        """(train, test) for a trial: the provided split, or the random half seed draws."""
+        if self.test is not None:
+            return self.data, self.test
+        return split(self.data, seed)
 
 
 def _builtin_task(name: str) -> TaskData:
     if name.startswith("monks"):
-        train, test = tasks.make_monks(name)
-        return TaskData(name=name, provided=True, train=train, test=test)
+        return TaskData(name, *tasks.make_monks(name))
     if name == "blobs":
-        return TaskData(name=name, provided=False, full=tasks.two_blobs(400))
+        return TaskData(name, tasks.two_blobs(400))
 
 
 def load_task_data(cfg: RunConfig) -> TaskData:
@@ -218,11 +218,9 @@ def load_task_data(cfg: RunConfig) -> TaskData:
     else:
         raise ParameterError("config needs data.task or data.path")
     data, test = dataio.load_source(cfg.fmt, cfg.path, cfg.label_column, cfg.test_path)
-    if test is not None:
-        return TaskData(name=name, provided=True, train=data, test=test)
-    if cfg.split_mode == "provided":
+    if test is None and cfg.split_mode == "provided":
         raise ParameterError("data.split = provided requires data.test_path")
-    return TaskData(name=name, provided=False, full=data)
+    return TaskData(name, data, test)
 
 
 @dataclass
@@ -379,11 +377,8 @@ def _load_eval_data(args, raw_width: int):
         return dataio.load_source(cfg.fmt, cfg.path, cfg.label_column, min_dim=raw_width)[0]
     if not cfg.task and not cfg.path:
         raise ParameterError("need --task, --data-path, or a --config naming one")
-    data = load_task_data(cfg)
-    if data.provided:
-        return data.train if args.on == "train" else data.test
     split_seed = args.split_seed if args.split_seed is not None else cfg.seed
-    train, test = data.for_trial(split_seed)
+    train, test = load_task_data(cfg).for_trial(split_seed)
     return train if args.on == "train" else test
 
 

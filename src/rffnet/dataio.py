@@ -282,7 +282,10 @@ def parse_registry(path) -> dict[str, TaskEntry]:
                 raise ParseError(f"unknown format {fmt!r}", line=line_no)
             if split_mode not in SPLIT_MODES:
                 raise ParseError(f"unknown split mode {split_mode!r}", line=line_no)
-            label_column = 0 if label_col == "-" else int(label_col)
+            try:
+                label_column = 0 if label_col == "-" else int(label_col)
+            except ValueError:
+                raise ParseError(f"label column {label_col!r} is not an integer or '-'", line=line_no) from None
             test_path = resolve(parts[5]) if len(parts) == 6 and split_mode == "provided" else None
             if split_mode == "provided" and test_path is None:
                 raise ParseError("provided split needs a test path", line=line_no)

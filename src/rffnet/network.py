@@ -38,6 +38,8 @@ class Network:
     flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.loss_kind not in LOSS_KINDS:
+            raise ParameterError(f"unknown loss kind {self.loss_kind!r}, expected one of {LOSS_KINDS}")
         if self.readout_w.shape[0] != self.class_count:
             raise ParameterError(f"readout has {self.readout_w.shape[0]} rows for {self.class_count} classes")
         params = parameters(self)
@@ -91,8 +93,6 @@ def build_network(
     readout_stddev: float = 0.1,
 ) -> Network:
     """Chain layer_count layers (widths from D_per_layer) plus a linear readout."""
-    if loss_kind not in LOSS_KINDS:
-        raise ParameterError(f"unknown loss kind {loss_kind!r}, expected one of {LOSS_KINDS}")
     if layer_count < 1:
         raise ParameterError(f"layer_count must be >= 1, got {layer_count}")
     if len(D_per_layer) != layer_count:
@@ -182,11 +182,9 @@ def _data_loss(net: Network, logits: np.ndarray, y: np.ndarray, grad: bool):
     if net.loss_kind == "squared":
         residual = logits - targets
         slope = 2.0
-    elif net.loss_kind == "squared_hinge":  # targets are +1/-1 margins
+    else:  # squared_hinge: targets are +1/-1 margins
         residual = np.maximum(0.0, 1.0 - targets * logits)
         slope = -2.0 * targets
-    else:
-        raise ParameterError(f"unknown loss kind {net.loss_kind!r}")
     if not grad:
         return float(np.add.reduce(residual * residual, None)) / n
     return slope * residual / n
@@ -312,9 +310,10 @@ def load_network(path):
 
     Any file that is not exactly such a snapshot raises DataError: a wrong
     magic line, an unterminated or malformed header, dimensions that are not
-    positive integers, label names that are not null or one distinct string
-    per class, batch-norm settings that are not usable numbers, or a data
-    section shorter or longer than the header describes.
+    positive integers, an unknown loss kind, label names that are not null or
+    one distinct string per class, batch-norm settings that are not usable
+    numbers, a stored value that is not finite, a preprocessing divisor that
+    is not > 0, or a data section shorter or longer than the header describes.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -341,6 +340,8 @@ def _decode_snapshot(header: dict, data: np.ndarray):
     Trainable arrays are taken as views of data: Network copies them into its
     parameter buffer. Everything else is copied here.
     """
+    if not np.isfinite(data).all():
+        raise DataError("snapshot stores a NaN or infinite value")
     pos = 0
 
     def take(*shape):
@@ -354,8 +355,6 @@ def _decode_snapshot(header: dict, data: np.ndarray):
         pos += count
         return arr
 
-    if header["loss_kind"] not in LOSS_KINDS:
-        raise DataError(f"unknown loss kind {header['loss_kind']!r}")
     if type(header["class_count"]) is not int or header["class_count"] < 2:
         raise DataError(f"class count {header['class_count']!r} is not an integer >= 2")
     names = header["label_names"]
@@ -383,8 +382,8 @@ def _decode_snapshot(header: dict, data: np.ndarray):
                 raise DataError(f"batch-norm epsilon {bn.epsilon!r} is not finite and > 0")
             if not 0.0 <= bn.momentum <= 1.0:
                 raise DataError(f"batch-norm momentum {bn.momentum!r} lies outside [0, 1]")
-            if not (np.isfinite(bn.running_var).all() and (bn.running_var >= 0.0).all()):
-                raise DataError("batch-norm running variance has a negative or non-finite entry")
+            if not (bn.running_var >= 0.0).all():
+                raise DataError("batch-norm running variance has a negative entry")
         layers.append(RffLayer(omega=omega, batchnorm=bn))
     out_dim = header["out_dim"]
     readout_w = take(out_dim, 2 * header["layers"][-1]["D"])
@@ -393,6 +392,8 @@ def _decode_snapshot(header: dict, data: np.ndarray):
     for _ in range(header["preprocess_stages"]):
         d = header["preprocess_dim"]
         stages.append((take(d).copy(), take(d).copy()))
+        if not (stages[-1][1] > 0.0).all():
+            raise DataError("a preprocessing stage divides by a value that is not > 0")
     if pos != data.size:
         raise DataError(f"{8 * (data.size - pos)} bytes follow the last array the header describes")
     net = Network(layers=layers, readout_w=readout_w, readout_b=readout_b,

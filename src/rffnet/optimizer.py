@@ -26,20 +26,11 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-    @classmethod
-    def for_params(cls, params: np.ndarray, lr: float = 1e-3, beta1: float = 0.9,
-                   beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
-        return cls(m=np.zeros_like(params), v=np.zeros_like(params),
-                   lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
 
 
-def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState) -> None:
-    """One bias-corrected Adam update of p, in place (fit passes net.flat)."""
+def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState, config: TrainConfig) -> None:
+    """One bias-corrected Adam update of p, in place (fit passes net.flat), with
+    config's lr, beta1, beta2 and epsilon."""
     if p.shape != g.shape or p.shape != state.m.shape:
         raise ShapeError(f"parameter/gradient/state shapes differ: {p.shape}/{g.shape}/{state.m.shape}")
     state.step += 1
@@ -47,19 +38,19 @@ def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState) -> None:
     # theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps), with scalars hoisted; the
     # update alpha * m / (sqrt(v) * root_bc2 + eps) is evaluated in place, in that
     # order, through one scratch array besides denom
-    alpha = state.lr / (1.0 - state.beta1**t)
-    root_bc2 = 1.0 / np.sqrt(1.0 - state.beta2**t)
+    alpha = config.lr / (1.0 - config.beta1**t)
+    root_bc2 = 1.0 / np.sqrt(1.0 - config.beta2**t)
     m, v = state.m, state.v
-    scratch = np.multiply(1.0 - state.beta1, g)
-    m *= state.beta1
+    scratch = np.multiply(1.0 - config.beta1, g)
+    m *= config.beta1
     m += scratch
-    np.multiply(1.0 - state.beta2, g, out=scratch)
+    np.multiply(1.0 - config.beta2, g, out=scratch)
     scratch *= g
-    v *= state.beta2
+    v *= config.beta2
     v += scratch
     denom = np.sqrt(v)
     denom *= root_bc2
-    denom += state.epsilon
+    denom += config.epsilon
     np.multiply(alpha, m, out=scratch)
     scratch /= denom
     p -= scratch
@@ -85,7 +76,6 @@ class EpochRecord:
     loss: float
     reg_loss: float
     train_acc: float
-    val_acc: float | None = None
 
 
 @dataclass
@@ -93,20 +83,15 @@ class TrainingLog:
     records: list[EpochRecord] = field(default_factory=list)
 
     def to_csv_text(self) -> str:
+        # val_acc is always empty, and kept so that every log-trial*.csv has the same columns
         lines = ["epoch,lr,loss,reg_loss,train_acc,val_acc"]
         for r in self.records:
-            val = "" if r.val_acc is None else repr(r.val_acc)
-            lines.append(f"{r.epoch},{r.lr!r},{r.loss!r},{r.reg_loss!r},{r.train_acc!r},{val}")
+            lines.append(f"{r.epoch},{r.lr!r},{r.loss!r},{r.reg_loss!r},{r.train_acc!r},")
         return "\n".join(lines) + "\n"
 
 
-def _evaluate(net: Network, X, y, lam: float):
-    report = compute_loss(net, forward_full(net, X, training=False).logits, y, lam)
-    return report, report.correct_count / len(y)
-
-
-def fit(net: Network, X, y, config: TrainConfig, X_val=None, y_val=None) -> TrainingLog:
-    """Train with shuffled minibatches; logs post-epoch loss and accuracies.
+def fit(net: Network, X, y, config: TrainConfig) -> TrainingLog:
+    """Train with shuffled minibatches; logs post-epoch loss and training accuracy.
 
     Shuffling for epoch e depends only on (config.seed, e), so two runs with the
     same seed and data produce bit-identical logs and final parameters.
@@ -117,14 +102,13 @@ def fit(net: Network, X, y, config: TrainConfig, X_val=None, y_val=None) -> Trai
     Inputs, labels and that every parameter is still a view of net.flat are
     checked once, before the first step.
     """
-    X = _checked_input(net, X, "training input")
+    X = as_matrix(X, "training input")
+    if X.shape[1] != net.d_in:
+        raise ShapeError(f"training input has {X.shape[1]} columns, network expects {net.d_in}")
     n = X.shape[0]
     if n == 0:
         raise DataError("cannot fit on an empty dataset")
     y = validate_labels(y, n, net.class_count)
-    if X_val is not None:
-        X_val = _checked_input(net, X_val, "validation input")
-        y_val = validate_labels(y_val, X_val.shape[0], net.class_count)
     has_bn = any(layer.batchnorm is not None for layer in net.layers)
     batch_size = config.batch_size if config.batch_size is not None else n
     if batch_size < 1:
@@ -136,8 +120,7 @@ def fit(net: Network, X, y, config: TrainConfig, X_val=None, y_val=None) -> Trai
         raise ParameterError("a trainable array was rebound and is no longer a view of net.flat; "
                              "assign into it in place, or build a new Network from the arrays")
     grad = np.empty_like(flat)
-    state = AdamState.for_params(flat, lr=config.lr, beta1=config.beta1,
-                                 beta2=config.beta2, epsilon=config.epsilon)
+    state = AdamState(m=np.zeros_like(flat), v=np.zeros_like(flat))
     log = TrainingLog()
     base_rng = Rng(config.seed)
     for epoch in range(config.epochs):
@@ -151,21 +134,10 @@ def fit(net: Network, X, y, config: TrainConfig, X_val=None, y_val=None) -> Trai
             backward_full(net, trace, loss_gradient(net, trace.logits, y[idx]), config.reg_lambda, out=grad)
             # free this step's activations before Adam, the next forward and the evaluation
             del trace
-            adam_step(flat, grad, state)
+            adam_step(flat, grad, state, config)
         if not np.isfinite(flat).all():
             raise NumericError(f"non-finite parameter after epoch {epoch}")
-        report, train_acc = _evaluate(net, X, y, config.reg_lambda)
-        val_acc = None
-        if X_val is not None:
-            _, val_acc = _evaluate(net, X_val, y_val, config.reg_lambda)
+        report = compute_loss(net, forward_full(net, X, training=False).logits, y, config.reg_lambda)
         log.records.append(EpochRecord(epoch=epoch, lr=config.lr, loss=report.total,
-                                       reg_loss=report.reg_loss, train_acc=train_acc,
-                                       val_acc=val_acc))
+                                       reg_loss=report.reg_loss, train_acc=report.correct_count / n))
     return log
-
-
-def _checked_input(net: Network, X, name: str) -> np.ndarray:
-    X = as_matrix(X, name)
-    if X.shape[1] != net.d_in:
-        raise ShapeError(f"{name} has {X.shape[1]} columns, network expects {net.d_in}")
-    return X

@@ -1,10 +1,13 @@
 import os
 import re
+import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import assert_valid_kernel, kernel_from_csv_text, training_log_from_csv_text
 
@@ -245,6 +248,22 @@ def test_inspect_max_samples_zero_keeps_every_row(monks1_model, tmp_path):
     assert len((out / "kpca-layer0.csv").read_text().splitlines()) == 1 + 432  # monks1's test set
 
 
+def test_eval_and_inspect_of_a_provided_split_ignore_split_seed(monks1_model, tmp_path, capsys):
+    # monks1 ships its own test set: no split seed can change which rows are scored
+    results = []
+    for seed in ([], ["--split-seed", "7"]):
+        where = tmp_path / (seed[1] if seed else "none")
+        for on in ("test", "train"):
+            assert run_cli("eval", monks1_model, "--task", "monks1", "--on", on, *seed,
+                           "--out", str(where / on)) == 0
+        assert run_cli("inspect", monks1_model, "--task", "monks1", "--layer", "0", "--max-samples", "50",
+                       *seed, "--out", str(where / "in")) == 0
+        printed = capsys.readouterr().out.replace(str(where), "OUT")
+        results.append((printed, sorted((str(p.relative_to(where)), p.read_bytes()) for p in where.glob("*/*.csv"))))
+    assert results[0] == results[1]
+    assert len(results[0][1]) == 5
+
+
 @pytest.mark.parametrize("flags", [
     ["--spread", "nan"],
     ["--spread", "inf"],
@@ -435,6 +454,61 @@ def test_normalize_none_is_a_scheme_not_a_missing_value(tmp_path):
     out = tmp_path / "run"
     assert run_cli(*train_args(out, "--normalize", "none")) == 0
     assert "data.normalize = none\n" in (out / "config.txt").read_text()
+
+
+# the fuzzed files: clean numeric tables, which train, and tables with extremes,
+# non-numbers, empty cells or ragged rows, which must be rejected cleanly
+_NUMBER = st.sampled_from(["0", "1", "2.5", "-1"])
+_CELL = st.one_of(_NUMBER, st.sampled_from(["1e308", "-1e308", "nan", "inf", "", " ", "x", "1:2"]))
+
+
+def _lines(line, min_size=0):
+    return st.lists(line, min_size=min_size, max_size=8).map("\n".join)
+
+
+def _csv_row(cell, width):
+    return st.lists(cell, min_size=width, max_size=width).map(",".join)
+
+
+def _svm_line(label, items):
+    return st.tuples(label, items).map(lambda t: " ".join([t[0], *t[1]]))
+
+
+_FILE = st.one_of(
+    st.integers(2, 4).flatmap(lambda w: _lines(_csv_row(_NUMBER, w), min_size=3)),
+    # libsvm indices stay small: the largest index sets the feature width
+    _lines(_svm_line(_NUMBER, st.lists(_NUMBER, min_size=1, max_size=3).map(
+        lambda vs: [f"{i}:{v}" for i, v in enumerate(vs, start=1)])), min_size=3),
+    st.integers(1, 4).flatmap(lambda w: _lines(_csv_row(_CELL, w))),
+    _lines(st.integers(1, 4).flatmap(lambda w: _csv_row(_CELL, w))),
+    _lines(_svm_line(_CELL, st.lists(st.tuples(st.sampled_from(["1", "2", "3", "0", "-1", "x", ""]), _CELL).map(
+        ":".join), max_size=3))),
+)
+# a valid registry line reaches the data files; a fuzzed one mostly stops at the registry
+_VALID_LINE = st.tuples(st.sampled_from(["csv -1", "libsvm -"]), st.sampled_from(["random_half", "provided"])).map(
+    lambda f: f"{f[0]} {f[1]} d t")
+_FUZZED_LINE = st.tuples(
+    st.sampled_from(["csv", "libsvm", "arff"]),
+    st.sampled_from(["-1", "0", "-", "x", "1.5", "-9", "99"]),
+    st.sampled_from(["random_half", "provided", "kfold"]),
+    st.sampled_from(["d", "missing"]),
+    st.sampled_from([" t", "", " missing"]),
+).map(lambda f: "{} {} {} {}{}".format(*f))
+
+
+@given(st.one_of(_VALID_LINE, _FUZZED_LINE), _FILE, _FILE, st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_train_on_fuzzed_registry_and_data_files_exits_with_a_documented_code(line, data, test, bn):
+    # every input is read from disk and must load or fail with exit 1, 2 or 3, never a traceback;
+    # the model size and epoch count are fixed, so no example allocates more than the files ask for
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "d").write_text(data)
+        Path(tmp, "t").write_text(test)
+        Path(tmp, "registry.txt").write_text(f"t {line}\n")
+        code = cli.main(["train", "--task", "t", "--registry", os.path.join(tmp, "registry.txt"),
+                         "--epochs", "0", "--layers", "1", "--dim", "2",
+                         "--batch-norm" if bn else "--no-batch-norm", "--out", os.path.join(tmp, "run")])
+    assert code in (0, 1, 2, 3)
 
 
 @pytest.mark.parametrize("case, code", [

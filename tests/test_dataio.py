@@ -259,9 +259,10 @@ def test_registry_parse_and_load(tmp_path):
 
 def test_registry_rejects_malformed(tmp_path):
     reg = tmp_path / "registry.txt"
-    reg.write_text("bad csv -1\n")
-    with pytest.raises(ParseError, match="line 1"):
-        parse_registry(str(reg))
+    for text in ("bad csv -1\n", "t csv x random_half d.csv\n"):
+        reg.write_text(text)
+        with pytest.raises(ParseError, match="line 1"):
+            parse_registry(str(reg))
 
 
 def test_config_registry_and_loader_admit_the_same_formats_and_split_modes(tmp_path):

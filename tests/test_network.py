@@ -349,10 +349,15 @@ def _header_end(blob):
     return blob.index(b"\n", len(b"RFFNET1\n"))
 
 
+def _set_value(blob, index, value):
+    # index counts float64 values from the start of the data section, or from its end if negative
+    at = _header_end(blob) + 1 + 8 * index if index >= 0 else len(blob) + 8 * index
+    return blob[:at] + np.array([value], dtype="<f8").tobytes() + blob[at + 8:]
+
+
 def _set_first_running_var(blob, value):
     # layer 0 stores omega (4x3), then gamma, beta, running_mean and running_var (8 each)
-    at = _header_end(blob) + 1 + 8 * (4 * 3 + 3 * 8)
-    return blob[:at] + np.array([value], dtype="<f8").tobytes() + blob[at + 8:]
+    return _set_value(blob, 4 * 3 + 3 * 8, value)
 
 
 @pytest.mark.parametrize("mangle", [
@@ -384,6 +389,9 @@ def _set_first_running_var(blob, value):
     lambda b: b.replace(b'"momentum": 0.1', b'"momentum": true', 1),              # batch norm: not a number
     lambda b: b.replace(b'"epsilon": 1e-05', b'"epsilon": "1e-05"', 1),
     lambda b: b.replace(b'"label_names": ["a", "b"]', b'"label_names": ["a", "a"]', 1),  # not distinct
+    lambda b: _set_value(b, 0, float("nan")),                   # a NaN omega entry
+    lambda b: _set_value(b, -8, float("inf")),                  # readout_b, before the stage's shift and div (3 each)
+    lambda b: _set_value(b, -1, 0.0),                           # a preprocessing div of zero
 ])
 def test_load_rejects_malformed_snapshot(tmp_path, mangle):
     _, blob = _snapshot_bytes(tmp_path)

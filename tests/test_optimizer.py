@@ -16,46 +16,50 @@ from rffnet.optimizer import AdamState, TrainConfig, adam_step, fit
 from rffnet.tasks import two_blobs
 
 
+def _adam_state(p):
+    return AdamState(m=np.zeros_like(p), v=np.zeros_like(p))
+
+
 def test_adam_zero_gradient_is_noop():
     p = np.array([1.0, -2.0])
-    state = AdamState.for_params(p)
-    adam_step(p, np.zeros(2), state)
+    state = _adam_state(p)
+    adam_step(p, np.zeros(2), state, TrainConfig())
     assert np.array_equal(p, [1.0, -2.0])
     assert state.step == 1
 
 
 def test_adam_first_step_hand_value():
     p = np.array([0.0])
-    state = AdamState.for_params(p, lr=0.001)
-    adam_step(p, np.array([1.0]), state)
+    state = _adam_state(p)
+    adam_step(p, np.array([1.0]), state, TrainConfig(lr=0.001))
     expected = -0.001 / (1.0 + 1e-8)
     assert abs(p[0] - expected) < 1e-15
 
 
 def test_adam_minimizes_quadratic():
     p = np.array([1.0])
-    state = AdamState.for_params(p, lr=0.001)
+    state, config = _adam_state(p), TrainConfig(lr=0.001)
     for _ in range(5000):
-        adam_step(p, 2.0 * p, state)
+        adam_step(p, 2.0 * p, state, config)
     assert abs(p[0]) < 1e-3
 
 
 def test_adam_second_moment_nonnegative():
     rng = Rng(0)
     p = rng.normal(5)
-    state = AdamState.for_params(p)
+    state = _adam_state(p)
     for i in range(50):
-        adam_step(p, rng.derive(i).normal(5, 0.0, 10.0), state)
+        adam_step(p, rng.derive(i).normal(5, 0.0, 10.0), state, TrainConfig())
         assert np.all(state.v >= 0.0)
 
 
 def test_adam_shape_mismatch():
     p = np.zeros(3)
-    state = AdamState.for_params(p)
+    state = _adam_state(p)
     with pytest.raises(ShapeError):
-        adam_step(p, np.zeros(4), state)
+        adam_step(p, np.zeros(4), state, TrainConfig())
     with pytest.raises(ShapeError):
-        adam_step(np.zeros(4), np.zeros(4), state)
+        adam_step(np.zeros(4), np.zeros(4), state, TrainConfig())
     assert state.step == 0
 
 
@@ -73,7 +77,7 @@ def test_adam_on_one_flat_buffer_matches_per_array_updates(shapes, data):
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
     flat = np.concatenate([p.ravel() for p in params])
-    state = AdamState.for_params(flat, lr=lr)
+    state, config = _adam_state(flat), TrainConfig(lr=lr)
     for t, grads in enumerate(steps, start=1):
         alpha = lr / (1.0 - 0.9**t)
         root_bc2 = 1.0 / np.sqrt(1.0 - 0.999**t)
@@ -81,7 +85,7 @@ def test_adam_on_one_flat_buffer_matches_per_array_updates(shapes, data):
             mi[...] = mi * 0.9 + (1.0 - 0.9) * g
             vi[...] = vi * 0.999 + (1.0 - 0.999) * g * g
             p -= alpha * mi / (np.sqrt(vi) * root_bc2 + 1e-8)
-        adam_step(flat, np.concatenate([g.ravel() for g in grads]), state)
+        adam_step(flat, np.concatenate([g.ravel() for g in grads]), state, config)
     assert np.array_equal(flat, np.concatenate([p.ravel() for p in ref]))
     assert np.array_equal(state.m, np.concatenate([mi.ravel() for mi in m]))
     assert np.array_equal(state.v, np.concatenate([vi.ravel() for vi in v]))
@@ -112,8 +116,6 @@ def test_fit_validates_labels_and_columns_before_training():
         fit(net, data.X, data.y + 1, TrainConfig(epochs=1))
     with pytest.raises(ShapeError):
         fit(net, data.X[:, :1], data.y, TrainConfig(epochs=1))
-    with pytest.raises(DataError):
-        fit(net, data.X, data.y, TrainConfig(epochs=1), X_val=data.X, y_val=-data.y)
     for b, a in zip(before, parameters(net)):
         assert np.array_equal(b, a)
 
@@ -240,18 +242,9 @@ def test_fit_frees_each_step_trace_before_the_next_forward(monkeypatch, bn):
 
     monkeypatch.setattr(optimizer, "forward_full", forward_full)
     data = two_blobs(40, seed=3)
-    val = two_blobs(20, seed=4)
     net = build_network(2, 2, 2, [6, 5], "squared_hinge", Rng(8), batch_norm=bn)
-    fit(net, data.X, data.y, TrainConfig(epochs=3, batch_size=16, seed=2), X_val=val.X, y_val=val.y)
+    fit(net, data.X, data.y, TrainConfig(epochs=3, batch_size=16, seed=2))
     assert checked == {True: 6, False: 3}
-
-
-def test_fit_validation_accuracy_logged():
-    data = two_blobs(80, seed=5, separation=8.0)
-    val = two_blobs(40, seed=6, separation=8.0)
-    net = build_network(2, 2, 1, [8], "squared_hinge", Rng(2))
-    log = fit(net, data.X, data.y, TrainConfig(epochs=3), X_val=val.X, y_val=val.y)
-    assert all(r.val_acc is not None for r in log.records)
 
 
 def test_fit_batchnorm_batch_one_merged():
