@@ -107,6 +107,8 @@ def _parse_bool(value: str) -> bool:
 def set_config_key(cfg: RunConfig, key: str, value: str) -> None:
     if key not in _FIELD_BY_KEY:
         raise ParameterError(f"unknown config key {key!r}")
+    if "\x00" in value:  # a NUL fits no value, and open() rejects a path that holds one
+        raise ParameterError(f"bad value {value!r} for config key {key!r}: NUL byte")
     f = _FIELD_BY_KEY[key]
     ftype = f.type
     value = value.strip()
@@ -402,6 +404,8 @@ def _eval_inputs(args):
         if unknown:
             raise DataError(f"labels {unknown} are not among the model's classes {label_names}")
         y = np.array([label_names.index(name) for name in data.label_names], dtype=np.int64)[y]
+    elif data.class_count > net.class_count:  # a snapshot without names codes its classes 0, 1, ...
+        raise DataError(f"dataset has {data.class_count} classes, the model {net.class_count}")
     return net, label_names, X, y
 
 
@@ -411,9 +415,7 @@ def cmd_eval(args) -> int:
     pred = predict_from_logits(logits)
     acc = float(np.mean(pred == y))
     classes = net.class_count
-    confusion = np.zeros((classes, classes), dtype=np.int64)
-    for t, p in zip(y, pred):
-        confusion[t, p] += 1
+    confusion = np.bincount(y * classes + pred, minlength=classes * classes).reshape(classes, classes)
     names = label_names if label_names else [str(i) for i in range(classes)]
     lines = ["true\\pred," + ",".join(names)]
     for i in range(classes):
@@ -524,51 +526,72 @@ def _add_data_args(p):
                    help="split seed for random-half tasks (default: the config's train.seed)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _train_args(p):
+    p.add_argument("--config", help="flat key=value config file")
+    _add_key_flags(p, fields(RunConfig))
+    p.add_argument("--batch-norm", dest="batch_norm", action="store_true", default=None)
+    p.add_argument("--no-batch-norm", dest="batch_norm", action="store_false")
+    p.add_argument("--set", action="append", metavar="KEY=VALUE")
+    p.set_defaults(func=cmd_train)
+
+
+def _eval_args(p):
+    p.add_argument("model")
+    _add_data_args(p)
+    p.add_argument("--out", default=".")
+    p.set_defaults(func=cmd_eval)
+
+
+def _inspect_args(p):
+    p.add_argument("model")
+    _add_data_args(p)
+    p.add_argument("--layer", type=int, default=None, help="single layer index (default: all)")
+    p.add_argument("--kpca-dim", type=int, default=2, choices=[2, 3])
+    p.add_argument("--bins", type=int, default=20)
+    p.add_argument("--hist-dims", default="0", help="comma list of omega columns")
+    p.add_argument("--max-samples", type=int, default=256)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default="inspect-out")
+    p.set_defaults(func=cmd_inspect)
+
+
+def _approx_bench_args(p):
+    p.add_argument("--density", choices=kernel_analysis.DENSITY_KINDS, default="rbf")
+    p.add_argument("--bandwidth", type=float, default=1.0)
+    p.add_argument("--dims", default="64,256,1024,4096")
+    p.add_argument("--pairs", type=int, default=200)
+    p.add_argument("--features", type=int, default=3)
+    p.add_argument("--spread", type=float, default=1.0)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=cmd_approx_bench)
+
+
+# command -> (its line in `rffnet --help`, the function that adds its arguments and sets its
+# handler; the handler is looked up when the parser is built, so a wrapper bound in its place is called)
+_COMMANDS = {
+    "train": ("train one or more models", _train_args),
+    "eval": ("evaluate a saved model", _eval_args),
+    "inspect": ("export kernel/kPCA/histogram diagnostics", _inspect_args),
+    "approx-bench": ("feature-map approximation error vs. D", _approx_bench_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The rffnet parser with every command (command None), or with `command`'s
+    alone: an invocation pays for the one parser it uses. The top-level help and
+    the unknown-command error, which list every command, come from the full one."""
     parser = _Parser(prog="rffnet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_train = sub.add_parser("train", help="train one or more models")
-    p_train.add_argument("--config", help="flat key=value config file")
-    _add_key_flags(p_train, fields(RunConfig))
-    p_train.add_argument("--batch-norm", dest="batch_norm", action="store_true", default=None)
-    p_train.add_argument("--no-batch-norm", dest="batch_norm", action="store_false")
-    p_train.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p_train.set_defaults(func=cmd_train)
-
-    p_eval = sub.add_parser("eval", help="evaluate a saved model")
-    p_eval.add_argument("model")
-    _add_data_args(p_eval)
-    p_eval.add_argument("--out", default=".")
-    p_eval.set_defaults(func=cmd_eval)
-
-    p_inspect = sub.add_parser("inspect", help="export kernel/kPCA/histogram diagnostics")
-    p_inspect.add_argument("model")
-    _add_data_args(p_inspect)
-    p_inspect.add_argument("--layer", type=int, default=None, help="single layer index (default: all)")
-    p_inspect.add_argument("--kpca-dim", type=int, default=2, choices=[2, 3])
-    p_inspect.add_argument("--bins", type=int, default=20)
-    p_inspect.add_argument("--hist-dims", default="0", help="comma list of omega columns")
-    p_inspect.add_argument("--max-samples", type=int, default=256)
-    p_inspect.add_argument("--seed", type=int, default=0)
-    p_inspect.add_argument("--out", default="inspect-out")
-    p_inspect.set_defaults(func=cmd_inspect)
-
-    p_bench = sub.add_parser("approx-bench", help="feature-map approximation error vs. D")
-    p_bench.add_argument("--density", choices=kernel_analysis.DENSITY_KINDS, default="rbf")
-    p_bench.add_argument("--bandwidth", type=float, default=1.0)
-    p_bench.add_argument("--dims", default="64,256,1024,4096")
-    p_bench.add_argument("--pairs", type=int, default=200)
-    p_bench.add_argument("--features", type=int, default=3)
-    p_bench.add_argument("--spread", type=float, default=1.0)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--out", default=None)
-    p_bench.set_defaults(func=cmd_approx_bench)
+    for name, (help_text, add_args) in _COMMANDS.items():
+        if command in (None, name):
+            add_args(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -33,10 +33,20 @@ def _open_text(path, **kwargs):
             raise DataError(f"{path}: {exc}") from None
 
 
+def _finite_columns(values: np.ndarray, what: str) -> np.ndarray:
+    """values, once every entry is finite; otherwise a DataError names the first column that overflowed."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        col = int(np.argmax(np.atleast_2d(bad).any(axis=0)))
+        raise DataError(f"normalization overflowed: the {what} of feature column {col} is not finite")
+    return values
+
+
 def apply_stages(X: np.ndarray, stages) -> np.ndarray:
     """X with each (shift, div) stage applied in order: X = (X - shift) / div."""
-    for shift, div in stages:
-        X = (X - shift) / div
+    with np.errstate(over="ignore"):
+        for shift, div in stages:
+            X = _finite_columns((X - shift) / div, "scaled value")
     return X
 
 
@@ -88,37 +98,38 @@ def _map_labels(tokens: list[str], label_map: dict | None):
 
 def load_csv(path, label_column: int = -1, label_map: dict | None = None) -> Dataset:
     """Read a rectangular numeric CSV; one column holds class labels, which are
-    mapped to contiguous integers in first-appearance order."""
-    rows = []
-    label_tokens = []
-    width = None
-    with _open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for line_no, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if width is None:
-                width = len(row)
-            if len(row) != width:
-                raise ParseError(f"expected {width} columns, found {len(row)}", line=line_no)
-            col = label_column if label_column >= 0 else len(row) + label_column
-            if not 0 <= col < len(row):
-                raise ParseError(f"label column {label_column} out of range for {len(row)} columns",
-                                 line=line_no)
-            label_tokens.append(row[col].strip())
-            feats = []
-            for j, cell in enumerate(row):
-                if j == col:
+    mapped to contiguous integers in first-appearance order. The feature cells
+    are parsed in one cast, but a bad cell is still named before any later row's fault."""
+    line_nos, rows, label_tokens = [], [], []  # per data row: its record number, feature cells and label
+    width = col = None
+    try:
+        with _open_text(path, newline="") as fh:
+            for line_no, row in enumerate(csv.reader(fh), start=1):
+                if not row or (len(row) == 1 and not row[0].strip()):
                     continue
+                if width is None:
+                    width = len(row)
+                    col = label_column if label_column >= 0 else width + label_column
+                if len(row) != width:
+                    raise ParseError(f"expected {width} columns, found {len(row)}", line=line_no)
+                if not 0 <= col < width:
+                    raise ParseError(f"label column {label_column} out of range for {width} columns",
+                                     line=line_no)
+                label_tokens.append(row.pop(col).strip())
+                line_nos.append(line_no)
+                rows.append(row)
+        if not rows:
+            raise DataError(f"{path}: no data rows")
+        X = np.array(rows, dtype=np.float64)  # numpy parses each str cell with float()
+    except ValueError:  # the cast's, or a later row's ParseError or DataError: an earlier bad cell comes first
+        for line_no, row in zip(line_nos, rows):
+            for k, cell in enumerate(row):
                 try:
-                    feats.append(float(cell))
+                    float(cell)
                 except ValueError:
-                    raise ParseError(f"non-numeric feature value {cell!r} in column {j}",
+                    raise ParseError(f"non-numeric feature value {cell!r} in column {k + (k >= col)}",
                                      line=line_no) from None
-            rows.append(feats)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    X = np.array(rows, dtype=np.float64)
+        raise
     y, names = _map_labels(label_tokens, label_map)
     return Dataset(X=X, y=y, class_count=len(names), label_names=names)
 
@@ -198,13 +209,15 @@ def minmax_stage(X: np.ndarray):
     """(shift, div) scaling each column of X to [0, 1]; div is 1 where a column
     is constant, which the shift already maps to 0."""
     lo = X.min(axis=0)
-    span = X.max(axis=0) - lo
+    with np.errstate(over="ignore"):
+        span = _finite_columns(X.max(axis=0) - lo, "range")
     return lo, np.where(span > 0, span, 1.0)
 
 
 def whiten_stage(X: np.ndarray):
     """(shift, div) standardizing each column of X with its mean and population std (floored at 1e-12)."""
-    return X.mean(axis=0), np.maximum(X.std(axis=0), 1e-12)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return X.mean(axis=0), np.maximum(_finite_columns(X.std(axis=0), "standard deviation"), 1e-12)
 
 
 NORMALIZE_SCHEMES = ("none", "minmax", "whiten", "minmax+whiten")
@@ -274,6 +287,8 @@ def parse_registry(path) -> dict[str, TaskEntry]:
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
+            if "\x00" in line:  # no name or path holds one, and open() rejects it
+                raise ParseError("NUL byte in line", line=line_no)
             parts = line.split()
             if len(parts) not in (5, 6):
                 raise ParseError(f"expected 5 or 6 fields, found {len(parts)}", line=line_no)

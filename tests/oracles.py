@@ -1,10 +1,13 @@
 """Reference checks and readers that only tests use: kernel-matrix invariants,
 the closed-form composed-RBF kernel, the one-shot feature-map kernel estimate,
-and parsers for the CSV files the commands write."""
+the per-cell CSV loader, and parsers for the CSV files the commands write."""
+
+import csv
 
 import numpy as np
 
-from rffnet.errors import DataError, ParameterError
+from rffnet.dataio import Dataset, _map_labels, _open_text
+from rffnet.errors import DataError, ParameterError, ParseError
 from rffnet.kernel_analysis import feature_map
 from rffnet.numerics import sym_eig_topk
 from rffnet.optimizer import EpochRecord, TrainingLog
@@ -39,6 +42,43 @@ def composed_rbf_oracle(k_inner: float, lam: float) -> float:
 def oneshot_kernel_estimate(omega: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """<psi(u_i), psi(v_i)> for every row pair from one feature map of all of U and V."""
     return np.sum(feature_map(omega, U) * feature_map(omega, V), axis=1)
+
+
+def load_csv_oracle(path, label_column: int = -1, label_map: dict | None = None) -> Dataset:
+    """dataio.load_csv as it was before its one numpy cast: each row's feature
+    cells are parsed with float() as the row is read."""
+    rows = []
+    label_tokens = []
+    width = None
+    with _open_text(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for line_no, row in enumerate(reader, start=1):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if width is None:
+                width = len(row)
+            if len(row) != width:
+                raise ParseError(f"expected {width} columns, found {len(row)}", line=line_no)
+            col = label_column if label_column >= 0 else len(row) + label_column
+            if not 0 <= col < len(row):
+                raise ParseError(f"label column {label_column} out of range for {len(row)} columns",
+                                 line=line_no)
+            label_tokens.append(row[col].strip())
+            feats = []
+            for j, cell in enumerate(row):
+                if j == col:
+                    continue
+                try:
+                    feats.append(float(cell))
+                except ValueError:
+                    raise ParseError(f"non-numeric feature value {cell!r} in column {j}",
+                                     line=line_no) from None
+            rows.append(feats)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    X = np.array(rows, dtype=np.float64)
+    y, names = _map_labels(label_tokens, label_map)
+    return Dataset(X=X, y=y, class_count=len(names), label_names=names)
 
 
 def kernel_from_csv_text(text: str) -> np.ndarray:

@@ -1,18 +1,21 @@
 import os
 import re
 import tempfile
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import assert_valid_kernel, kernel_from_csv_text, training_log_from_csv_text
 
 from rffnet import cli
 from rffnet.dataio import save_csv
+from rffnet.errors import ParameterError
+from rffnet.network import load_network, save_network
 from rffnet.tasks import two_blobs
 
 
@@ -394,6 +397,12 @@ def test_eval_and_inspect_recode_labels_onto_the_snapshot_by_name(tmp_path, caps
                    ["--data-path", str(tmp_path / "three.csv")]):
         assert run_cli("eval", model, *source, "--out", str(tmp_path / "ev3")) == 2
         assert "'2'" in capsys.readouterr().err
+    # so is a third class for a snapshot that stores no names
+    net, stages, _ = load_network(model)
+    save_network(net, tmp_path / "nameless.bin", preprocess=stages)
+    assert run_cli("eval", str(tmp_path / "nameless.bin"), "--data-path", str(tmp_path / "three.csv"),
+                   "--out", str(tmp_path / "ev3")) == 2
+    assert capsys.readouterr().err == "data error: dataset has 3 classes, the model 2\n"
 
 
 def test_run_training_sets_every_train_config_field(tmp_path, monkeypatch):
@@ -450,6 +459,25 @@ def test_out_of_range_adam_or_l2_setting_is_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+# feature column 0 is constant; column 1 holds values whose scaling overflows
+@pytest.mark.parametrize("train_text, test_text, normalize, what", [
+    ("0,1e308,0\n0,-1e308,1\n", "0,0,0\n0,1,1\n", "minmax+whiten", "range"),
+    ("0,1e200,0\n0,-1e200,1\n", "0,0,0\n0,1,1\n", "whiten", "standard deviation"),
+    ("0,0,0\n0,0,1\n0,1e-300,0\n", "0,0,0\n0,1e308,1\n", "minmax", "scaled value"),
+], ids=["range", "std", "scaled"])
+def test_normalization_overflow_is_a_data_error_naming_the_column(tmp_path, capsys, train_text, test_text,
+                                                                  normalize, what):
+    (tmp_path / "d.csv").write_text(train_text)
+    (tmp_path / "t.csv").write_text(test_text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning would end the command here
+        code = run_cli("train", "--data-path", str(tmp_path / "d.csv"), "--test-path", str(tmp_path / "t.csv"),
+                       "--normalize", normalize, "--epochs", "0", "--out", str(tmp_path / "run"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"data error: normalization overflowed: the {what} of feature column 1 is not finite\n"
+
+
 def test_normalize_none_is_a_scheme_not_a_missing_value(tmp_path):
     out = tmp_path / "run"
     assert run_cli(*train_args(out, "--normalize", "none")) == 0
@@ -491,7 +519,7 @@ _FUZZED_LINE = st.tuples(
     st.sampled_from(["csv", "libsvm", "arff"]),
     st.sampled_from(["-1", "0", "-", "x", "1.5", "-9", "99"]),
     st.sampled_from(["random_half", "provided", "kfold"]),
-    st.sampled_from(["d", "missing"]),
+    st.sampled_from(["d", "missing", "d\x00"]),
     st.sampled_from([" t", "", " missing"]),
 ).map(lambda f: "{} {} {} {}{}".format(*f))
 
@@ -509,6 +537,36 @@ def test_train_on_fuzzed_registry_and_data_files_exits_with_a_documented_code(li
                          "--epochs", "0", "--layers", "1", "--dim", "2",
                          "--batch-norm" if bn else "--no-batch-norm", "--out", os.path.join(tmp, "run")])
     assert code in (0, 1, 2, 3)
+
+
+# config lines: raw bytes, or a key of the table (or not) with a value that is valid for some key;
+# no value asks for more than 2 trials, and --epochs, --layers, --dim and --out override the file
+_CONFIG_VALUES = ["monks1", "blobs", "none", "", "0", "1", "-1", "2", "0.5", "nan", "inf", "1e308", "true",
+                  "off", "x", "full", "auto", "minmax", "provided", "libsvm", "squared", "é", "a\x00b", " 1 "]
+_CONFIG_LINE = st.one_of(
+    st.binary(max_size=20),
+    st.tuples(st.sampled_from([*sorted(f.metadata["key"] for f in fields(cli.RunConfig)), "bogus", ""]),
+              st.sampled_from(["=", " = ", "==", ": "]), st.sampled_from(_CONFIG_VALUES),
+              st.sampled_from(["", " # note", "\r"])).map(lambda t: "".join(t).encode()),
+)
+
+
+@given(st.lists(_CONFIG_LINE, max_size=6).map(b"\n".join), st.booleans())
+@example(b"data.path = a\x00b", False)
+@example(b"data.registry = r\x00", True)
+@example(b"out = a\x00b", True)
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_config_file_bytes_exit_with_a_documented_code(text, with_task):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp, "config.txt")
+        config.write_bytes((b"data.task = monks1\n" if with_task else b"") + text)
+        try:
+            assert isinstance(cli.load_config_file(config), cli.RunConfig)
+        except ParameterError:
+            pass
+        code = cli.main(["train", "--config", str(config), "--epochs", "0", "--layers", "1", "--dim", "2",
+                         "--out", os.path.join(tmp, "run")])
+    assert code in (0, 1, 2)
 
 
 @pytest.mark.parametrize("case, code", [
@@ -533,9 +591,33 @@ def test_unreadable_or_undecodable_file_exits_naming_it(tmp_path, capsys, case, 
     assert str(bad) in capsys.readouterr().err
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(capsys):
     assert run_cli("train", "--no-such-flag") == 1
     assert run_cli() == 1
+    assert run_cli("nope") == 1
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+
+def _subparser(parser, command):
+    return next(a for a in parser._actions if a.dest == "command").choices[command]
+
+
+def _actions(parser):
+    return [(a.option_strings, a.dest, a.choices, a.type, a.default, a.nargs, a.help) for a in parser._actions]
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "inspect", "approx-bench"])
+def test_a_command_parser_has_the_full_parsers_actions_and_help(command, capsys):
+    full = cli.build_parser()
+    own = _subparser(cli.build_parser(command), command)
+    assert _actions(own) == _actions(_subparser(full, command))
+    assert own._defaults == _subparser(full, command)._defaults
+    # main builds the command's own parser; its help and the top-level help read as the full parser's
+    for argv, want in (([command, "--help"], _subparser(full, command)), (["--help"], full)):
+        with pytest.raises(SystemExit) as stop:
+            run_cli(*argv)
+        assert stop.value.code == 0
+        assert capsys.readouterr().out == want.format_help()
 
 
 def test_libsvm_test_file_wider_than_training_is_data_error(tmp_path, capsys):

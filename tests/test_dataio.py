@@ -1,9 +1,12 @@
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import load_csv_oracle
 
 from rffnet.cli import RunConfig, load_task_data
 from rffnet.dataio import (
@@ -291,3 +294,36 @@ def test_label_map_shared_rejects_unseen(tmp_path):
     p = write(tmp_path / "d.csv", "1,zebra\n")
     with pytest.raises(DataError):
         load_csv(p, label_map={"cat": 0, "dog": 1})
+
+
+_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+_CSV_CELL = st.one_of(
+    _FLOAT.map(repr), _FLOAT.map(lambda v: "%.17g" % v), _FLOAT.map(lambda v: "%e" % v),
+    st.sampled_from(["1e308", "-1e308", "nan", "inf", "-inf", "1_0", " 2.5 ", "\t-3", '"4.25"', '" 5 "',
+                     '"1,5"', '"6\n7"', "", "x", "a", "b"]),
+)
+# rows of one width, a ragged row, and blank lines; any column may serve as the label
+_CSV_TEXT = st.integers(1, 4).flatmap(lambda w: st.lists(st.one_of(
+    st.lists(_CSV_CELL, min_size=w, max_size=w).map(",".join),
+    st.lists(_CSV_CELL, min_size=w + 1, max_size=w + 1).map(",".join),
+    st.sampled_from(["", "  "]),
+), max_size=6).map("\n".join))
+
+
+@given(_CSV_TEXT, st.sampled_from([-1, 0]), st.sampled_from([None, {"a": 0, "b": 1}]))
+@settings(max_examples=120, deadline=None)
+def test_load_csv_matches_the_per_cell_float_oracle(text, label_column, label_map):
+    # the one numpy cast gives float()'s bits, or the error the per-cell loader raised first
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write(Path(tmp, "d.csv"), text)
+        try:
+            want = load_csv_oracle(path, label_column, label_map)
+        except (DataError, ParseError) as exc:
+            with pytest.raises(type(exc)) as got:
+                load_csv(path, label_column, label_map)
+            assert str(got.value) == str(exc)
+            return
+        data = load_csv(path, label_column, label_map)
+    assert np.array_equal(data.X.view(np.uint64), want.X.view(np.uint64))
+    assert np.array_equal(data.y, want.y)
+    assert (data.class_count, data.label_names) == (want.class_count, want.label_names)
