@@ -195,10 +195,11 @@ class TaskData:
 
 
 def _builtin_task(name: str) -> TaskData:
+    """A generated task, its labels coded as if read from the registry's files."""
     if name.startswith("monks"):
-        return TaskData(name, *tasks.make_monks(name))
+        return TaskData(name, *dataio.code_labels(*tasks.make_monks(name)))
     if name == "blobs":
-        return TaskData(name, tasks.two_blobs(400))
+        return TaskData(name, *dataio.code_labels(tasks.two_blobs(400)))
 
 
 def load_task_data(cfg: RunConfig) -> TaskData:
@@ -493,8 +494,8 @@ def cmd_approx_bench(args) -> int:
     V = U + args.spread * rng.derive("offsets").normal((args.pairs, args.features))
     lines = ["D,mean_error,max_error"]
     for D in dims:
-        err = rff_approx_error(density, D, U, V, rng.derive("freqs", D))
-        lines.append(f"{D},{err.mean_error!r},{err.max_error!r}")
+        mean_error, max_error = rff_approx_error(density, D, U, V, rng.derive("freqs", D))
+        lines.append(f"{D},{mean_error!r},{max_error!r}")
     text = "\n".join(lines) + "\n"
     if args.out:
         out_dir = os.path.dirname(args.out)

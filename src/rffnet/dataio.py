@@ -96,12 +96,24 @@ def _map_labels(tokens: list[str], label_map: dict | None):
     return y, names
 
 
+def code_labels(data: Dataset, test: Dataset | None = None):
+    """(data, test) with labels coded as load_source codes a file's label tokens:
+    in first-appearance order over data, and test through that map."""
+    y, names = _map_labels([data.label_names[i] for i in data.y], None)
+    data = replace(data, y=y, class_count=len(names), label_names=names)
+    if test is not None:
+        y, _ = _map_labels([test.label_names[i] for i in test.y], {n: i for i, n in enumerate(names)})
+        test = replace(test, y=y, class_count=len(names), label_names=names)
+    return data, test
+
+
 def load_csv(path, label_column: int = -1, label_map: dict | None = None) -> Dataset:
     """Read a rectangular numeric CSV; one column holds class labels, which are
     mapped to contiguous integers in first-appearance order. The feature cells
     are parsed in one cast, but a bad cell is still named before any later row's fault."""
     line_nos, rows, label_tokens = [], [], []  # per data row: its record number, feature cells and label
     width = col = None
+    line_no = 0
     try:
         with _open_text(path, newline="") as fh:
             for line_no, row in enumerate(csv.reader(fh), start=1):
@@ -121,14 +133,16 @@ def load_csv(path, label_column: int = -1, label_map: dict | None = None) -> Dat
         if not rows:
             raise DataError(f"{path}: no data rows")
         X = np.array(rows, dtype=np.float64)  # numpy parses each str cell with float()
-    except ValueError:  # the cast's, or a later row's ParseError or DataError: an earlier bad cell comes first
-        for line_no, row in zip(line_nos, rows):
+    except (ValueError, csv.Error) as exc:  # the cast's, a later row's or the reader's: an earlier bad cell first
+        for row_no, row in zip(line_nos, rows):
             for k, cell in enumerate(row):
                 try:
                     float(cell)
                 except ValueError:
                     raise ParseError(f"non-numeric feature value {cell!r} in column {k + (k >= col)}",
-                                     line=line_no) from None
+                                     line=row_no) from None
+        if isinstance(exc, csv.Error):  # e.g. a field over csv.field_size_limit(), in the record after line_no
+            raise ParseError(str(exc), line=line_no + 1) from None
         raise
     y, names = _map_labels(label_tokens, label_map)
     return Dataset(X=X, y=y, class_count=len(names), label_names=names)

@@ -84,15 +84,9 @@ def feature_map(omega: np.ndarray, X) -> np.ndarray:
     return forward(RffLayer(omega=omega), X)[0]
 
 
-@dataclass
-class ApproxError:
-    mean_error: float
-    max_error: float
-
-
-def rff_approx_error(density: SpectralDensity, D: int, U, V, rng: Rng) -> ApproxError:
-    """|<psi(u), psi(v)> - k(u - v)| statistics over paired points, for a fresh
-    D-frequency draw from the density.
+def rff_approx_error(density: SpectralDensity, D: int, U, V, rng: Rng) -> tuple[float, float]:
+    """(mean, max) of |<psi(u), psi(v)> - k(u - v)| over paired points, for a
+    fresh D-frequency draw from the density.
 
     The estimates are computed in row blocks of about APPROX_BLOCK_BYTES per
     feature map, so memory is O(block x D) whatever the number of pairs; each
@@ -105,7 +99,7 @@ def rff_approx_error(density: SpectralDensity, D: int, U, V, rng: Rng) -> Approx
     omega = sample_frequencies(density, D, U.shape[1], rng)
     est = _kernel_estimate(omega, U, V)
     err = np.abs(est - exact)
-    return ApproxError(mean_error=float(err.mean()), max_error=float(err.max()))
+    return float(err.mean()), float(err.max())
 
 
 def _kernel_estimate(omega: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:

@@ -44,13 +44,6 @@ class BatchNormState:
 
 
 @dataclass
-class BatchNormCache:
-    x_hat: np.ndarray
-    inv_std: np.ndarray
-    training: bool
-
-
-@dataclass
 class RffLayer:
     """Frequency matrix omega of shape (D, d_in) plus optional batch-norm state."""
 
@@ -73,7 +66,7 @@ class LayerCache:
     x: np.ndarray            # (batch, d_in)
     features: np.ndarray     # sqrt(1/D) [cos f | sin f] with f = x @ omega^T, before batch norm
     output: np.ndarray       # after batch norm (== features when disabled)
-    bn: BatchNormCache | None = None
+    bn: tuple[np.ndarray, np.ndarray] | None = None  # (x_hat, inv_std) of a training-mode batch norm
 
 
 def init_layer(d_in: int, D: int, stddev: float, rng: Rng, batchnorm: bool = False) -> RffLayer:
@@ -88,8 +81,11 @@ def init_layer(d_in: int, D: int, stddev: float, rng: Rng, batchnorm: bool = Fal
 
 
 def batchnorm_forward(bn: BatchNormState, x: np.ndarray, training: bool):
-    """Normalize per feature; training mode uses batch stats and updates the
-    running averages in place, inference mode uses the running stats."""
+    """Normalize per feature; returns (y, record).
+
+    Training mode uses batch stats, updates the running averages in place and
+    records (x_hat, inv_std) for batchnorm_backward; inference mode uses the
+    running stats and records None."""
     if x.shape[1] != bn.width:
         raise ShapeError(f"batch norm expects width {bn.width}, got {x.shape[1]}")
     if training:
@@ -107,41 +103,41 @@ def batchnorm_forward(bn: BatchNormState, x: np.ndarray, training: bool):
         bn.running_mean = (1.0 - bn.momentum) * bn.running_mean + bn.momentum * mean
         bn.running_var = (1.0 - bn.momentum) * bn.running_var + bn.momentum * var
         np.multiply(x_hat, bn.gamma, out=y)
+        record = (x_hat, inv_std)
     else:
-        inv_std = 1.0 / np.sqrt(bn.running_var + bn.epsilon)
-        x_hat = x - bn.running_mean
-        x_hat *= inv_std
-        y = x_hat * bn.gamma
+        y = x - bn.running_mean
+        y *= 1.0 / np.sqrt(bn.running_var + bn.epsilon)
+        y *= bn.gamma
+        record = None
     y += bn.beta
-    return y, BatchNormCache(x_hat=x_hat, inv_std=inv_std, training=training)
+    return y, record
 
 
-def batchnorm_backward(bn: BatchNormState, cache: BatchNormCache, grad_y: np.ndarray,
+def batchnorm_backward(bn: BatchNormState, record: tuple[np.ndarray, np.ndarray], grad_y: np.ndarray,
                        gamma_out: np.ndarray, beta_out: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. the input of one batch-norm forward.
+    """Gradient w.r.t. the input of one training-mode batch-norm forward,
+    given its (x_hat, inv_std) record.
 
     The gamma and beta gradients are written into gamma_out and beta_out
     (views into a flat gradient buffer during training)."""
-    if grad_y.shape != cache.x_hat.shape:
-        raise ShapeError(f"batch norm grad shape {grad_y.shape} != input shape {cache.x_hat.shape}")
-    scratch = grad_y * cache.x_hat
+    x_hat, inv_std = record
+    if grad_y.shape != x_hat.shape:
+        raise ShapeError(f"batch norm grad shape {grad_y.shape} != input shape {x_hat.shape}")
+    scratch = grad_y * x_hat
     np.add.reduce(scratch, 0, out=gamma_out)
     np.add.reduce(grad_y, 0, out=beta_out)
     grad_x = grad_y * bn.gamma  # grad_xhat, turned into grad_x in place
-    if cache.training:
-        # inv_std / n * (n * grad_xhat - sum(grad_xhat) - x_hat * sum(grad_xhat * x_hat)),
-        # evaluated in place in the same operation order, products through scratch
-        n = cache.x_hat.shape[0]
-        np.multiply(grad_x, cache.x_hat, out=scratch)
-        proj = np.add.reduce(scratch, 0)
-        total = np.add.reduce(grad_x, 0)
-        grad_x *= n
-        grad_x -= total
-        np.multiply(cache.x_hat, proj, out=scratch)
-        grad_x -= scratch
-        grad_x *= cache.inv_std / n
-    else:
-        grad_x *= cache.inv_std
+    # inv_std / n * (n * grad_xhat - sum(grad_xhat) - x_hat * sum(grad_xhat * x_hat)),
+    # evaluated in place in the same operation order, products through scratch
+    n = x_hat.shape[0]
+    np.multiply(grad_x, x_hat, out=scratch)
+    proj = np.add.reduce(scratch, 0)
+    total = np.add.reduce(grad_x, 0)
+    grad_x *= n
+    grad_x -= total
+    np.multiply(x_hat, proj, out=scratch)
+    grad_x -= scratch
+    grad_x *= inv_std / n
     return grad_x
 
 
@@ -176,12 +172,15 @@ def backward(layer: RffLayer, cache: LayerCache, grad_output, out, input_grad: b
     summed over the batch. Derivatives of the trig pair are -sin(f) x for the
     cos branch and cos(f) x for the sin branch, carrying the same sqrt(1/D)
     scale as the forward map. With ``input_grad=False`` grad_input is skipped
-    and returned as None: a network's first layer has no use for it.
+    and returned as None: a network's first layer has no use for it. A
+    batch-norm layer differentiates only a training-mode forward's record.
     """
     grad_output = as_matrix(grad_output, "grad_output")
     if grad_output.shape != cache.output.shape:
         raise ShapeError(f"grad_output shape {grad_output.shape} != layer output shape {cache.output.shape}")
     if layer.batchnorm is not None:
+        if cache.bn is None:
+            raise ParameterError("backward through batch norm needs a training-mode forward")
         grad_feats = batchnorm_backward(layer.batchnorm, cache.bn, grad_output, *out[1:])
     else:
         grad_feats = grad_output

@@ -11,6 +11,7 @@ import os
 import numpy as np
 import pytest
 from oracles import assert_valid_kernel, composed_rbf_oracle
+from test_scripts import load_script
 
 from rffnet.cli import RunConfig, run_training
 from rffnet.kernel_analysis import (
@@ -36,6 +37,7 @@ from rffnet.rff_layer import forward, init_layer
 from rffnet.tasks import make_monks
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
+PROTOCOLS = load_script("run_benchmarks").PROTOCOLS  # the benchmark table's settings per task
 
 
 def report(name, ok, detail):
@@ -43,54 +45,53 @@ def report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def trial_accuracies(tmp_path, **overrides):
-    cfg = RunConfig(out=str(tmp_path / "run"), **overrides)
+def trial_accuracies(tmp_path, task):
+    """Test accuracy of each trial of the task's protocol, as scripts/run_benchmarks.py runs it."""
+    cfg = RunConfig(task=task, registry=os.path.join(DATA_DIR, "registry.txt"), out=str(tmp_path / "run"),
+                    **PROTOCOLS[task])
     results = run_training(cfg)
     return np.array([r.test_acc for r in results])
 
 
 def test_c1_monks1(tmp_path):
-    accs = trial_accuracies(tmp_path, task="monks1", trials=10)
+    accs = trial_accuracies(tmp_path, "monks1")
     mean = accs.mean()
     report("C1 monks1 mean acc >= 0.98", mean >= 0.98,
-           f"mean={mean:.4f} std={accs.std(ddof=1):.4f} over 10 trials")
+           f"mean={mean:.4f} std={accs.std(ddof=1):.4f} over {len(accs)} trials")
 
 
 def test_c2_monks2(tmp_path):
-    accs = trial_accuracies(tmp_path, task="monks2", trials=10,
-                            epochs="800", batch_size="16", lr=3e-3)
+    accs = trial_accuracies(tmp_path, "monks2")
     mean = accs.mean()
     report("C2 monks2 mean acc >= 0.94", mean >= 0.94,
-           f"mean={mean:.4f} std={accs.std(ddof=1):.4f} over 10 trials")
+           f"mean={mean:.4f} std={accs.std(ddof=1):.4f} over {len(accs)} trials")
 
 
 def test_c3_monks3(tmp_path):
-    accs = trial_accuracies(tmp_path, task="monks3", trials=10)
+    accs = trial_accuracies(tmp_path, "monks3")
     mean = accs.mean()
     report("C3 monks3 mean acc in [0.91, 0.96]", 0.91 <= mean <= 0.96,
-           f"mean={mean:.4f} std={accs.std(ddof=1):.4f} over 10 trials")
+           f"mean={mean:.4f} std={accs.std(ddof=1):.4f} over {len(accs)} trials")
 
 
 @pytest.mark.skipif(not os.path.exists(os.path.join(DATA_DIR, "eeg.csv")),
                     reason="requires the real EEG eye-state data: run scripts/fetch_data.py eeg")
 def test_c4_eeg(tmp_path):
-    accs = trial_accuracies(tmp_path, task="eeg",
-                            registry=os.path.join(DATA_DIR, "registry.txt"),
-                            trials=3, layers="11")
+    accs = trial_accuracies(tmp_path, "eeg")
     mean = accs.mean()
     report("C4 eeg mean acc >= 0.95", mean >= 0.95,
-           f"mean={mean:.4f} std={accs.std(ddof=1):.4f} over 3 trials, 11 layers")
+           f"mean={mean:.4f} std={accs.std(ddof=1):.4f} over {len(accs)} trials,"
+           f" {PROTOCOLS['eeg']['layers']} layers")
 
 
 @pytest.mark.skipif(not os.path.exists(os.path.join(DATA_DIR, "phishing.csv")),
                     reason="requires the real phishing data: run scripts/fetch_data.py phishing")
 def test_c5_phishing(tmp_path):
-    accs = trial_accuracies(tmp_path, task="phishing",
-                            registry=os.path.join(DATA_DIR, "registry.txt"),
-                            trials=3, layers="11")
+    accs = trial_accuracies(tmp_path, "phishing")
     mean = accs.mean()
     report("C5 phishing mean acc >= 0.95", mean >= 0.95,
-           f"mean={mean:.4f} std={accs.std(ddof=1):.4f} over 3 trials, 11 layers")
+           f"mean={mean:.4f} std={accs.std(ddof=1):.4f} over {len(accs)} trials,"
+           f" {PROTOCOLS['phishing']['layers']} layers")
 
 
 def _network_objective(net, X, y, lam):
@@ -163,7 +164,7 @@ def test_c6c_rff_rbf_convergence_slope():
     dims = [2**p for p in range(6, 14)]
     means = []
     for D in dims:
-        errs = [rff_approx_error(density, D, U, V, Rng(s).derive("acc", D)).mean_error
+        errs = [rff_approx_error(density, D, U, V, Rng(s).derive("acc", D))[0]
                 for s in range(5)]
         means.append(np.mean(errs))
     slope = float(np.polyfit(np.log(dims), np.log(means), 1)[0])

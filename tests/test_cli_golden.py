@@ -1,5 +1,6 @@
-"""The read-only commands write bit-identical outputs: eval's stdout and
-confusion.csv, every file of inspect, and the approx-bench table.
+"""The commands write bit-identical outputs: every file of the fixture's two
+train runs, eval's stdout and confusion.csv, every file of inspect, and the
+approx-bench table.
 
 The digests were recorded with the code as it was before eval built only its
 own command's parser, load_csv parsed the feature cells in one numpy cast and
@@ -8,6 +9,10 @@ float() as its row was read and counted the matrix row by row. The models come
 from seeded training runs, so the digests depend on the platform in the same
 way as those of test_fit_golden.py. Any later change to these commands must
 keep every byte, or re-record a digest and say why.
+
+The train digests were recorded with the code as it was before batch norm's
+forward returned a plain (x_hat, inv_std) pair in place of a cache object
+with an inference arm; they agree under OPENBLAS_NUM_THREADS=1 and =2.
 """
 
 import contextlib
@@ -73,6 +78,32 @@ DIGESTS = {
 }
 
 
+TRAIN_DIGESTS = {
+    "monks1": {
+        "config.txt": "21ccb28c81929eceba9af7956fa6ad056465b4c96ccc59d963e9305b6725175c",
+        "log-trial0.csv": "bdd09ad0deca8afd853268e95f13c6b0309a3e2439b71824afb4081899b2d511",
+        "log-trial1.csv": "ff89ec790a86518dd1dd9eeaacd1b3e320ea9fa7033710e2405a5dbb67d05c86",
+        "metrics.csv": "9d697fc15af11732689632bac49075d2f48156ce741f2dcd9d8c4dc401cd24a9",
+        "model-trial0.bin:header": "59d9d1e5de179bb34bec0c949ca2660cdbe34d5e7bde18dbbda2bf3f42f6af2e",
+        "model-trial0.bin:payload": "c618daa4562f78334514277b470da13241db48bd11412ff6c561dc39820e8775",
+        "model-trial1.bin:header": "59d9d1e5de179bb34bec0c949ca2660cdbe34d5e7bde18dbbda2bf3f42f6af2e",
+        "model-trial1.bin:payload": "5dc48d38d4d2391b1bdaa76acde8acb4899a68a3859e7b01898466cb8b939f99",
+        "summary.csv": "a4b696dda796ecf30ab36c2c96764068b5009c215d2c142e272eb30d16b64e07",
+    },
+    "blobs": {
+        "config.txt": "ee1c78b5e230f1118b4c9ba9295f2172500669b0edd15e182dfe98fd3f42a39e",
+        "log-trial0.csv": "8346dedc3d07deaea2876d4972b42df086175ca1176f4983332c13fc49c390d2",
+        "log-trial1.csv": "877c79014ef55cbe284c19b75d48f23a59c8daf2821a922e5fc3db505d2435da",
+        "metrics.csv": "3fce782e609ceacf9f857ba571f32ddd63efc35ee5bce2f8d76c0ca06a008db5",
+        "model-trial0.bin:header": "521947043c26ea9a161e90e5afecb36ea09c51d8c7e62736af036f8638d555d2",
+        "model-trial0.bin:payload": "f1d967a812c350b796159210eb9ff66a96d2b98f9de9be78f4c983f7c555cd08",
+        "model-trial1.bin:header": "521947043c26ea9a161e90e5afecb36ea09c51d8c7e62736af036f8638d555d2",
+        "model-trial1.bin:payload": "21cdd196a0b9111e5d9bdcb7f0e61ee64169d00abf198a79c8992637736f2dd1",
+        "summary.csv": "b58cb3f5cc82af3d00ff5924afdcdf3a05ffdfa64f642705a301db94301991c8",
+    },
+}
+
+
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
     """Seeded runs: monks1 (a provided split) and blobs (a random half), two trials each."""
@@ -104,3 +135,30 @@ def case_digests(case: str, root, dirs) -> dict:
 @pytest.mark.parametrize("case", list(CASES))
 def test_read_only_command_outputs_golden(runs, case):
     assert case_digests(case, *runs) == DIGESTS[case]
+
+
+def train_digests(run_dir: str) -> dict:
+    """{output name: sha256} for one train run directory.
+
+    config.txt is hashed without its out and data.registry lines, which name
+    paths of this checkout; a snapshot's header (magic and JSON lines) and its
+    float payload are hashed apart, so a failure says which of them moved."""
+    digests = {}
+    for name in sorted(os.listdir(run_dir)):
+        with open(os.path.join(run_dir, name), "rb") as fh:
+            data = fh.read()
+        if name == "config.txt":
+            data = b"".join(line for line in data.splitlines(keepends=True)
+                            if not line.startswith((b"out =", b"data.registry =")))
+        if name.endswith(".bin"):
+            magic, header, payload = data.split(b"\n", 2)
+            digests[name + ":header"] = hashlib.sha256(magic + b"\n" + header + b"\n").hexdigest()
+            digests[name + ":payload"] = hashlib.sha256(payload).hexdigest()
+        else:
+            digests[name] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("task", ["monks1", "blobs"])
+def test_train_outputs_golden(runs, task):
+    assert train_digests(runs[1][task]) == TRAIN_DIGESTS[task]

@@ -68,6 +68,19 @@ def test_load_csv_non_numeric_cell(tmp_path):
         load_csv(p)
 
 
+def test_load_csv_field_over_the_csv_limit_names_its_record(tmp_path):
+    # csv.reader refuses a field longer than csv.field_size_limit() (131072 by default)
+    p = write(tmp_path / "d.csv", "1," + "x" * 200_000 + "\n")
+    with pytest.raises(ParseError, match="line 1: field larger than field limit"):
+        load_csv(p)
+    p = write(tmp_path / "e.csv", "1,2,a\n\n1," + "x" * 200_000 + ",a\n")
+    with pytest.raises(ParseError, match="line 3"):
+        load_csv(p)
+    p = write(tmp_path / "f.csv", "1,y,a\n1," + "x" * 200_000 + ",a\n")
+    with pytest.raises(ParseError, match="line 1: non-numeric feature value 'y'"):
+        load_csv(p)
+
+
 def test_csv_write_read_roundtrip(tmp_path):
     X = Rng(0).normal((7, 4), 0.0, 3.0)
     y = np.array([0, 1, 0, 1, 1, 0, 1], dtype=np.int64)

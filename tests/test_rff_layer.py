@@ -197,6 +197,20 @@ def test_batchnorm_inference_identity_stats():
     assert np.abs(y - x).max() < 1e-9
 
 
+def test_batchnorm_inference_records_nothing_and_backward_refuses_it():
+    # only a training-mode forward records what backward reads; a layer without batch
+    # norm still differentiates an inference record (test_gradient_matches_finite_differences)
+    layer = init_layer(3, 4, 0.5, Rng(7), batchnorm=True)
+    X = Rng(8).normal((5, 3))
+    out, cache = forward(layer, X, training=False)
+    assert cache.bn is None
+    with pytest.raises(ParameterError):
+        backward(layer, cache, np.ones_like(out), grad_arrays(layer))
+    _, cache = forward(layer, X, training=True)
+    x_hat, inv_std = cache.bn
+    assert x_hat.shape == (5, 8) and inv_std.shape == (8,)
+
+
 def test_batchnorm_rejects_batch_of_one():
     bn = BatchNormState.identity(2)
     with pytest.raises(ParameterError):
