@@ -34,6 +34,7 @@ from .network import (
 )
 from .numerics import Rng
 from .optimizer import TrainConfig, fit
+from .rff_layer import forward
 
 SMALL_DATA_LIMIT = 1000
 SMALL_DATA_EPOCHS = 1000
@@ -461,11 +462,13 @@ def cmd_inspect(args) -> int:
         X, y = X[keep], y[keep]
     if args.kpca_dim > X.shape[0]:
         raise ParameterError(f"--kpca-dim {args.kpca_dim} exceeds the {X.shape[0]} samples")
-    trace = forward_full(net, X, training=False)
     os.makedirs(args.out, exist_ok=True)
-    for i in layer_indices:
-        feats = trace.caches[i].features  # raw trig features, before batch norm
-        K = empirical_kernel(feats)
+    h = X  # walk the layers up to the last exported one
+    for i, layer in enumerate(net.layers[:layer_indices[-1] + 1]):
+        h, cache = forward(layer, h)
+        if i not in layer_indices:
+            continue
+        K = empirical_kernel(cache.features)  # raw trig features, before batch norm
         write_text_atomic(os.path.join(args.out, f"kernel-layer{i}.csv"),
                           kernel_analysis.kernel_to_csv_text(K))
         coords = kpca_project(K, args.kpca_dim)

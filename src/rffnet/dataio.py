@@ -111,12 +111,13 @@ def load_csv(path, label_column: int = -1, label_map: dict | None = None) -> Dat
     """Read a rectangular numeric CSV; one column holds class labels, which are
     mapped to contiguous integers in first-appearance order. The feature cells
     are parsed in one cast, but a bad cell is still named before any later row's fault."""
-    line_nos, rows, label_tokens = [], [], []  # per data row: its record number, feature cells and label
+    line_nos, rows, label_tokens = [], [], []  # per data row: its line number, feature cells and label
     width = col = None
-    line_no = 0
     try:
         with _open_text(path, newline="") as fh:
-            for line_no, row in enumerate(csv.reader(fh), start=1):
+            reader = csv.reader(fh)
+            for row in reader:
+                line_no = reader.line_num  # the physical line a record ends on: a quoted newline spans two
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
                 if width is None:
@@ -141,8 +142,8 @@ def load_csv(path, label_column: int = -1, label_map: dict | None = None) -> Dat
                 except ValueError:
                     raise ParseError(f"non-numeric feature value {cell!r} in column {k + (k >= col)}",
                                      line=row_no) from None
-        if isinstance(exc, csv.Error):  # e.g. a field over csv.field_size_limit(), in the record after line_no
-            raise ParseError(str(exc), line=line_no + 1) from None
+        if isinstance(exc, csv.Error):  # e.g. a field over csv.field_size_limit(), on the line being read
+            raise ParseError(str(exc), line=reader.line_num) from None
         raise
     y, names = _map_labels(label_tokens, label_map)
     return Dataset(X=X, y=y, class_count=len(names), label_names=names)

@@ -62,7 +62,7 @@ class Network:
 
 @dataclass
 class ForwardTrace:
-    caches: list[LayerCache]
+    caches: list[LayerCache]  # one per layer for a training pass, none for an inference pass
     logits: np.ndarray
 
 
@@ -111,12 +111,15 @@ def build_network(
 
 
 def forward_full(net: Network, X, training: bool = False) -> ForwardTrace:
-    """Run every layer and the readout; caches all layer intermediates."""
+    """Run every layer and the readout. A training pass keeps each layer's record for
+    backward_full; an inference pass keeps none, so it holds one layer's arrays at a time."""
     h = as_matrix(X, "network input")
     caches = []
     for layer in net.layers:
         h, cache = forward(layer, h, training=training)
-        caches.append(cache)
+        if training:
+            caches.append(cache)
+        del cache  # else the record would outlive its layer into the next one's forward
     logits = h @ net.readout_w.T + net.readout_b
     return ForwardTrace(caches=caches, logits=logits)
 
@@ -229,23 +232,27 @@ def backward_full(net: Network, trace: ForwardTrace, grad_logits, lam: float,
 
     Returns one gradient vector laid out like net.flat (unflatten gives its
     per-array views). It is written into ``out`` when given, so a training
-    loop reuses one buffer; otherwise into a new one.
+    loop reuses one buffer; otherwise into a new one. It consumes the trace: the
+    last layer's output is dropped once the readout gradient is written, and each
+    record is popped and handed, with the gradient computed for it, to
+    rff_layer.backward, which consumes both.
     """
     grad_logits = as_matrix(grad_logits, "grad_logits")
     if grad_logits.shape != trace.logits.shape:
         raise ShapeError(f"grad_logits shape {grad_logits.shape} != logits shape {trace.logits.shape}")
     if len(trace.caches) != len(net.layers):
-        raise ShapeError("trace does not match network depth")
+        raise ShapeError("trace does not match network depth; backward_full needs an unconsumed training trace")
     if out is None:
         out = np.empty_like(net.flat)
     views = unflatten(net, out)
     np.matmul(grad_logits.T, trace.caches[-1].output, out=views[-2])
+    trace.caches[-1].output = None
     np.add.reduce(grad_logits, 0, out=views[-1])
     g = grad_logits @ net.readout_w
     end = len(views) - 2
     for i in range(len(net.layers) - 1, -1, -1):
         start = end - (1 if net.layers[i].batchnorm is None else 3)
-        g = backward(net.layers[i], trace.caches[i], g, views[start:end], input_grad=i > 0)
+        g = backward(net.layers[i], trace.caches.pop(), g, views[start:end], input_grad=i > 0)
         end = start
     out += lam * net.flat
     return out
@@ -322,12 +329,13 @@ def load_network(path):
     header_end = blob.find(b"\n", len(_MAGIC))
     if header_end < 0:
         raise DataError(f"{path}: snapshot header has no terminating newline")
-    payload = blob[header_end + 1:]
-    if len(payload) % 8:
-        raise DataError(f"{path}: snapshot data is {len(payload)} bytes, not a whole number of float64 values")
+    size = len(blob) - header_end - 1
+    if size % 8:
+        raise DataError(f"{path}: snapshot data is {size} bytes, not a whole number of float64 values")
+    data = np.frombuffer(blob, dtype="<f8", offset=header_end + 1)  # read in place, not a copied slice
     try:
         header = json.loads(blob[len(_MAGIC):header_end])
-        return _decode_snapshot(header, np.frombuffer(payload, dtype="<f8"))
+        return _decode_snapshot(header, data)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
     except (ValueError, KeyError, TypeError, IndexError) as exc:

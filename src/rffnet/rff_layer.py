@@ -119,14 +119,16 @@ def batchnorm_backward(bn: BatchNormState, record: tuple[np.ndarray, np.ndarray]
     given its (x_hat, inv_std) record.
 
     The gamma and beta gradients are written into gamma_out and beta_out
-    (views into a flat gradient buffer during training)."""
+    (views into a flat gradient buffer during training). The caller hands
+    grad_y over: grad_x is built inside it and returned."""
     x_hat, inv_std = record
     if grad_y.shape != x_hat.shape:
         raise ShapeError(f"batch norm grad shape {grad_y.shape} != input shape {x_hat.shape}")
     scratch = grad_y * x_hat
     np.add.reduce(scratch, 0, out=gamma_out)
     np.add.reduce(grad_y, 0, out=beta_out)
-    grad_x = grad_y * bn.gamma  # grad_xhat, turned into grad_x in place
+    grad_x = grad_y
+    grad_x *= bn.gamma  # grad_xhat, turned into grad_x in place
     # inv_std / n * (n * grad_xhat - sum(grad_xhat) - x_hat * sum(grad_xhat * x_hat)),
     # evaluated in place in the same operation order, products through scratch
     n = x_hat.shape[0]
@@ -173,15 +175,19 @@ def backward(layer: RffLayer, cache: LayerCache, grad_output, out, input_grad: b
     cos branch and cos(f) x for the sin branch, carrying the same sqrt(1/D)
     scale as the forward map. With ``input_grad=False`` grad_input is skipped
     and returned as None: a network's first layer has no use for it. A
-    batch-norm layer differentiates only a training-mode forward's record.
+    batch-norm layer differentiates only a training-mode forward's record. backward
+    consumes the record (it sets output, bn and features to None once read) and,
+    with batch norm, builds its input gradient inside grad_output.
     """
     grad_output = as_matrix(grad_output, "grad_output")
-    if grad_output.shape != cache.output.shape:
-        raise ShapeError(f"grad_output shape {grad_output.shape} != layer output shape {cache.output.shape}")
+    if grad_output.shape != cache.features.shape:
+        raise ShapeError(f"grad_output shape {grad_output.shape} != layer output shape {cache.features.shape}")
+    if layer.batchnorm is not None and cache.bn is None:
+        raise ParameterError("backward through batch norm needs a training-mode forward")
+    cache.output = None
     if layer.batchnorm is not None:
-        if cache.bn is None:
-            raise ParameterError("backward through batch norm needs a training-mode forward")
         grad_feats = batchnorm_backward(layer.batchnorm, cache.bn, grad_output, *out[1:])
+        cache.bn = None
     else:
         grad_feats = grad_output
     D = layer.D
@@ -190,5 +196,6 @@ def backward(layer: RffLayer, cache: LayerCache, grad_output, out, input_grad: b
     # scale*sin(f) and scale*cos(f) are already in the cached features
     dF = gs * cache.features[:, :D]
     dF -= gc * cache.features[:, D:]
+    cache.features = None
     np.matmul(dF.T, cache.x, out=out[0])
     return dF @ layer.omega if input_grad else None

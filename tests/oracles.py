@@ -11,6 +11,7 @@ from rffnet.errors import DataError, ParameterError, ParseError
 from rffnet.kernel_analysis import feature_map
 from rffnet.numerics import sym_eig_topk
 from rffnet.optimizer import EpochRecord, TrainingLog
+from rffnet.rff_layer import forward
 
 
 def assert_valid_kernel(K: np.ndarray, sym_tol: float = 1e-10, psd_tol: float = -1e-8,
@@ -44,6 +45,16 @@ def oneshot_kernel_estimate(omega: np.ndarray, U: np.ndarray, V: np.ndarray) -> 
     return np.sum(feature_map(omega, U) * feature_map(omega, V), axis=1)
 
 
+def layer_features(net, X) -> list[np.ndarray]:
+    """Every layer's raw trig features (before batch norm) on X in inference mode,
+    collected layer by layer as `rffnet inspect` collects them."""
+    feats, h = [], X
+    for layer in net.layers:
+        h, cache = forward(layer, h)
+        feats.append(cache.features)
+    return feats
+
+
 def load_csv_oracle(path, label_column: int = -1, label_map: dict | None = None) -> Dataset:
     """dataio.load_csv as it was before its one numpy cast: each row's feature
     cells are parsed with float() as the row is read."""
@@ -52,7 +63,8 @@ def load_csv_oracle(path, label_column: int = -1, label_map: dict | None = None)
     width = None
     with _open_text(path, newline="") as fh:
         reader = csv.reader(fh)
-        for line_no, row in enumerate(reader, start=1):
+        for row in reader:
+            line_no = reader.line_num
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if width is None:

@@ -10,7 +10,7 @@ import os
 
 import numpy as np
 import pytest
-from oracles import assert_valid_kernel, composed_rbf_oracle
+from oracles import assert_valid_kernel, composed_rbf_oracle, layer_features
 from test_scripts import load_script
 
 from rffnet.cli import RunConfig, run_training
@@ -180,9 +180,8 @@ def test_c6d_kernel_invariants_on_trained_model():
     net = build_network(tr.d, 2, 2, [64, 64], "squared_hinge", Rng(4000).derive("init"),
                         batch_norm=True)
     fit(net, tr.X, tr.y, TrainConfig(epochs=200, batch_size=32, seed=7))
-    trace = forward_full(net, tr.X, training=False)
-    for cache in trace.caches:
-        K = empirical_kernel(cache.features)
+    for feats in layer_features(net, tr.X):
+        K = empirical_kernel(feats)
         assert_valid_kernel(K, sym_tol=1e-10, psd_tol=-1e-8, diag_tol=1e-10)
     report("C6d trained-model kernel invariants", True,
            "symmetry, PSD >= -1e-8, unit diagonal on both layers of a trained monks1 model")

@@ -81,6 +81,19 @@ def test_load_csv_field_over_the_csv_limit_names_its_record(tmp_path):
         load_csv(p)
 
 
+def test_load_csv_names_the_physical_line_after_a_quoted_newline(tmp_path):
+    # a quoted label spans lines 1-2, so the next record is on line 3, not record 2
+    p = write(tmp_path / "d.csv", '1,2,"a\nb"\n1,x,c\n')
+    with pytest.raises(ParseError, match="line 3: non-numeric feature value 'x'"):
+        load_csv(p)
+    p = write(tmp_path / "e.csv", '1,2,"a\nb"\n1,2,3,c\n')
+    with pytest.raises(ParseError, match="line 3: expected 3 columns, found 4"):
+        load_csv(p)
+    p = write(tmp_path / "f.csv", '1,2,"a\nb"\n\n1,' + "x" * 200_000 + ",c\n")
+    with pytest.raises(ParseError, match="line 4: field larger than field limit"):
+        load_csv(p)
+
+
 def test_csv_write_read_roundtrip(tmp_path):
     X = Rng(0).normal((7, 4), 0.0, 3.0)
     y = np.array([0, 1, 0, 1, 1, 0, 1], dtype=np.int64)

@@ -2,7 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import assert_valid_kernel, composed_rbf_oracle, kernel_from_csv_text, oneshot_kernel_estimate
+from oracles import (
+    assert_valid_kernel,
+    composed_rbf_oracle,
+    kernel_from_csv_text,
+    layer_features,
+    oneshot_kernel_estimate,
+)
 
 from rffnet.errors import DataError, ParameterError
 from rffnet.kernel_analysis import (
@@ -302,7 +308,7 @@ def test_deeper_layer_separates_classes_in_kpca():
     # the kernel-cascade claim: after training, kPCA of the layer-2 kernel pulls
     # the classes far apart while layer 1 still mixes them
     from rffnet.dataio import preprocess_pair
-    from rffnet.network import build_network, forward_full
+    from rffnet.network import build_network
     from rffnet.optimizer import TrainConfig, fit
     from rffnet.tasks import make_monks
 
@@ -317,9 +323,8 @@ def test_deeper_layer_separates_classes_in_kpca():
                         batch_norm=True)
     log = fit(net, tr.X, tr.y, TrainConfig(epochs=600, batch_size=32, seed=0))
     assert log.records[-1].train_acc == 1.0
-    trace = forward_full(net, tr.X, training=False)
-    ratios = [fisher_ratio(kpca_project(empirical_kernel(c.features), 2), tr.y)
-              for c in trace.caches]
+    ratios = [fisher_ratio(kpca_project(empirical_kernel(feats), 2), tr.y)
+              for feats in layer_features(net, tr.X)]
     assert ratios[1] > 5.0 * ratios[0]
 
 

@@ -1,11 +1,14 @@
 import math
 import os
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rffnet import network
 from rffnet.errors import DataError, ParameterError, ShapeError
 from rffnet.network import (
     Network,
@@ -73,10 +76,12 @@ def test_forward_zero_input_single_layer():
 
 
 def test_trace_length_equals_layer_count():
+    # a training trace records every layer for backward; an inference pass records none
     net = build_network(3, 2, 3, [4, 5, 6], "squared", Rng(1))
-    trace = forward_full(net, Rng(2).normal((7, 3)))
+    trace = forward_full(net, Rng(2).normal((7, 3)), training=True)
     assert len(trace.caches) == 3
     assert trace.logits.shape == (7, 2)
+    assert forward_full(net, Rng(2).normal((7, 3))).caches == []
 
 
 def test_logits_finite_over_many_random_networks():
@@ -194,6 +199,7 @@ def test_backward_packed_network_matches_separate_arrays(bn):
     data_grads = unflatten(net, backward_full(net, trace, grad_logits, 0.0))
     reference = [g + 0.3 * p for g, p in zip(data_grads, parameters(net))]
     out = np.full_like(net.flat, np.nan)
+    trace = forward_full(net, X, training=True)  # backward_full consumed the first trace
     grads = backward_full(net, trace, grad_logits, 0.3, out=out)
     assert grads is out
     views = unflatten(net, grads)
@@ -203,6 +209,47 @@ def test_backward_packed_network_matches_separate_arrays(bn):
         assert np.array_equal(g, ref)
     with pytest.raises(ShapeError):
         unflatten(net, out[1:])
+
+
+def test_inference_holds_one_layer_at_a_time():
+    # keeping every layer's features and output would peak near 2 x 6 arrays of n x 2D
+    n, D = 2000, 64
+    net = build_network(6, 2, 6, [D] * 6, "squared_hinge", Rng(11), batch_norm=True)
+    X = Rng(12).normal((n, 6))
+    tracemalloc.start()
+    try:
+        forward_full(net, X, training=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * 2 * D * 8, peak
+
+
+@pytest.mark.parametrize("bn", [False, True])
+def test_backward_full_releases_each_layer_before_the_one_below(monkeypatch, bn):
+    # while layer i-1 differentiates, layer i's features and x_hat must already be gone
+    net = build_network(3, 2, 3, [4, 5, 6], "squared_hinge", Rng(13), batch_norm=bn)
+    trace = forward_full(net, Rng(14).normal((8, 3)), training=True)
+    refs = [(weakref.ref(c.features), weakref.ref(c.bn[0]) if bn else None) for c in trace.caches]
+    last_output = weakref.ref(trace.caches[-1].output)
+    real_backward, seen = network.backward, []
+
+    def backward(layer, cache, *args, **kwargs):
+        i = [id(lyr) for lyr in net.layers].index(id(layer))
+        for features, x_hat in refs[i + 1:]:
+            assert features() is None and (x_hat is None or x_hat() is None)
+        assert len(trace.caches) == i, "the layer's record is still in the trace"
+        assert bn is False or last_output() is None, "the readout's input outlived its gradient"
+        seen.append(i)
+        return real_backward(layer, cache, *args, **kwargs)
+
+    monkeypatch.setattr(network, "backward", backward)
+    y = np.array([0, 1] * 4)
+    backward_full(net, trace, loss_gradient(net, trace.logits, y), 0.0)
+    assert seen == [2, 1, 0] and trace.caches == []
+    assert all(features() is None for features, _ in refs)
+    with pytest.raises(ShapeError, match="unconsumed training trace"):
+        backward_full(net, trace, loss_gradient(net, trace.logits, y), 0.0)
 
 
 def _assert_packed(net):

@@ -243,7 +243,9 @@ def test_batchnorm_backward_finite_differences():
 
     y, cache = batchnorm_forward(bn, x, training=True)
     ggamma, gbeta = np.full(6, np.nan), np.full(6, np.nan)
-    gx = batchnorm_backward(bn, cache, w, ggamma, gbeta)
+    grad_y = w.copy()  # batchnorm_backward builds grad_x inside the gradient it is handed
+    gx = batchnorm_backward(bn, cache, grad_y, ggamma, gbeta)
+    assert gx is grad_y
     h = 1e-6
     for i in range(4):
         for j in range(6):

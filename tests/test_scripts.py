@@ -89,3 +89,14 @@ def test_every_public_src_name_has_a_non_test_caller():
             if not used:
                 orphans.append(f"{path.stem}.{name}")
     assert orphans == []
+
+
+def test_mem_probe_trains_on_a_small_eeg_shaped_file(tmp_path):
+    result = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "mem_probe.py"), "--rows", "300", "--out", str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    peak = float(re.fullmatch(r"rows 300 peak_rss_mb (\S+)\n", result.stdout).group(1))
+    assert peak > 0
+    assert (tmp_path / "metrics.csv").read_text().startswith("trial,seed,test_acc,train_acc\n")
