@@ -34,7 +34,7 @@ def eeg_shaped(rows: int, seed: int = 0) -> Dataset:
     X = rng.derive("x").normal((rows, EEG_FEATURES), 4300.0, 40.0)
     w = rng.derive("w").normal(EEG_FEATURES)
     score = (X - 4300.0) @ w + rng.derive("noise").normal(rows, 0.0, 40.0)
-    return Dataset(X=X, y=(score > 0).astype(int), class_count=2, label_names=["0", "1"])
+    return Dataset(X=X, y=(score > 0).astype(int), label_names=["0", "1"])
 
 
 def main() -> int:

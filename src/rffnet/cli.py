@@ -94,6 +94,9 @@ _FIELD_BY_KEY = {f.metadata["key"]: f for f in fields(RunConfig)}
 _FLAG_TYPES = {"int": int, "float": float}
 # eval/inspect's data flags; overriding only these keeps their own --seed and --out off train.seed and out
 _EVAL_DATA_FIELDS = [_FIELD_BY_KEY[k] for k in ("data.task", "data.registry", "data.path", "data.format", "data.label_column")]
+# the keys a task's registry line or generator sets for itself
+_TASK_SOURCE_FIELDS = [_FIELD_BY_KEY[k] for k in ("data.path", "data.test_path", "data.format", "data.label_column",
+                                                  "data.split")]
 
 
 def _parse_bool(value: str) -> bool:
@@ -156,6 +159,13 @@ def _check_config(cfg: RunConfig) -> None:
             raise ParameterError(f"{meta['key']} must be one of {', '.join(meta['choices'])}, got {value!r}")
         if meta["check"] is not None and not meta["check"][0](value):
             raise ParameterError(f"{meta['key']} must be {meta['check'][1]}, got {value!r}")
+
+
+def _check_task_source(cfg: RunConfig) -> None:
+    """Raise ParameterError naming the file-source keys set beside data.task, which would be ignored."""
+    clashing = [f.metadata["key"] for f in _TASK_SOURCE_FIELDS if getattr(cfg, f.name) != f.default]
+    if cfg.task and clashing:
+        raise ParameterError(f"data.task {cfg.task!r} names its own data source; drop {', '.join(clashing)}")
 
 
 def config_to_text(cfg: RunConfig) -> str:
@@ -291,6 +301,7 @@ def run_training(cfg: RunConfig) -> list[TrialResult]:
     """Train cfg.trials models (seeds seed, seed+1, ...) and write all artifacts."""
     # validate the whole configuration before any output is created
     _check_config(cfg)
+    _check_task_source(cfg)
     data = load_task_data(cfg)
     # every trial's training split has the same size and classes, so one resolution serves all
     probe_train, _ = data.for_trial(cfg.seed)
@@ -402,10 +413,7 @@ def _eval_inputs(args):
         raise ShapeError(f"model expects {net.d_in} input features, dataset has {X.shape[1]}")
     y = data.y
     if label_names:
-        unknown = sorted(set(data.label_names) - set(label_names))
-        if unknown:
-            raise DataError(f"labels {unknown} are not among the model's classes {label_names}")
-        y = np.array([label_names.index(name) for name in data.label_names], dtype=np.int64)[y]
+        y = dataio._map_labels(data.label_names, {name: i for i, name in enumerate(label_names)})[0][y]
     elif data.class_count > net.class_count:  # a snapshot without names codes its classes 0, 1, ...
         raise DataError(f"dataset has {data.class_count} classes, the model {net.class_count}")
     return net, label_names, X, y
@@ -414,6 +422,9 @@ def _eval_inputs(args):
 def cmd_eval(args) -> int:
     net, label_names, X, y = _eval_inputs(args)
     logits = forward_full(net, X, training=False).logits
+    non_finite = logits.size - int(np.isfinite(logits).sum())
+    if non_finite:
+        raise NumericError(f"{non_finite} of the model's {logits.size} logits are not finite")
     pred = predict_from_logits(logits)
     acc = float(np.mean(pred == y))
     classes = net.class_count
@@ -462,12 +473,15 @@ def cmd_inspect(args) -> int:
         X, y = X[keep], y[keep]
     if args.kpca_dim > X.shape[0]:
         raise ParameterError(f"--kpca-dim {args.kpca_dim} exceeds the {X.shape[0]} samples")
+    hists = {(i, dim): omega_histogram(net.layers[i], dim, args.bins) for i in layer_indices for dim in hist_dims}
     os.makedirs(args.out, exist_ok=True)
     h = X  # walk the layers up to the last exported one
     for i, layer in enumerate(net.layers[:layer_indices[-1] + 1]):
         h, cache = forward(layer, h)
         if i not in layer_indices:
             continue
+        if not np.isfinite(cache.features).all():
+            raise NumericError(f"layer {i}'s features are not finite: its frequencies overflow on this data")
         K = empirical_kernel(cache.features)  # raw trig features, before batch norm
         write_text_atomic(os.path.join(args.out, f"kernel-layer{i}.csv"),
                           kernel_analysis.kernel_to_csv_text(K))
@@ -475,7 +489,7 @@ def cmd_inspect(args) -> int:
         write_text_atomic(os.path.join(args.out, f"kpca-layer{i}.csv"),
                           kernel_analysis.kpca_to_csv_text(coords, labels=y))
         for dim in hist_dims:
-            edges, counts = omega_histogram(net.layers[i], dim, args.bins)
+            edges, counts = hists[i, dim]
             write_text_atomic(os.path.join(args.out, f"hist-layer{i}-dim{dim}.csv"),
                               kernel_analysis.histogram_to_csv_text(edges, counts))
     print(f"wrote diagnostics for layers {layer_indices} to {args.out}")

@@ -12,7 +12,7 @@ import csv
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,8 +54,11 @@ def apply_stages(X: np.ndarray, stages) -> np.ndarray:
 class Dataset:
     X: np.ndarray
     y: np.ndarray
-    class_count: int
-    label_names: list[str] = field(default_factory=list)
+    label_names: list[str]  # class i's name; the class count is their number
+
+    @property
+    def class_count(self) -> int:
+        return len(self.label_names)
 
     @property
     def n(self) -> int:
@@ -100,10 +103,10 @@ def code_labels(data: Dataset, test: Dataset | None = None):
     """(data, test) with labels coded as load_source codes a file's label tokens:
     in first-appearance order over data, and test through that map."""
     y, names = _map_labels([data.label_names[i] for i in data.y], None)
-    data = replace(data, y=y, class_count=len(names), label_names=names)
+    data = replace(data, y=y, label_names=names)
     if test is not None:
         y, _ = _map_labels([test.label_names[i] for i in test.y], {n: i for i, n in enumerate(names)})
-        test = replace(test, y=y, class_count=len(names), label_names=names)
+        test = replace(test, y=y, label_names=names)
     return data, test
 
 
@@ -145,8 +148,7 @@ def load_csv(path, label_column: int = -1, label_map: dict | None = None) -> Dat
         if isinstance(exc, csv.Error):  # e.g. a field over csv.field_size_limit(), on the line being read
             raise ParseError(str(exc), line=reader.line_num) from None
         raise
-    y, names = _map_labels(label_tokens, label_map)
-    return Dataset(X=X, y=y, class_count=len(names), label_names=names)
+    return Dataset(X, *_map_labels(label_tokens, label_map))
 
 
 def save_csv(data: Dataset, path) -> None:
@@ -192,8 +194,7 @@ def load_libsvm(path, label_map: dict | None = None, min_dim: int = 0) -> Datase
     for i, pairs in enumerate(entries):
         for idx, val in pairs:
             X[i, idx - 1] = val
-    y, names = _map_labels(label_tokens, label_map)
-    return Dataset(X=X, y=y, class_count=len(names), label_names=names)
+    return Dataset(X, *_map_labels(label_tokens, label_map))
 
 
 def load_source(fmt: str, path, label_column: int = -1, test_path=None, min_dim: int = 0):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ParameterError
+from .errors import DataError, NumericError, ParameterError
 from .numerics import Rng, as_matrix, row_blocks, sym_eig_topk
 from .rff_layer import RffLayer, forward
 
@@ -142,13 +142,25 @@ def kpca_project(K: np.ndarray, k: int) -> np.ndarray:
 
 
 def omega_histogram(layer: RffLayer, dim_index: int, bins: int):
-    """Histogram of one input-dimension column of omega over equal-width bins."""
+    """Histogram of one input-dimension column of omega over equal-width bins.
+
+    A column that no ``bins`` finite-width bins can cut, its range too wide for
+    a float64 or too narrow to split, raises NumericError."""
     if bins < 1:
         raise ParameterError(f"bins must be >= 1, got {bins}")
     if not 0 <= dim_index < layer.d_in:
         raise ParameterError(f"dim_index must be in [0, {layer.d_in}), got {dim_index}")
-    counts, edges = np.histogram(layer.omega[:, dim_index], bins=bins)
-    return edges, counts
+    column = layer.omega[:, dim_index]
+    with np.errstate(over="ignore"):
+        span = column.max() - column.min()
+    if np.isfinite(span):  # on a range that overflows, np.histogram fails with an IndexError
+        try:
+            counts, edges = np.histogram(column, bins=bins)
+        except ValueError:  # too narrow a range: numpy's "Too many bins for data range"
+            pass
+        else:
+            return edges, counts
+    raise NumericError(f"omega column {dim_index} cannot be cut into {bins} finite-width bins")
 
 
 # --- CSV export ------------------------------------------------------------

@@ -34,14 +34,11 @@ class Network:
     readout_w: np.ndarray  # (class_count, 2 * D_last)
     readout_b: np.ndarray  # (class_count,)
     loss_kind: str
-    class_count: int
     flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.loss_kind not in LOSS_KINDS:
             raise ParameterError(f"unknown loss kind {self.loss_kind!r}, expected one of {LOSS_KINDS}")
-        if self.readout_w.shape[0] != self.class_count:
-            raise ParameterError(f"readout has {self.readout_w.shape[0]} rows for {self.class_count} classes")
         params = parameters(self)
         self.flat = np.empty(sum(p.size for p in params))
         views = unflatten(self, self.flat)
@@ -58,6 +55,11 @@ class Network:
     @property
     def d_in(self) -> int:
         return self.layers[0].d_in
+
+    @property
+    def class_count(self) -> int:
+        """One readout row, and one logit column, per class."""
+        return self.readout_w.shape[0]
 
 
 @dataclass
@@ -106,8 +108,7 @@ def build_network(
         dim = 2 * D
     readout_w = gaussian_matrix(n_classes, dim, 0.0, readout_stddev, rng)
     readout_b = np.zeros(n_classes)
-    return Network(layers=layers, readout_w=readout_w, readout_b=readout_b,
-                   loss_kind=loss_kind, class_count=n_classes)
+    return Network(layers=layers, readout_w=readout_w, readout_b=readout_b, loss_kind=loss_kind)
 
 
 def forward_full(net: Network, X, training: bool = False) -> ForwardTrace:
@@ -365,6 +366,8 @@ def _decode_snapshot(header: dict, data: np.ndarray):
 
     if type(header["class_count"]) is not int or header["class_count"] < 2:
         raise DataError(f"class count {header['class_count']!r} is not an integer >= 2")
+    if header["class_count"] != header["out_dim"]:  # one readout row per class
+        raise DataError(f"class count {header['class_count']} is not out_dim {header['out_dim']!r}")
     names = header["label_names"]
     if names is not None and not (type(names) is list and all(type(n) is str for n in names)
                                   and len(set(names)) == len(names) == header["class_count"]):
@@ -404,6 +407,5 @@ def _decode_snapshot(header: dict, data: np.ndarray):
             raise DataError("a preprocessing stage divides by a value that is not > 0")
     if pos != data.size:
         raise DataError(f"{8 * (data.size - pos)} bytes follow the last array the header describes")
-    net = Network(layers=layers, readout_w=readout_w, readout_b=readout_b,
-                  loss_kind=header["loss_kind"], class_count=header["class_count"])
+    net = Network(layers=layers, readout_w=readout_w, readout_b=readout_b, loss_kind=header["loss_kind"])
     return net, stages, header["label_names"]

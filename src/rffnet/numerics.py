@@ -40,13 +40,6 @@ def row_blocks(n: int, size: int, merge_singleton: bool) -> list[tuple[int, int]
     return blocks
 
 
-def _mix64_int(z: int) -> int:
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
-
-
 def _mix64(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
@@ -110,7 +103,7 @@ class Rng:
         s = self.seed
         for tag in tags:
             t = _fnv1a64(tag) if isinstance(tag, str) else int(tag) & _MASK64
-            s = _mix64_int((s ^ t) + _GAMMA)
+            s = int(_mix64(np.array([((s ^ t) + _GAMMA) & _MASK64], dtype=np.uint64))[0])
         return Rng(s)
 
 

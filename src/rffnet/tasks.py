@@ -69,8 +69,8 @@ def make_monks(task: str, seed: int = 0):
         order = rng.derive("noise").permutation(len(train_idx))[:flips]
         y_train[order] = 1 - y_train[order]
     names = ["0", "1"]
-    train = Dataset(X=X[train_idx].copy(), y=y_train, class_count=2, label_names=names)
-    test = Dataset(X=X.copy(), y=y.copy(), class_count=2, label_names=names)
+    train = Dataset(X=X[train_idx].copy(), y=y_train, label_names=names)
+    test = Dataset(X=X.copy(), y=y.copy(), label_names=names)
     return train, test
 
 
@@ -85,4 +85,4 @@ def two_blobs(n: int, seed: int = 0, separation: float = 4.0, d: int = 2) -> Dat
     X[n0:, 0] += separation / 2.0
     y = np.concatenate([np.zeros(n0, dtype=np.int64), np.ones(n - n0, dtype=np.int64)])
     perm = rng.derive("order").permutation(n)
-    return Dataset(X=X[perm], y=y[perm], class_count=2, label_names=["0", "1"])
+    return Dataset(X=X[perm], y=y[perm], label_names=["0", "1"])

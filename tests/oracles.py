@@ -90,7 +90,7 @@ def load_csv_oracle(path, label_column: int = -1, label_map: dict | None = None)
         raise DataError(f"{path}: no data rows")
     X = np.array(rows, dtype=np.float64)
     y, names = _map_labels(label_tokens, label_map)
-    return Dataset(X=X, y=y, class_count=len(names), label_names=names)
+    return Dataset(X=X, y=y, label_names=names)
 
 
 def kernel_from_csv_text(text: str) -> np.ndarray:

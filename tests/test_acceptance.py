@@ -53,6 +53,7 @@ def trial_accuracies(tmp_path, task):
     return np.array([r.test_acc for r in results])
 
 
+@pytest.mark.slow
 def test_c1_monks1(tmp_path):
     accs = trial_accuracies(tmp_path, "monks1")
     mean = accs.mean()
@@ -60,6 +61,7 @@ def test_c1_monks1(tmp_path):
            f"mean={mean:.4f} std={accs.std(ddof=1):.4f} over {len(accs)} trials")
 
 
+@pytest.mark.slow
 def test_c2_monks2(tmp_path):
     accs = trial_accuracies(tmp_path, "monks2")
     mean = accs.mean()
@@ -67,6 +69,7 @@ def test_c2_monks2(tmp_path):
            f"mean={mean:.4f} std={accs.std(ddof=1):.4f} over {len(accs)} trials")
 
 
+@pytest.mark.slow
 def test_c3_monks3(tmp_path):
     accs = trial_accuracies(tmp_path, "monks3")
     mean = accs.mean()

@@ -131,6 +131,20 @@ def test_registry_random_half_task_per_trial_splits(tmp_path, capsys):
     assert abs(printed - float(rows[0].split(",")[2])) < 1e-12
 
 
+@pytest.mark.parametrize("flags, keys", [
+    (["--data-path", "data/monks2-train.csv", "--test-path", "data/monks2-test.csv", "--format", "libsvm"],
+     "data.path, data.test_path, data.format"),
+    (["--label-column", "99"], "data.label_column"),
+    (["--set", "data.split=provided"], "data.split"),
+])
+def test_train_refuses_a_file_source_beside_a_task(tmp_path, capsys, flags, keys):
+    # a task names its own files, format, label column and split: the others would be dropped unread
+    out = tmp_path / "run"
+    assert run_cli("train", "--task", "monks1", *flags, "--epochs", "1", "--dim", "2", "--out", str(out)) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: data.task 'monks1' names its own data source; drop {keys}\n"
+
+
 def test_train_csv_data_path(tmp_path, blob_csv):
     out = tmp_path / "run"
     code = run_cli("train", "--data-path", blob_csv, "--epochs", "20", "--trials", "1",
@@ -264,6 +278,46 @@ def test_inspect_max_samples_zero_keeps_every_row(monks1_model, tmp_path):
     assert len((out / "kpca-layer0.csv").read_text().splitlines()) == 1 + 432  # monks1's test set
 
 
+def _resaved(model, path, set_omega):
+    """model re-saved with set_omega applied to its layer-0 frequencies; every value stays finite."""
+    net, stages, names = load_network(model)
+    set_omega(net.layers[0].omega)
+    save_network(net, path, preprocess=stages, label_names=names)
+    return str(path)
+
+
+def _overflowing(omega):
+    omega[...] = 1e308
+    omega[::2, 1] = 0.0  # column 1 still bins, so inspect reaches the features
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself warns
+def test_eval_and_inspect_of_an_overflowing_snapshot_exit_3_before_writing(monks1_model, tmp_path, capsys):
+    model = _resaved(monks1_model, tmp_path / "big.bin", _overflowing)
+    assert run_cli("eval", model, "--task", "monks1", "--out", str(tmp_path / "ev")) == 3
+    assert not (tmp_path / "ev").exists()
+    assert "logits are not finite" in capsys.readouterr().err
+    out = tmp_path / "in"
+    assert run_cli("inspect", model, "--task", "monks1", "--hist-dims", "1", "--out", str(out)) == 3
+    assert list(out.iterdir()) == []
+    assert "layer 0's features are not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column", [
+    lambda n: np.full(n, 1e15),  # too narrow a range for 20 finite-width bins around it
+    lambda n: np.where(np.arange(n) % 2, 1e308, -1e308),  # a range wider than the largest float64
+    lambda n: np.full(n, 1e308),
+], ids=["constant-1e15", "alternating-1e308", "constant-1e308"])
+def test_inspect_of_an_unbinnable_omega_column_exits_3_before_any_file(monks1_model, tmp_path, capsys, column):
+    def set_column(omega):
+        omega[:, 0] = column(omega.shape[0])
+    model = _resaved(monks1_model, tmp_path / "wide.bin", set_column)
+    out = tmp_path / "in"
+    assert run_cli("inspect", model, "--task", "monks1", "--out", str(out)) == 3
+    assert not out.exists()
+    assert "omega column 0 cannot be cut into 20 finite-width bins" in capsys.readouterr().err
+
+
 def test_eval_and_inspect_of_a_provided_split_ignore_split_seed(monks1_model, tmp_path, capsys):
     # monks1 ships its own test set: no split seed can change which rows are scored
     results = []
@@ -383,8 +437,8 @@ def test_eval_and_inspect_recode_labels_onto_the_snapshot_by_name(tmp_path, caps
     rows.sort(key=lambda row: row.rsplit(",", 1)[1] == first_label)
     (tmp_path / "flipped.csv").write_text("\n".join(rows) + "\n")
     blobs = two_blobs(20, seed=4)
-    save_csv(replace(blobs, y=np.where(np.arange(20) < 3, 2, blobs.y), class_count=3,
-                     label_names=["0", "1", "2"]), tmp_path / "three.csv")
+    save_csv(replace(blobs, y=np.where(np.arange(20) < 3, 2, blobs.y), label_names=["0", "1", "2"]),
+             tmp_path / "three.csv")
     registry = tmp_path / "registry.txt"
     registry.write_text("orig csv -1 provided train.csv test.csv\n"
                         "flipped csv -1 provided flipped.csv test.csv\n"

@@ -97,7 +97,7 @@ def test_load_csv_names_the_physical_line_after_a_quoted_newline(tmp_path):
 def test_csv_write_read_roundtrip(tmp_path):
     X = Rng(0).normal((7, 4), 0.0, 3.0)
     y = np.array([0, 1, 0, 1, 1, 0, 1], dtype=np.int64)
-    data = Dataset(X=X, y=y, class_count=2, label_names=["n", "p"])
+    data = Dataset(X=X, y=y, label_names=["n", "p"])
     p = tmp_path / "out.csv"
     save_csv(data, p)
     back = load_csv(str(p))
@@ -162,7 +162,7 @@ def _dataset(X, y=None):
     if y is None:
         y = np.zeros(X.shape[0], dtype=np.int64)
         y[::2] = 1
-    return Dataset(X=X, y=y, class_count=2, label_names=["0", "1"])
+    return Dataset(X=X, y=y, label_names=["0", "1"])
 
 
 def test_minmax_basic_column():
@@ -313,7 +313,7 @@ def test_config_registry_and_loader_admit_the_same_formats_and_split_modes(tmp_p
 
 def test_dataset_rejects_nan():
     with pytest.raises(DataError):
-        Dataset(X=np.array([[np.nan, 1.0]]), y=np.array([0]), class_count=2, label_names=["0", "1"])
+        Dataset(X=np.array([[np.nan, 1.0]]), y=np.array([0]), label_names=["0", "1"])
 
 
 def test_label_map_shared_rejects_unseen(tmp_path):

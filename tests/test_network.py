@@ -110,7 +110,7 @@ def test_squared_hinge_margin_values():
     # logits (0, 0) miss each by 1 -> loss 1 + 1, gradient -2 * target * 1 per column
     net = Network(layers=build_network(2, 2, 1, [4], "squared_hinge", Rng(0)).layers,
                   readout_w=np.zeros((2, 8)), readout_b=np.zeros(2),
-                  loss_kind="squared_hinge", class_count=2)
+                  loss_kind="squared_hinge")
     report = compute_loss(net, np.array([[-2.0, 2.0]]), np.array([1]), 0.0)
     assert report.data_loss == 0.0
     report = compute_loss(net, np.array([[0.0, 0.0]]), np.array([1]), 0.0)
@@ -270,19 +270,11 @@ def test_every_construction_packs_parameters_into_flat(tmp_path, bn):
     batchnorm = BatchNormState.identity(6) if bn else None
     arrays = [omega] + ([batchnorm.gamma, batchnorm.beta] if bn else []) + [readout_w, readout_b]
     hand = Network(layers=[RffLayer(omega=omega, batchnorm=batchnorm)], readout_w=readout_w,
-                   readout_b=readout_b, loss_kind="squared_hinge", class_count=2)
+                   readout_b=readout_b, loss_kind="squared_hinge")
     _assert_packed(hand)
     assert np.array_equal(hand.flat, np.concatenate([a.ravel() for a in arrays]))
     hand.flat[0] = 7.0  # the parameters are views: writing the buffer moves them
     assert hand.layers[0].omega[0, 0] == 7.0 and omega[0, 0] == 0.0
-
-
-@pytest.mark.parametrize("rows", [1, 3])
-def test_network_needs_one_readout_row_per_class(rows):
-    layer = RffLayer(omega=np.ones((3, 2)))
-    with pytest.raises(ParameterError, match=f"{rows} rows for 2 classes"):
-        Network(layers=[layer], readout_w=np.zeros((rows, 6)), readout_b=np.zeros(rows),
-                loss_kind="squared_hinge", class_count=2)
 
 
 def _objective(net, X, y, lam):
