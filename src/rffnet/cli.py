@@ -208,9 +208,11 @@ class TaskData:
 def _builtin_task(name: str) -> TaskData:
     """A generated task, its labels coded as if read from the registry's files."""
     if name.startswith("monks"):
-        return TaskData(name, *dataio.code_labels(*tasks.make_monks(name)))
+        train, test = tasks.make_monks(name)
+        train = dataio.recode(train)
+        return TaskData(name, train, dataio.recode(test, train.label_names))
     if name == "blobs":
-        return TaskData(name, *dataio.code_labels(tasks.two_blobs(400)))
+        return TaskData(name, dataio.recode(tasks.two_blobs(400)))
 
 
 def load_task_data(cfg: RunConfig) -> TaskData:
@@ -402,26 +404,20 @@ def _eval_inputs(args):
     (net, label_names, preprocessed features, labels).
 
     Every source codes its labels in its own first-appearance order, so the
-    labels are recoded by name onto the snapshot's label_names."""
+    labels are recoded by name onto the snapshot's label_names. The snapshot's
+    preprocessing stages, if any, have layer 0's input width."""
     net, stages, label_names = load_network(args.model)
-    raw_width = stages[0][0].shape[0] if stages else net.d_in
-    data = _load_eval_data(args, raw_width)
-    if data.d != raw_width:
-        raise ShapeError(f"model expects {raw_width} raw features, dataset has {data.d}")
-    X = apply_stages(data.X, stages)
-    if X.shape[1] != net.d_in:
-        raise ShapeError(f"model expects {net.d_in} input features, dataset has {X.shape[1]}")
-    y = data.y
-    if label_names:
-        y = dataio._map_labels(data.label_names, {name: i for i, name in enumerate(label_names)})[0][y]
-    elif data.class_count > net.class_count:  # a snapshot without names codes its classes 0, 1, ...
-        raise DataError(f"dataset has {data.class_count} classes, the model {net.class_count}")
-    return net, label_names, X, y
+    data = _load_eval_data(args, net.d_in)
+    if data.d != net.d_in:
+        raise ShapeError(f"model expects {net.d_in} raw features, dataset has {data.d}")
+    y = dataio.code_labels(data.label_names, label_names)[0][data.y]
+    return net, label_names, apply_stages(data.X, stages), y
 
 
 def cmd_eval(args) -> int:
     net, label_names, X, y = _eval_inputs(args)
-    logits = forward_full(net, X, training=False).logits
+    with np.errstate(over="ignore", invalid="ignore"):  # the finite check below reports an overflow once
+        logits = forward_full(net, X, training=False).logits
     non_finite = logits.size - int(np.isfinite(logits).sum())
     if non_finite:
         raise NumericError(f"{non_finite} of the model's {logits.size} logits are not finite")
@@ -429,10 +425,9 @@ def cmd_eval(args) -> int:
     acc = float(np.mean(pred == y))
     classes = net.class_count
     confusion = np.bincount(y * classes + pred, minlength=classes * classes).reshape(classes, classes)
-    names = label_names if label_names else [str(i) for i in range(classes)]
-    lines = ["true\\pred," + ",".join(names)]
+    lines = ["true\\pred," + ",".join(label_names)]
     for i in range(classes):
-        lines.append(names[i] + "," + ",".join(str(v) for v in confusion[i]))
+        lines.append(label_names[i] + "," + ",".join(str(v) for v in confusion[i]))
     os.makedirs(args.out, exist_ok=True)
     write_text_atomic(os.path.join(args.out, "confusion.csv"), "\n".join(lines) + "\n")
     print(repr(acc))
@@ -477,7 +472,8 @@ def cmd_inspect(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     h = X  # walk the layers up to the last exported one
     for i, layer in enumerate(net.layers[:layer_indices[-1] + 1]):
-        h, cache = forward(layer, h)
+        with np.errstate(over="ignore", invalid="ignore"):  # the finite check below reports an overflow once
+            h, cache = forward(layer, h)
         if i not in layer_indices:
             continue
         if not np.isfinite(cache.features).all():

@@ -79,40 +79,30 @@ class Dataset:
             raise DataError(f"labels must lie in [0, {self.class_count})")
 
 
-def _map_labels(tokens: list[str], label_map: dict | None):
-    if label_map is None:
-        label_map = {}
-        extend = True
-    else:
-        label_map = dict(label_map)
-        extend = False
+def code_labels(tokens: list[str], names: list[str] | None = None):
+    """(y, names): each label token's class index, and the class names in index order.
+
+    Without names, classes are numbered by first appearance; with them, by their
+    place in names, and a token outside names raises DataError."""
+    index = {name: i for i, name in enumerate(names or ())}
     y = np.empty(len(tokens), dtype=np.int64)
     for i, tok in enumerate(tokens):
-        if tok not in label_map:
-            if not extend:
-                raise DataError(f"label {tok!r} not present in the training label map")
-            label_map[tok] = len(label_map)
-        y[i] = label_map[tok]
-    names = [None] * len(label_map)
-    for tok, idx in label_map.items():
-        names[idx] = tok
-    return y, names
+        if names is not None and tok not in index:
+            raise DataError(f"label {tok!r} is not one of the training class names")
+        y[i] = index.setdefault(tok, len(index))
+    return y, list(index)
 
 
-def code_labels(data: Dataset, test: Dataset | None = None):
-    """(data, test) with labels coded as load_source codes a file's label tokens:
-    in first-appearance order over data, and test through that map."""
-    y, names = _map_labels([data.label_names[i] for i in data.y], None)
-    data = replace(data, y=y, label_names=names)
-    if test is not None:
-        y, _ = _map_labels([test.label_names[i] for i in test.y], {n: i for i, n in enumerate(names)})
-        test = replace(test, y=y, label_names=names)
-    return data, test
+def recode(data: Dataset, names: list[str] | None = None) -> Dataset:
+    """data with its labels coded as load_source codes a file's label tokens: in
+    first-appearance order, or through names (a test split through its training split's)."""
+    y, names = code_labels([data.label_names[i] for i in data.y], names)
+    return replace(data, y=y, label_names=names)
 
 
-def load_csv(path, label_column: int = -1, label_map: dict | None = None) -> Dataset:
+def load_csv(path, label_column: int = -1, label_names: list[str] | None = None) -> Dataset:
     """Read a rectangular numeric CSV; one column holds class labels, which are
-    mapped to contiguous integers in first-appearance order. The feature cells
+    coded by code_labels, through label_names when given. The feature cells
     are parsed in one cast, but a bad cell is still named before any later row's fault."""
     line_nos, rows, label_tokens = [], [], []  # per data row: its line number, feature cells and label
     width = col = None
@@ -148,7 +138,7 @@ def load_csv(path, label_column: int = -1, label_map: dict | None = None) -> Dat
         if isinstance(exc, csv.Error):  # e.g. a field over csv.field_size_limit(), on the line being read
             raise ParseError(str(exc), line=reader.line_num) from None
         raise
-    return Dataset(X, *_map_labels(label_tokens, label_map))
+    return Dataset(X, *code_labels(label_tokens, label_names))
 
 
 def save_csv(data: Dataset, path) -> None:
@@ -159,7 +149,7 @@ def save_csv(data: Dataset, path) -> None:
             writer.writerow([repr(float(v)) for v in data.X[i]] + [data.label_names[data.y[i]]])
 
 
-def load_libsvm(path, label_map: dict | None = None, min_dim: int = 0) -> Dataset:
+def load_libsvm(path, label_names: list[str] | None = None, min_dim: int = 0) -> Dataset:
     """Parse 'label idx:val idx:val ...' lines with 1-based strictly increasing
     indices; absent indices are zeros and d is the largest index seen."""
     entries = []
@@ -194,12 +184,12 @@ def load_libsvm(path, label_map: dict | None = None, min_dim: int = 0) -> Datase
     for i, pairs in enumerate(entries):
         for idx, val in pairs:
             X[i, idx - 1] = val
-    return Dataset(X, *_map_labels(label_tokens, label_map))
+    return Dataset(X, *code_labels(label_tokens, label_names))
 
 
 def load_source(fmt: str, path, label_column: int = -1, test_path=None, min_dim: int = 0):
     """Load a dataset file in ``fmt`` (csv or libsvm) and, if ``test_path`` is
-    given, its test file with the training label map and feature width.
+    given, its test file with the training file's class names and feature width.
 
     ``min_dim`` zero-pads libsvm rows, which omit trailing zero features, to at
     least that width. Returns (data, test); test is None without ``test_path``.
@@ -207,15 +197,15 @@ def load_source(fmt: str, path, label_column: int = -1, test_path=None, min_dim:
     if fmt not in DATA_FORMATS:
         raise ParameterError(f"unknown data format {fmt!r}, expected one of {DATA_FORMATS}")
 
-    def load(p, label_map, min_dim):
+    def load(p, label_names, min_dim):
         if fmt == "csv":
-            return load_csv(p, label_column=label_column, label_map=label_map)
-        return load_libsvm(p, label_map=label_map, min_dim=min_dim)
+            return load_csv(p, label_column=label_column, label_names=label_names)
+        return load_libsvm(p, label_names=label_names, min_dim=min_dim)
 
     data = load(path, None, min_dim)
     if not test_path:
         return data, None
-    test = load(test_path, {n: i for i, n in enumerate(data.label_names)}, data.d)
+    test = load(test_path, data.label_names, data.d)
     if test.d != data.d:
         raise DataError(f"test file {test_path} has {test.d} features, training file {path} has {data.d}")
     return data, test
@@ -278,9 +268,8 @@ def split(data: Dataset, seed: int):
 
 @dataclass
 class TaskEntry:
-    """One line of the registry manifest."""
+    """One line of the registry manifest, less the task name that keys it."""
 
-    name: str
     fmt: str  # csv | libsvm
     label_column: int  # ignored for libsvm
     split_mode: str  # provided | random_half
@@ -320,6 +309,6 @@ def parse_registry(path) -> dict[str, TaskEntry]:
             test_path = resolve(parts[5]) if len(parts) == 6 and split_mode == "provided" else None
             if split_mode == "provided" and test_path is None:
                 raise ParseError("provided split needs a test path", line=line_no)
-            tasks[name] = TaskEntry(name=name, fmt=fmt, label_column=label_column,
+            tasks[name] = TaskEntry(fmt=fmt, label_column=label_column,
                                     split_mode=split_mode, path=resolve(p), test_path=test_path)
     return tasks

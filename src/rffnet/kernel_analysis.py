@@ -174,17 +174,10 @@ def kernel_to_csv_text(K: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def kpca_to_csv_text(coords: np.ndarray, labels=None) -> str:
-    k = coords.shape[1]
-    header = ",".join(f"pc{j + 1}" for j in range(k))
-    if labels is not None:
-        header += ",label"
-    lines = [header]
-    for i, row in enumerate(coords):
-        line = ",".join(repr(float(v)) for v in row)
-        if labels is not None:
-            line += f",{int(labels[i])}"
-        lines.append(line)
+def kpca_to_csv_text(coords: np.ndarray, labels) -> str:
+    lines = [",".join(f"pc{j + 1}" for j in range(coords.shape[1])) + ",label"]
+    for row, label in zip(coords, labels):
+        lines.append(",".join(repr(float(v)) for v in row) + f",{int(label)}")
     return "\n".join(lines) + "\n"
 
 

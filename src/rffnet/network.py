@@ -227,24 +227,20 @@ def _targets(net: Network, y: np.ndarray, n: int) -> np.ndarray:
     return onehot
 
 
-def backward_full(net: Network, trace: ForwardTrace, grad_logits, lam: float,
-                  out: np.ndarray | None = None) -> np.ndarray:
+def backward_full(net: Network, trace: ForwardTrace, grad_logits, lam: float, out: np.ndarray) -> np.ndarray:
     """Chain rule through readout and every layer, plus the L2 term lam * net.flat.
 
-    Returns one gradient vector laid out like net.flat (unflatten gives its
-    per-array views). It is written into ``out`` when given, so a training
-    loop reuses one buffer; otherwise into a new one. It consumes the trace: the
-    last layer's output is dropped once the readout gradient is written, and each
-    record is popped and handed, with the gradient computed for it, to
-    rff_layer.backward, which consumes both.
+    Writes one gradient vector laid out like net.flat (unflatten gives its
+    per-array views) into ``out``, a buffer a training loop reuses, and returns
+    it. It consumes the trace: the last layer's output is dropped once the
+    readout gradient is written, and each record is popped and handed, with the
+    gradient computed for it, to rff_layer.backward, which consumes both.
     """
     grad_logits = as_matrix(grad_logits, "grad_logits")
     if grad_logits.shape != trace.logits.shape:
         raise ShapeError(f"grad_logits shape {grad_logits.shape} != logits shape {trace.logits.shape}")
     if len(trace.caches) != len(net.layers):
         raise ShapeError("trace does not match network depth; backward_full needs an unconsumed training trace")
-    if out is None:
-        out = np.empty_like(net.flat)
     views = unflatten(net, out)
     np.matmul(grad_logits.T, trace.caches[-1].output, out=views[-2])
     trace.caches[-1].output = None
@@ -273,13 +269,14 @@ def accuracy(net: Network, X, y) -> float:
 #
 # Flat binary snapshot: a magic line, a JSON header line describing shapes in
 # declared order, then raw little-endian float64 blobs. Round-trips are
-# bit-exact. An optional preprocessing section stores per-column (shift, div)
-# stages so a snapshot can be evaluated directly on raw data.
+# bit-exact. The header names the classes; a preprocessing section, empty when
+# there are no stages, stores per-column (shift, div) stages so a snapshot can
+# be evaluated directly on raw data.
 
 _MAGIC = b"RFFNET1\n"
 
 
-def save_network(net: Network, path, preprocess=None, label_names=None) -> None:
+def save_network(net: Network, path, preprocess, label_names) -> None:
     layers_meta = []
     blobs: list[np.ndarray] = []
     for layer in net.layers:
@@ -298,7 +295,7 @@ def save_network(net: Network, path, preprocess=None, label_names=None) -> None:
         "layers": layers_meta,
         "preprocess_dim": None,
         "preprocess_stages": 0,
-        "label_names": list(label_names) if label_names is not None else None,
+        "label_names": list(label_names),
     }
     if preprocess:
         header["preprocess_stages"] = len(preprocess)
@@ -318,10 +315,11 @@ def load_network(path):
 
     Any file that is not exactly such a snapshot raises DataError: a wrong
     magic line, an unterminated or malformed header, dimensions that are not
-    positive integers, an unknown loss kind, label names that are not null or
-    one distinct string per class, batch-norm settings that are not usable
-    numbers, a stored value that is not finite, a preprocessing divisor that
-    is not > 0, or a data section shorter or longer than the header describes.
+    positive integers, an unknown loss kind, label names that are not one
+    distinct string per class, batch-norm settings that are not usable
+    numbers, a stored value that is not finite, preprocessing stages whose
+    width is not layer 0's input width or whose divisor is not > 0, or a data
+    section shorter or longer than the header describes.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -369,9 +367,9 @@ def _decode_snapshot(header: dict, data: np.ndarray):
     if header["class_count"] != header["out_dim"]:  # one readout row per class
         raise DataError(f"class count {header['class_count']} is not out_dim {header['out_dim']!r}")
     names = header["label_names"]
-    if names is not None and not (type(names) is list and all(type(n) is str for n in names)
-                                  and len(set(names)) == len(names) == header["class_count"]):
-        raise DataError(f"label names {names!r} are not null or {header['class_count']} distinct strings")
+    if not (type(names) is list and all(type(n) is str for n in names)
+            and len(set(names)) == len(names) == header["class_count"]):
+        raise DataError(f"label names {names!r} are not {header['class_count']} distinct strings")
     if not header["layers"]:
         raise DataError("snapshot has no layers")
     layers = []
@@ -399,13 +397,15 @@ def _decode_snapshot(header: dict, data: np.ndarray):
     out_dim = header["out_dim"]
     readout_w = take(out_dim, 2 * header["layers"][-1]["D"])
     readout_b = take(out_dim)
+    d = header["preprocess_dim"]
+    if header["preprocess_stages"] and d != layers[0].d_in:
+        raise DataError(f"preprocessing width {d!r} is not layer 0's input width {layers[0].d_in}")
     stages = []
     for _ in range(header["preprocess_stages"]):
-        d = header["preprocess_dim"]
         stages.append((take(d).copy(), take(d).copy()))
         if not (stages[-1][1] > 0.0).all():
             raise DataError("a preprocessing stage divides by a value that is not > 0")
     if pos != data.size:
         raise DataError(f"{8 * (data.size - pos)} bytes follow the last array the header describes")
     net = Network(layers=layers, readout_w=readout_w, readout_b=readout_b, loss_kind=header["loss_kind"])
-    return net, stages, header["label_names"]
+    return net, stages, names

@@ -130,5 +130,5 @@ def sym_eig_topk(a, k: int):
         raise SymmetryError(f"matrix is not symmetric within {sym_tol:.3g}")
     if not 1 <= k <= n:
         raise ParameterError(f"k must be in [1, {n}], got {k}")
-    vals, vecs = np.linalg.eigh((a + a.T) / 2.0)  # LAPACK; eigenvalues ascending
+    vals, vecs = np.linalg.eigh(a)  # LAPACK, which reads one triangle; eigenvalues ascending
     return vals[::-1][:k], vecs[:, ::-1][:, :k]

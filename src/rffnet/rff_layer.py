@@ -28,15 +28,9 @@ class BatchNormState:
     epsilon: float = 1e-5
 
     @classmethod
-    def identity(cls, width: int, momentum: float = 0.1, epsilon: float = 1e-5) -> "BatchNormState":
-        return cls(
-            gamma=np.ones(width),
-            beta=np.zeros(width),
-            running_mean=np.zeros(width),
-            running_var=np.ones(width),
-            momentum=momentum,
-            epsilon=epsilon,
-        )
+    def identity(cls, width: int) -> "BatchNormState":
+        return cls(gamma=np.ones(width), beta=np.zeros(width),
+                   running_mean=np.zeros(width), running_var=np.ones(width))
 
     @property
     def width(self) -> int:

@@ -74,13 +74,13 @@ def make_monks(task: str, seed: int = 0):
     return train, test
 
 
-def two_blobs(n: int, seed: int = 0, separation: float = 4.0, d: int = 2) -> Dataset:
-    """Two spherical Gaussian clusters labelled 0/1, centers separated along x."""
+def two_blobs(n: int, seed: int = 0, separation: float = 4.0) -> Dataset:
+    """Two spherical Gaussian clusters in the plane labelled 0/1, centers separated along x."""
     if n < 2:
         raise ParameterError(f"need n >= 2, got {n}")
     rng = Rng(seed).derive("blobs")
     n0 = n // 2
-    X = rng.normal((n, d))
+    X = rng.normal((n, 2))
     X[:n0, 0] -= separation / 2.0
     X[n0:, 0] += separation / 2.0
     y = np.concatenate([np.zeros(n0, dtype=np.int64), np.ones(n - n0, dtype=np.int64)])

@@ -6,7 +6,7 @@ import csv
 
 import numpy as np
 
-from rffnet.dataio import Dataset, _map_labels, _open_text
+from rffnet.dataio import Dataset, _open_text, code_labels
 from rffnet.errors import DataError, ParameterError, ParseError
 from rffnet.kernel_analysis import feature_map
 from rffnet.numerics import sym_eig_topk
@@ -55,7 +55,7 @@ def layer_features(net, X) -> list[np.ndarray]:
     return feats
 
 
-def load_csv_oracle(path, label_column: int = -1, label_map: dict | None = None) -> Dataset:
+def load_csv_oracle(path, label_column: int = -1, label_names: list[str] | None = None) -> Dataset:
     """dataio.load_csv as it was before its one numpy cast: each row's feature
     cells are parsed with float() as the row is read."""
     rows = []
@@ -89,7 +89,7 @@ def load_csv_oracle(path, label_column: int = -1, label_map: dict | None = None)
     if not rows:
         raise DataError(f"{path}: no data rows")
     X = np.array(rows, dtype=np.float64)
-    y, names = _map_labels(label_tokens, label_map)
+    y, names = code_labels(label_tokens, label_names)
     return Dataset(X=X, y=y, label_names=names)
 
 

@@ -123,7 +123,7 @@ def test_c6a_gradient_check_random_architectures():
         lam = 1e-3
         trace = forward_full(net, X, training=True)
         grad_logits = loss_gradient(net, trace.logits, y)
-        grads = backward_full(net, trace, grad_logits, lam)
+        grads = backward_full(net, trace, grad_logits, lam, np.empty_like(net.flat))
         h = 1e-6
         for p, g in zip(parameters(net), unflatten(net, grads)):
             flat, gflat = p.reshape(-1), g.reshape(-1)

@@ -319,7 +319,7 @@ def test_dataset_rejects_nan():
 def test_label_map_shared_rejects_unseen(tmp_path):
     p = write(tmp_path / "d.csv", "1,zebra\n")
     with pytest.raises(DataError):
-        load_csv(p, label_map={"cat": 0, "dog": 1})
+        load_csv(p, label_names=["cat", "dog"])
 
 
 _FLOAT = st.floats(allow_nan=False, allow_infinity=False)
@@ -336,20 +336,20 @@ _CSV_TEXT = st.integers(1, 4).flatmap(lambda w: st.lists(st.one_of(
 ), max_size=6).map("\n".join))
 
 
-@given(_CSV_TEXT, st.sampled_from([-1, 0]), st.sampled_from([None, {"a": 0, "b": 1}]))
+@given(_CSV_TEXT, st.sampled_from([-1, 0]), st.sampled_from([None, ["a", "b"]]))
 @settings(max_examples=120, deadline=None)
-def test_load_csv_matches_the_per_cell_float_oracle(text, label_column, label_map):
+def test_load_csv_matches_the_per_cell_float_oracle(text, label_column, label_names):
     # the one numpy cast gives float()'s bits, or the error the per-cell loader raised first
     with tempfile.TemporaryDirectory() as tmp:
         path = write(Path(tmp, "d.csv"), text)
         try:
-            want = load_csv_oracle(path, label_column, label_map)
+            want = load_csv_oracle(path, label_column, label_names)
         except (DataError, ParseError) as exc:
             with pytest.raises(type(exc)) as got:
-                load_csv(path, label_column, label_map)
+                load_csv(path, label_column, label_names)
             assert str(got.value) == str(exc)
             return
-        data = load_csv(path, label_column, label_map)
+        data = load_csv(path, label_column, label_names)
     assert np.array_equal(data.X.view(np.uint64), want.X.view(np.uint64))
     assert np.array_equal(data.y, want.y)
     assert (data.class_count, data.label_names) == (want.class_count, want.label_names)

@@ -172,7 +172,7 @@ def test_backward_zero_grad_zero_lambda():
     net = build_network(3, 2, 2, [4, 4], "squared", Rng(1), batch_norm=True)
     X = Rng(2).normal((5, 3))
     trace = forward_full(net, X, training=True)
-    grads = backward_full(net, trace, np.zeros_like(trace.logits), 0.0)
+    grads = backward_full(net, trace, np.zeros_like(trace.logits), 0.0, np.empty_like(net.flat))
     assert grads.shape == net.flat.shape
     assert np.abs(grads).max() == 0.0
 
@@ -182,7 +182,7 @@ def test_backward_pure_regularizer():
     lam = 0.25
     X = Rng(2).normal((5, 3))
     trace = forward_full(net, X, training=True)
-    grads = backward_full(net, trace, np.zeros_like(trace.logits), lam)
+    grads = backward_full(net, trace, np.zeros_like(trace.logits), lam, np.empty_like(net.flat))
     for p, g in zip(parameters(net), unflatten(net, grads)):
         assert np.abs(g - lam * p).max() < 1e-14
 
@@ -196,7 +196,7 @@ def test_backward_packed_network_matches_separate_arrays(bn):
     y = np.array([0, 1, 1, 0, 1, 0])
     trace = forward_full(net, X, training=True)
     grad_logits = loss_gradient(net, trace.logits, y)
-    data_grads = unflatten(net, backward_full(net, trace, grad_logits, 0.0))
+    data_grads = unflatten(net, backward_full(net, trace, grad_logits, 0.0, np.empty_like(net.flat)))
     reference = [g + 0.3 * p for g, p in zip(data_grads, parameters(net))]
     out = np.full_like(net.flat, np.nan)
     trace = forward_full(net, X, training=True)  # backward_full consumed the first trace
@@ -245,11 +245,11 @@ def test_backward_full_releases_each_layer_before_the_one_below(monkeypatch, bn)
 
     monkeypatch.setattr(network, "backward", backward)
     y = np.array([0, 1] * 4)
-    backward_full(net, trace, loss_gradient(net, trace.logits, y), 0.0)
+    backward_full(net, trace, loss_gradient(net, trace.logits, y), 0.0, np.empty_like(net.flat))
     assert seen == [2, 1, 0] and trace.caches == []
     assert all(features() is None for features, _ in refs)
     with pytest.raises(ShapeError, match="unconsumed training trace"):
-        backward_full(net, trace, loss_gradient(net, trace.logits, y), 0.0)
+        backward_full(net, trace, loss_gradient(net, trace.logits, y), 0.0, np.empty_like(net.flat))
 
 
 def _assert_packed(net):
@@ -262,7 +262,7 @@ def _assert_packed(net):
 def test_every_construction_packs_parameters_into_flat(tmp_path, bn):
     net = build_network(3, 2, 2, [4, 5], "squared_hinge", Rng(3), batch_norm=bn)
     _assert_packed(net)
-    save_network(net, tmp_path / "model.bin")
+    save_network(net, tmp_path / "model.bin", [], ["0", "1"])
     loaded, _, _ = load_network(tmp_path / "model.bin")
     _assert_packed(loaded)
     assert np.array_equal(loaded.flat, net.flat)
@@ -293,7 +293,7 @@ def test_full_network_gradient_check(loss_kind, bn):
     lam = 1e-3
     trace = forward_full(net, X, training=True)
     grad_logits = loss_gradient(net, trace.logits, y)
-    grads = backward_full(net, trace, grad_logits, lam)
+    grads = backward_full(net, trace, grad_logits, lam, np.empty_like(net.flat))
     h = 1e-6
     for p, g in zip(parameters(net), unflatten(net, grads)):
         flat, gflat = p.reshape(-1), g.reshape(-1)
@@ -372,8 +372,8 @@ def test_serialization_roundtrip_bit_exact(tmp_path):
 def test_serialization_deterministic_bytes(tmp_path):
     net = build_network(3, 2, 1, [4], "squared", Rng(5))
     p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-    save_network(net, p1)
-    save_network(net, p2)
+    save_network(net, p1, [], ["0", "1"])
+    save_network(net, p2, [], ["0", "1"])
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -431,6 +431,9 @@ def _set_first_running_var(blob, value):
     lambda b: _set_value(b, 0, float("nan")),                   # a NaN omega entry
     lambda b: _set_value(b, -8, float("inf")),                  # readout_b, before the stage's shift and div (3 each)
     lambda b: _set_value(b, -1, 0.0),                           # a preprocessing div of zero
+    lambda b: b.replace(b'"label_names": ["a", "b"]', b'"label_names": null', 1),  # no class names
+    # a stage 4 wide, its values all present and its divisors > 0, before a layer with 3 inputs
+    lambda b: b.replace(b'"preprocess_dim": 3', b'"preprocess_dim": 4', 1) + np.ones(2, dtype="<f8").tobytes(),
 ])
 def test_load_rejects_malformed_snapshot(tmp_path, mangle):
     _, blob = _snapshot_bytes(tmp_path)

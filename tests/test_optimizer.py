@@ -101,7 +101,7 @@ def test_fit_leaves_parameters_in_one_buffer_that_round_trips(tmp_path_factory, 
     assert net.flat.size == sum(p.size for p in params)
     assert all(p.base is net.flat for p in params)
     path = tmp_path_factory.mktemp("fit") / "model.bin"
-    save_network(net, path)
+    save_network(net, path, [], ["0", "1"])
     loaded, _, _ = load_network(path)
     for p, q in zip(params, parameters(loaded)):
         assert np.array_equal(p, q)
@@ -149,7 +149,7 @@ def test_fit_after_reloading_a_snapshot_golden(tmp_path):
     data = two_blobs(40, seed=12)
     net = build_network(2, 2, 2, [6, 5], "squared_hinge", Rng(13).derive("init"), batch_norm=True)
     fit(net, data.X, data.y, TrainConfig(epochs=6, batch_size=8, lr=0.01, seed=4))
-    save_network(net, tmp_path / "model.bin")
+    save_network(net, tmp_path / "model.bin", [], ["0", "1"])
     loaded, _, _ = load_network(tmp_path / "model.bin")
     log = fit(loaded, data.X, data.y, TrainConfig(epochs=6, batch_size=8, lr=0.01, seed=5))
     h = hashlib.sha256()

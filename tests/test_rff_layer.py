@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -191,7 +193,7 @@ def test_batchnorm_normalizes_batch():
 
 
 def test_batchnorm_inference_identity_stats():
-    bn = BatchNormState.identity(3, epsilon=1e-12)
+    bn = replace(BatchNormState.identity(3), epsilon=1e-12)
     x = Rng(6).normal((4, 3))
     y, _ = batchnorm_forward(bn, x, training=False)
     assert np.abs(y - x).max() < 1e-9
@@ -218,7 +220,7 @@ def test_batchnorm_rejects_batch_of_one():
 
 
 def test_batchnorm_running_stats_update():
-    bn = BatchNormState.identity(2, momentum=0.1)
+    bn = BatchNormState.identity(2)  # momentum 0.1
     x = np.array([[0.0, 10.0], [2.0, 30.0]])
     batchnorm_forward(bn, x, training=True)
     assert np.allclose(bn.running_mean, 0.9 * 0.0 + 0.1 * np.array([1.0, 20.0]))

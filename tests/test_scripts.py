@@ -91,6 +91,29 @@ def test_every_public_src_name_has_a_non_test_caller():
     assert orphans == []
 
 
+def test_no_src_module_reads_another_modules_private_name():
+    # a private name is its module's own; a name another module needs is public
+    modules = {path.stem for path in Path(ROOT, "src", "rffnet").glob("*.py")}
+    assert "cli" in modules
+    reads = []
+    for path in sorted(Path(ROOT, "src", "rffnet").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = set()  # local names bound to an rffnet module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("rffnet")):
+                package = node.module in (None, "rffnet")  # from . import m, from rffnet import m
+                for alias in node.names:
+                    if package and alias.name in modules:
+                        imported.add(alias.asname or alias.name)
+                    elif not package and alias.name.startswith("_"):
+                        reads.append(f"{path.stem}:{node.lineno}: from {node.module} import {alias.name}")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in imported and node.attr.startswith("_")):
+                reads.append(f"{path.stem}:{node.lineno}: {node.value.id}.{node.attr}")
+    assert reads == []
+
+
 def test_mem_probe_trains_on_a_small_eeg_shaped_file(tmp_path):
     result = subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "mem_probe.py"), "--rows", "300", "--out", str(tmp_path)],
