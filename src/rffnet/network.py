@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DataError, ParameterError, ShapeError
 from .numerics import Rng, as_matrix, gaussian_matrix
-from .rff_layer import BatchNormState, LayerCache, RffLayer, backward, forward, init_layer
+from .rff_layer import BN_EPSILON, BN_MOMENTUM, BatchNormState, LayerCache, RffLayer, backward, forward, init_layer
 
 LOSS_KINDS = ("squared", "squared_hinge", "cross_entropy")
 
@@ -267,41 +267,40 @@ def accuracy(net: Network, X, y) -> float:
 
 # --- serialization ---------------------------------------------------------
 #
-# Flat binary snapshot: a magic line, a JSON header line describing shapes in
-# declared order, then raw little-endian float64 blobs. Round-trips are
-# bit-exact. The header names the classes; a preprocessing section, empty when
-# there are no stages, stores per-column (shift, div) stages so a snapshot can
-# be evaluated directly on raw data.
+# Flat binary snapshot: a magic line, a JSON header line, then raw
+# little-endian float64 blobs in declared order. Round-trips are bit-exact.
+# The header holds only what no array tells: the loss kind, the class names
+# (one readout row each), layer 0's input width, each layer's D and whether it
+# has batch norm, and the number of preprocessing stages, per-column (shift,
+# div) pairs as wide as layer 0's input. Every other width follows: a layer
+# reads the 2D columns of the one below, and the readout those of the last.
+# A v1 header, which also stored the class count, every d_in, the stage width
+# and the batch-norm constants, loads through the same decoder, which ignores
+# those keys but for the batch-norm entry.
 
 _MAGIC = b"RFFNET1\n"
+_V1_BATCHNORM = {"momentum": BN_MOMENTUM, "epsilon": BN_EPSILON}
 
 
 def save_network(net: Network, path, preprocess, label_names) -> None:
     layers_meta = []
     blobs: list[np.ndarray] = []
     for layer in net.layers:
-        meta = {"d_in": layer.d_in, "D": layer.D, "batchnorm": None}
+        layers_meta.append({"D": layer.D, "batchnorm": layer.batchnorm is not None})
         blobs.append(layer.omega)
         if layer.batchnorm is not None:
             bn = layer.batchnorm
-            meta["batchnorm"] = {"momentum": bn.momentum, "epsilon": bn.epsilon}
             blobs.extend([bn.gamma, bn.beta, bn.running_mean, bn.running_var])
-        layers_meta.append(meta)
+    layers_meta[0]["d_in"] = net.d_in
     blobs.extend([net.readout_w, net.readout_b])
+    for shift, div in preprocess:
+        blobs.extend([np.asarray(shift, dtype=np.float64), np.asarray(div, dtype=np.float64)])
     header = {
         "loss_kind": net.loss_kind,
-        "class_count": net.class_count,
-        "out_dim": net.class_count,
         "layers": layers_meta,
-        "preprocess_dim": None,
-        "preprocess_stages": 0,
+        "preprocess_stages": len(preprocess),
         "label_names": list(label_names),
     }
-    if preprocess:
-        header["preprocess_stages"] = len(preprocess)
-        header["preprocess_dim"] = int(np.asarray(preprocess[0][0]).shape[0])
-        for shift, div in preprocess:
-            blobs.extend([np.asarray(shift, dtype=np.float64), np.asarray(div, dtype=np.float64)])
     payload = _MAGIC + json.dumps(header, sort_keys=True).encode() + b"\n"
     payload += b"".join(np.ascontiguousarray(b, dtype="<f8").tobytes() for b in blobs)
     tmp = f"{path}.tmp"
@@ -315,11 +314,11 @@ def load_network(path):
 
     Any file that is not exactly such a snapshot raises DataError: a wrong
     magic line, an unterminated or malformed header, dimensions that are not
-    positive integers, an unknown loss kind, label names that are not one
-    distinct string per class, batch-norm settings that are not usable
-    numbers, a stored value that is not finite, preprocessing stages whose
-    width is not layer 0's input width or whose divisor is not > 0, or a data
-    section shorter or longer than the header describes.
+    positive integers, an unknown loss kind, label names that are not at least
+    two distinct strings, a batch-norm entry that is not true, false, null or
+    v1's constants, a negative running variance, a stored value that is not
+    finite, a preprocessing divisor that is not > 0, or a data section shorter
+    or longer than the header describes.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -362,47 +361,34 @@ def _decode_snapshot(header: dict, data: np.ndarray):
         pos += count
         return arr
 
-    if type(header["class_count"]) is not int or header["class_count"] < 2:
-        raise DataError(f"class count {header['class_count']!r} is not an integer >= 2")
-    if header["class_count"] != header["out_dim"]:  # one readout row per class
-        raise DataError(f"class count {header['class_count']} is not out_dim {header['out_dim']!r}")
     names = header["label_names"]
-    if not (type(names) is list and all(type(n) is str for n in names)
-            and len(set(names)) == len(names) == header["class_count"]):
-        raise DataError(f"label names {names!r} are not {header['class_count']} distinct strings")
+    if not (type(names) is list and all(type(n) is str for n in names) and len(set(names)) == len(names) >= 2):
+        raise DataError(f"label names {names!r} are not two or more distinct strings")
     if not header["layers"]:
         raise DataError("snapshot has no layers")
+    d_in = width = header["layers"][0]["d_in"]
     layers = []
     for meta in header["layers"]:
-        omega = take(meta["D"], meta["d_in"])
+        omega = take(meta["D"], width)
+        width = 2 * meta["D"]
+        has_bn = meta["batchnorm"]
+        if has_bn == _V1_BATCHNORM:
+            has_bn = True
+        if not any(has_bn is v for v in (True, False, None)):
+            raise DataError(f"batch-norm entry {has_bn!r} is not true, false, null or v1's {_V1_BATCHNORM}")
         bn = None
-        if meta["batchnorm"] is not None:
-            width = 2 * meta["D"]
-            momentum, epsilon = meta["batchnorm"]["momentum"], meta["batchnorm"]["epsilon"]
-            if not {type(momentum), type(epsilon)} <= {int, float}:
-                raise DataError(f"batch-norm momentum {momentum!r} and epsilon {epsilon!r} must be numbers")
-            bn = BatchNormState(
-                gamma=take(width), beta=take(width),
-                running_mean=take(width).copy(), running_var=take(width).copy(),
-                momentum=float(momentum), epsilon=float(epsilon),
-            )
-            # inference divides by sqrt(running_var + epsilon): both must keep it real and non-zero
-            if not (math.isfinite(bn.epsilon) and bn.epsilon > 0.0):
-                raise DataError(f"batch-norm epsilon {bn.epsilon!r} is not finite and > 0")
-            if not 0.0 <= bn.momentum <= 1.0:
-                raise DataError(f"batch-norm momentum {bn.momentum!r} lies outside [0, 1]")
+        if has_bn:
+            bn = BatchNormState(gamma=take(width), beta=take(width),
+                                running_mean=take(width).copy(), running_var=take(width).copy())
+            # inference divides by sqrt(running_var + epsilon): it must stay real
             if not (bn.running_var >= 0.0).all():
                 raise DataError("batch-norm running variance has a negative entry")
         layers.append(RffLayer(omega=omega, batchnorm=bn))
-    out_dim = header["out_dim"]
-    readout_w = take(out_dim, 2 * header["layers"][-1]["D"])
-    readout_b = take(out_dim)
-    d = header["preprocess_dim"]
-    if header["preprocess_stages"] and d != layers[0].d_in:
-        raise DataError(f"preprocessing width {d!r} is not layer 0's input width {layers[0].d_in}")
+    readout_w = take(len(names), width)
+    readout_b = take(len(names))
     stages = []
     for _ in range(header["preprocess_stages"]):
-        stages.append((take(d).copy(), take(d).copy()))
+        stages.append((take(d_in).copy(), take(d_in).copy()))
         if not (stages[-1][1] > 0.0).all():
             raise DataError("a preprocessing stage divides by a value that is not > 0")
     if pos != data.size:

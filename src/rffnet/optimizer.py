@@ -72,7 +72,6 @@ class TrainConfig:
 @dataclass
 class EpochRecord:
     epoch: int
-    lr: float
     loss: float
     reg_loss: float
     train_acc: float
@@ -83,10 +82,9 @@ class TrainingLog:
     records: list[EpochRecord] = field(default_factory=list)
 
     def to_csv_text(self) -> str:
-        # val_acc is always empty, and kept so that every log-trial*.csv has the same columns
-        lines = ["epoch,lr,loss,reg_loss,train_acc,val_acc"]
+        lines = ["epoch,loss,reg_loss,train_acc"]
         for r in self.records:
-            lines.append(f"{r.epoch},{r.lr!r},{r.loss!r},{r.reg_loss!r},{r.train_acc!r},")
+            lines.append(f"{r.epoch},{r.loss!r},{r.reg_loss!r},{r.train_acc!r}")
         return "\n".join(lines) + "\n"
 
 
@@ -138,6 +136,6 @@ def fit(net: Network, X, y, config: TrainConfig) -> TrainingLog:
         if not np.isfinite(flat).all():
             raise NumericError(f"non-finite parameter after epoch {epoch}")
         report = compute_loss(net, forward_full(net, X, training=False).logits, y, config.reg_lambda)
-        log.records.append(EpochRecord(epoch=epoch, lr=config.lr, loss=report.total,
-                                       reg_loss=report.reg_loss, train_acc=report.correct_count / n))
+        log.records.append(EpochRecord(epoch=epoch, loss=report.total, reg_loss=report.reg_loss,
+                                       train_acc=report.correct_count / n))
     return log

@@ -15,6 +15,9 @@ import numpy as np
 from .errors import ParameterError, ShapeError
 from .numerics import Rng, as_matrix, gaussian_matrix
 
+BN_MOMENTUM = 0.1  # weight of each training batch in the running statistics
+BN_EPSILON = 1e-5  # added to every variance before its square root
+
 
 @dataclass
 class BatchNormState:
@@ -24,8 +27,6 @@ class BatchNormState:
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.1
-    epsilon: float = 1e-5
 
     @classmethod
     def identity(cls, width: int) -> "BatchNormState":
@@ -92,15 +93,15 @@ def batchnorm_forward(bn: BatchNormState, x: np.ndarray, training: bool):
         x_hat = x - mean
         y = x_hat * x_hat
         var = np.add.reduce(y, 0) / n
-        inv_std = 1.0 / np.sqrt(var + bn.epsilon)
+        inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
         x_hat *= inv_std
-        bn.running_mean = (1.0 - bn.momentum) * bn.running_mean + bn.momentum * mean
-        bn.running_var = (1.0 - bn.momentum) * bn.running_var + bn.momentum * var
+        bn.running_mean = (1.0 - BN_MOMENTUM) * bn.running_mean + BN_MOMENTUM * mean
+        bn.running_var = (1.0 - BN_MOMENTUM) * bn.running_var + BN_MOMENTUM * var
         np.multiply(x_hat, bn.gamma, out=y)
         record = (x_hat, inv_std)
     else:
         y = x - bn.running_mean
-        y *= 1.0 / np.sqrt(bn.running_var + bn.epsilon)
+        y *= 1.0 / np.sqrt(bn.running_var + BN_EPSILON)
         y *= bn.gamma
         record = None
     y += bn.beta

@@ -104,6 +104,6 @@ def training_log_from_csv_text(text: str) -> TrainingLog:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     records = []
     for ln in lines[1:]:
-        epoch, lr, loss, reg, tacc, _ = ln.split(",")  # the val_acc column is always empty
-        records.append(EpochRecord(int(epoch), float(lr), float(loss), float(reg), float(tacc)))
+        epoch, loss, reg, tacc = ln.split(",")
+        records.append(EpochRecord(int(epoch), float(loss), float(reg), float(tacc)))
     return TrainingLog(records=records)

@@ -388,6 +388,23 @@ def test_eval_truncated_model_is_data_error(tmp_path, capsys):
     assert "snapshot truncated" in capsys.readouterr().err
 
 
+def test_eval_and_inspect_of_layers_that_do_not_chain_exit_2_naming_the_snapshot(tmp_path, capsys):
+    # a v1 header stores layer 1's d_in, which the decoder ignores: layer 1 reads layer 0's
+    # 2D = 8 outputs. An entry that does not chain but describes as many values then
+    # misreads the payload, and the snapshot fails to load before any file is written
+    v1 = (Path(__file__).parent / "data" / "blobs-bn-v1.bin").read_bytes()
+    entry = b'{"D": 3, "batchnorm": {"epsilon": 1e-05, "momentum": 0.1}, "d_in": 8}'
+    assert v1.count(entry) == 1
+    model = tmp_path / "model.bin"
+    model.write_bytes(v1.replace(entry, entry.replace(b'"D": 3', b'"D": 4').replace(b'"d_in": 8', b'"d_in": 3')))
+    for command in ("eval", "inspect"):
+        out = tmp_path / command
+        capsys.readouterr()
+        assert run_cli(command, str(model), "--task", "blobs", "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith(f"data error: {model}: ")
+        assert not out.exists()
+
+
 def test_eval_reuses_run_config_for_data(tmp_path, capsys):
     out = tmp_path / "run"
     assert run_cli(*train_args(out, "--epochs", "20")) == 0

@@ -1,7 +1,8 @@
+import json
 import math
-import os
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -361,7 +362,6 @@ def test_serialization_roundtrip_bit_exact(tmp_path):
     for layer, ll in zip(net.layers, loaded.layers):
         assert np.array_equal(layer.batchnorm.running_mean, ll.batchnorm.running_mean)
         assert np.array_equal(layer.batchnorm.running_var, ll.batchnorm.running_var)
-        assert layer.batchnorm.momentum == ll.batchnorm.momentum
     for (s, d), (s2, d2) in zip(stages, loaded_stages):
         assert np.array_equal(s, s2)
         assert np.array_equal(d, d2)
@@ -388,6 +388,14 @@ def _header_end(blob):
     return blob.index(b"\n", len(b"RFFNET1\n"))
 
 
+def _edit_header(blob, edit):
+    """blob with its header replaced by edit(header), written as save_network writes one."""
+    end = _header_end(blob)
+    header = json.loads(blob[len(b"RFFNET1\n"):end])
+    edit(header)
+    return b"RFFNET1\n" + json.dumps(header, sort_keys=True).encode() + blob[end:]
+
+
 def _set_value(blob, index, value):
     # index counts float64 values from the start of the data section, or from its end if negative
     at = _header_end(blob) + 1 + 8 * index if index >= 0 else len(blob) + 8 * index
@@ -408,32 +416,31 @@ def _set_first_running_var(blob, value):
     lambda b: b[:_header_end(b) - 1] + b"\n" + b[_header_end(b) + 1:],  # malformed JSON
     lambda b: b.replace(b'"D": 4', b'"D": -4', 1),              # negative dimension
     lambda b: b.replace(b'"D": 4', b'"D": "4"', 1),             # dimension of the wrong type
-    lambda b: b.replace(b'"out_dim": 2', b'"out_dim": 2.0', 1),  # float dimension
+    lambda b: b.replace(b'"d_in": 3', b'"d_in": 3.0', 1),       # float dimension
     lambda b: b.replace(b'"layers": [', b'"lay": [', 1),         # missing key
     lambda b: b.replace(b'"loss_kind": "squared_hinge"', b'"loss_kind": "hinge"', 1),
     lambda b: b[:8] + b"[]" + b[_header_end(b):],               # header is not an object
-    lambda b: b.replace(b'"class_count": 2', b'"class_count": 3', 1),  # readout rows != classes
-    lambda b: b.replace(b'"epsilon": 1e-05', b'"epsilon": -10', 1),    # batch norm: epsilon <= 0
-    lambda b: b.replace(b'"epsilon": 1e-05', b'"epsilon": 0', 1),
-    lambda b: b.replace(b'"epsilon": 1e-05', b'"epsilon": NaN', 1),
-    lambda b: b.replace(b'"epsilon": 1e-05', b'"epsilon": Infinity', 1),
-    lambda b: b.replace(b'"momentum": 0.1', b'"momentum": -0.5', 1),   # momentum outside [0, 1]
-    lambda b: b.replace(b'"momentum": 0.1', b'"momentum": 1.5', 1),
-    lambda b: b.replace(b'"momentum": 0.1', b'"momentum": NaN', 1),
+    lambda b: b.replace(b'["a", "b"]', b'["a", "b", "c"]', 1),  # three classes, two readout rows
+    lambda b: b.replace(b'["a", "b"]', b'["a"]', 1),            # one class
+    lambda b: b.replace(b'"batchnorm": true', b'"batchnorm": 1', 1),   # batch norm: not true, false or null
+    lambda b: b.replace(b'"batchnorm": true', b'"batchnorm": "true"', 1),
+    lambda b: b.replace(b'"batchnorm": true', b'"batchnorm": {"epsilon": 1e-06, "momentum": 0.1}', 1),  # not v1's
+    lambda b: b.replace(b'"batchnorm": true', b'"batchnorm": {"epsilon": 1e-05, "momentum": 0.5}', 1),
+    lambda b: b.replace(b'"batchnorm": true', b'"batchnorm": {"momentum": 0.1}', 1),
+    lambda b: _edit_header(b, lambda h: h["layers"][1].update(batchnorm=False)),  # layer 1 said to have no batch norm
     lambda b: _set_first_running_var(b, -1.0),                  # negative running variance
     lambda b: _set_first_running_var(b, float("nan")),
     lambda b: _set_first_running_var(b, float("inf")),
     lambda b: b.replace(b'"label_names": ["a", "b"]', b'"label_names": 5', 1),    # not a list
     lambda b: b.replace(b'"label_names": ["a", "b"]', b'"label_names": "10"', 1),  # two characters, not a list
-    lambda b: b.replace(b'"momentum": 0.1', b'"momentum": true', 1),              # batch norm: not a number
-    lambda b: b.replace(b'"epsilon": 1e-05', b'"epsilon": "1e-05"', 1),
+    lambda b: b.replace(b'"batchnorm": true', b'"batchnorm": []', 1),
+    lambda b: b.replace(b'"preprocess_stages": 1', b'"preprocess_stages": 1.0', 1),  # a count that is no integer
     lambda b: b.replace(b'"label_names": ["a", "b"]', b'"label_names": ["a", "a"]', 1),  # not distinct
     lambda b: _set_value(b, 0, float("nan")),                   # a NaN omega entry
     lambda b: _set_value(b, -8, float("inf")),                  # readout_b, before the stage's shift and div (3 each)
     lambda b: _set_value(b, -1, 0.0),                           # a preprocessing div of zero
     lambda b: b.replace(b'"label_names": ["a", "b"]', b'"label_names": null', 1),  # no class names
-    # a stage 4 wide, its values all present and its divisors > 0, before a layer with 3 inputs
-    lambda b: b.replace(b'"preprocess_dim": 3', b'"preprocess_dim": 4', 1) + np.ones(2, dtype="<f8").tobytes(),
+    lambda b: _edit_header(b, lambda h: h.update(layers=[])),  # no layers
 ])
 def test_load_rejects_malformed_snapshot(tmp_path, mangle):
     _, blob = _snapshot_bytes(tmp_path)
@@ -458,3 +465,65 @@ def test_load_truncated_or_extended_snapshot_is_data_error(tmp_path_factory, dat
     path.write_bytes(bad)
     with pytest.raises(DataError):
         load_network(path)
+
+
+def _stored_arrays(net, stages):
+    """(shape, bytes) of every array a snapshot stores, in load order."""
+    arrays = parameters(net) + [a for stage in stages for a in stage]
+    for layer in net.layers:
+        if layer.batchnorm is not None:
+            arrays += [layer.batchnorm.running_mean, layer.batchnorm.running_var]
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+@pytest.fixture(scope="module")
+def distinct_snapshot(tmp_path_factory):
+    """(bytes, net, stages) of a 2-layer batch-norm snapshot with one preprocessing stage
+    whose stored values are all distinct and > 0, so an array read from the wrong place shows."""
+    path = tmp_path_factory.mktemp("snap") / "model.bin"
+    _, blob = _snapshot_bytes(path.parent)
+    end = _header_end(blob)
+    values = np.abs(Rng(4).normal((len(blob) - end - 1) // 8)) + 0.5
+    path.write_bytes(blob[:end + 1] + values.astype("<f8").tobytes())
+    return path.read_bytes(), *load_network(path)[:2]
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_one_changed_header_byte_is_a_data_error_or_changes_no_array(distinct_snapshot, tmp_path_factory, data):
+    blob, net, stages = distinct_snapshot
+    end = _header_end(blob)
+    # half the draws change a digit into a digit: the dimensions and the stage count
+    digits = [i for i in range(end) if chr(blob[i]).isdigit()]
+    at = data.draw(st.one_of(st.integers(0, end), st.sampled_from(digits)))
+    byte = data.draw(st.one_of(st.integers(0, 255), st.sampled_from(b"0123456789")).filter(lambda v: v != blob[at]))
+    path = tmp_path_factory.getbasetemp() / "changed-header.bin"
+    path.write_bytes(blob[:at] + bytes([byte]) + blob[at + 1:])
+    try:
+        changed, changed_stages, _ = load_network(path)
+    except DataError:
+        return
+    assert changed.loss_kind == net.loss_kind
+    assert _stored_arrays(changed, changed_stages) == _stored_arrays(net, stages)
+
+
+# written by the save_network that also stored class_count, out_dim, every layer's
+# d_in, preprocess_dim and the batch-norm momentum and epsilon (2 layers of D = 4
+# and 3 with batch norm, two preprocessing stages, trained on the blobs task)
+V1_SNAPSHOT = Path(__file__).parent / "data" / "blobs-bn-v1.bin"
+
+
+def test_a_v1_snapshot_loads_and_resaves_the_same_payload(tmp_path):
+    old = V1_SNAPSHOT.read_bytes()
+    assert b'"class_count": 2' in old and b'"momentum": 0.1' in old
+    net, stages, names = load_network(V1_SNAPSHOT)
+    assert [(layer.d_in, layer.D) for layer in net.layers] == [(2, 4), (8, 3)]
+    assert all(layer.batchnorm is not None for layer in net.layers)
+    assert (len(stages), names) == (2, ["0", "1"])
+    path = tmp_path / "model.bin"
+    save_network(net, path, stages, names)
+    new = path.read_bytes()
+    assert new[_header_end(new):] == old[_header_end(old):]
+    header = json.loads(new[len(b"RFFNET1\n"):_header_end(new)])
+    assert not {"class_count", "out_dim", "preprocess_dim"} & set(header)
+    assert [sorted(meta) for meta in header["layers"]] == [["D", "batchnorm", "d_in"], ["D", "batchnorm"]]

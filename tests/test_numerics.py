@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rffnet.errors import ParameterError, ShapeError, SymmetryError
 from rffnet.numerics import Rng, gaussian_matrix, row_blocks, sym_eig_topk

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +6,8 @@ from hypothesis import strategies as st
 from rffnet.errors import ParameterError, ShapeError
 from rffnet.numerics import Rng
 from rffnet.rff_layer import (
+    BN_EPSILON,
+    BN_MOMENTUM,
     BatchNormState,
     RffLayer,
     backward,
@@ -193,10 +193,10 @@ def test_batchnorm_normalizes_batch():
 
 
 def test_batchnorm_inference_identity_stats():
-    bn = replace(BatchNormState.identity(3), epsilon=1e-12)
+    bn = BatchNormState.identity(3)
     x = Rng(6).normal((4, 3))
     y, _ = batchnorm_forward(bn, x, training=False)
-    assert np.abs(y - x).max() < 1e-9
+    assert np.abs(y - x / np.sqrt(1 + BN_EPSILON)).max() < 1e-9
 
 
 def test_batchnorm_inference_records_nothing_and_backward_refuses_it():
@@ -220,9 +220,10 @@ def test_batchnorm_rejects_batch_of_one():
 
 
 def test_batchnorm_running_stats_update():
-    bn = BatchNormState.identity(2)  # momentum 0.1
+    bn = BatchNormState.identity(2)
     x = np.array([[0.0, 10.0], [2.0, 30.0]])
     batchnorm_forward(bn, x, training=True)
+    assert BN_MOMENTUM == 0.1
     assert np.allclose(bn.running_mean, 0.9 * 0.0 + 0.1 * np.array([1.0, 20.0]))
     assert np.allclose(bn.running_var, 0.9 * 1.0 + 0.1 * np.array([1.0, 100.0]))
 
@@ -238,8 +239,7 @@ def test_batchnorm_backward_finite_differences():
     def loss(x_):
         bn_copy = BatchNormState(gamma=bn.gamma, beta=bn.beta,
                                  running_mean=bn.running_mean.copy(),
-                                 running_var=bn.running_var.copy(),
-                                 momentum=bn.momentum, epsilon=bn.epsilon)
+                                 running_var=bn.running_var.copy())
         y, _ = batchnorm_forward(bn_copy, x_, training=True)
         return float(np.sum(y * w))
 

@@ -114,6 +114,26 @@ def test_no_src_module_reads_another_modules_private_name():
     assert reads == []
 
 
+def test_no_module_imports_a_name_it_never_uses():
+    # a package __init__.py imports names to re-export them
+    unused = []
+    for top in ("src/rffnet", "tests", "scripts"):
+        for path in sorted(Path(ROOT, top).glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text())
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    bound = [(alias.asname or alias.name.split(".")[0], node.lineno) for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    bound = [(alias.asname or alias.name, node.lineno) for alias in node.names]
+                else:
+                    continue
+                unused += [f"{top}/{path.name}:{line}: {name}" for name, line in bound if name not in used]
+    assert unused == []
+
+
 def test_mem_probe_trains_on_a_small_eeg_shaped_file(tmp_path):
     result = subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "mem_probe.py"), "--rows", "300", "--out", str(tmp_path)],
