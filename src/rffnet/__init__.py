@@ -8,7 +8,6 @@ from .errors import (
     ParseError,
     RffnetError,
     ShapeError,
-    SymmetryError,
 )
 from .kernel_analysis import (
     SpectralDensity,

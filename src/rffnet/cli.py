@@ -310,6 +310,8 @@ def run_training(cfg: RunConfig) -> list[TrialResult]:
     resolved = resolve_model(cfg, probe_train.n, probe_train.class_count)
     if cfg.batch_norm and (resolved.batch_size or probe_train.n) < 2:
         raise ParameterError("batch norm requires batches of at least 2 samples")
+    if probe_train.class_count < 2:
+        raise DataError(f"{data.name}: need at least 2 classes, got {probe_train.class_count}")
     os.makedirs(cfg.out, exist_ok=True)
     write_text_atomic(os.path.join(cfg.out, "config.txt"), config_to_text(cfg))
     results = []
@@ -332,7 +334,8 @@ def run_training(cfg: RunConfig) -> list[TrialResult]:
                          reg_lambda=cfg.reg_lambda, seed=seed_t, lr=cfg.lr,
                          beta1=cfg.beta1, beta2=cfg.beta2, epsilon=cfg.epsilon,
                          shuffle=cfg.shuffle)
-        log = fit(net, train.X, train.y, tc)
+        with np.errstate(over="ignore", invalid="ignore"):  # fit's finite check reports a divergence once
+            log = fit(net, train.X, train.y, tc)
         test_acc = accuracy(net, test.X, test.y)
         train_acc = log.records[-1].train_acc if log.records else accuracy(net, train.X, train.y)
         save_network(net, os.path.join(cfg.out, f"model-trial{t}.bin"),
@@ -496,9 +499,15 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_approx_bench(args) -> int:
+    # every flag is checked before any work, so a usage error prints nothing else
     dims = _int_list(args.dims, "--dims")
-    if not dims:
-        raise ParameterError("need at least one feature count in --dims")
+    if not dims or min(dims) < 1:
+        raise ParameterError(f"--dims must list one or more feature counts >= 1, got {args.dims!r}")
+    for flag, value in (("--pairs", args.pairs), ("--features", args.features)):
+        if value < 1:
+            raise ParameterError(f"{flag} must be >= 1, got {value}")
+    if not (math.isfinite(args.bandwidth) and args.bandwidth > 0):
+        raise ParameterError(f"--bandwidth must be finite and > 0, got {args.bandwidth}")
     if not math.isfinite(args.spread):
         raise ParameterError(f"--spread must be finite, got {args.spread}")
     density = SpectralDensity(kind=args.density, bandwidth=args.bandwidth)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataError, ParameterError, ParseError
+from .errors import DataError, ParseError
 from .numerics import Rng
 
 DATA_FORMATS = ("csv", "libsvm")
@@ -194,9 +194,6 @@ def load_source(fmt: str, path, label_column: int = -1, test_path=None, min_dim:
     ``min_dim`` zero-pads libsvm rows, which omit trailing zero features, to at
     least that width. Returns (data, test); test is None without ``test_path``.
     """
-    if fmt not in DATA_FORMATS:
-        raise ParameterError(f"unknown data format {fmt!r}, expected one of {DATA_FORMATS}")
-
     def load(p, label_names, min_dim):
         if fmt == "csv":
             return load_csv(p, label_column=label_column, label_names=label_names)
@@ -233,8 +230,6 @@ def preprocess_pair(train: Dataset, test: Dataset | None, scheme: str = "minmax+
     """Fit the scheme's stages on the training split, apply to both splits.
 
     Returns (train', test', stages), stages a list of (shift, div) pairs."""
-    if scheme not in NORMALIZE_SCHEMES:
-        raise ParameterError(f"unknown normalization scheme {scheme!r}, expected one of {NORMALIZE_SCHEMES}")
     stages = []
     Xtr = train.X
     for name in [s for s in scheme.split("+") if s != "none"]:

@@ -9,10 +9,6 @@ class ShapeError(RffnetError, ValueError):
     """Operands have incompatible or unexpected dimensions."""
 
 
-class SymmetryError(RffnetError, ValueError):
-    """A matrix required to be symmetric is not."""
-
-
 class ParameterError(RffnetError, ValueError):
     """An argument is outside its valid range."""
 

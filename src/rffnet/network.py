@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, ParameterError, ShapeError
+from .errors import DataError, ParameterError
 from .numerics import Rng, as_matrix, gaussian_matrix
 from .rff_layer import BN_EPSILON, BN_MOMENTUM, BatchNormState, LayerCache, RffLayer, backward, forward, init_layer
 
@@ -78,8 +78,6 @@ class LossReport:
 
 def default_layer_count(n_samples: int) -> int:
     """Suggested depth for a training set of n samples: ceil(n/1000) + 1."""
-    if n_samples < 1:
-        raise ParameterError(f"n_samples must be >= 1, got {n_samples}")
     return math.ceil(n_samples / 1000) + 1
 
 
@@ -94,13 +92,7 @@ def build_network(
     omega_stddev: float = 0.1,
     readout_stddev: float = 0.1,
 ) -> Network:
-    """Chain layer_count layers (widths from D_per_layer) plus a linear readout."""
-    if layer_count < 1:
-        raise ParameterError(f"layer_count must be >= 1, got {layer_count}")
-    if len(D_per_layer) != layer_count:
-        raise ParameterError(f"expected {layer_count} layer widths, got {len(D_per_layer)}")
-    if n_classes < 2:
-        raise ParameterError(f"need at least 2 classes, got {n_classes}")
+    """Chain layer_count == len(D_per_layer) layers, one per width, plus a linear readout."""
     layers = []
     dim = d_in
     for D in D_per_layer:
@@ -114,7 +106,7 @@ def build_network(
 def forward_full(net: Network, X, training: bool = False) -> ForwardTrace:
     """Run every layer and the readout. A training pass keeps each layer's record for
     backward_full; an inference pass keeps none, so it holds one layer's arrays at a time."""
-    h = as_matrix(X, "network input")
+    h = as_matrix(X)
     caches = []
     for layer in net.layers:
         h, cache = forward(layer, h, training=training)
@@ -140,25 +132,11 @@ def parameters(net: Network) -> list[np.ndarray]:
 
 def unflatten(net: Network, vec: np.ndarray) -> list[np.ndarray]:
     """Views into vec, a vector laid out like net.flat, shaped like parameters(net), in that order."""
-    if vec.shape != net.flat.shape:
-        raise ShapeError(f"vector shape {vec.shape} != parameter buffer shape {net.flat.shape}")
     views, pos = [], 0
     for p in parameters(net):
         views.append(vec[pos:pos + p.size].reshape(p.shape))
         pos += p.size
     return views
-
-
-def validate_labels(y, n: int, class_count: int) -> np.ndarray:
-    """y as int64 class indices, checked to have shape (n,) and to lie in [0, class_count)."""
-    y = np.asarray(y)
-    if y.shape != (n,):
-        raise ShapeError(f"labels must have shape ({n},), got {y.shape}")
-    if not np.issubdtype(y.dtype, np.integer):
-        raise DataError(f"labels must be integers, got dtype {y.dtype}")
-    if y.size and (y.min() < 0 or y.max() >= class_count):
-        raise DataError(f"labels must lie in [0, {class_count}), got range [{y.min()}, {y.max()}]")
-    return y.astype(np.int64)
 
 
 def predict_from_logits(logits: np.ndarray) -> np.ndarray:
@@ -168,8 +146,8 @@ def predict_from_logits(logits: np.ndarray) -> np.ndarray:
 
 def _data_loss(net: Network, logits: np.ndarray, y: np.ndarray, grad: bool):
     """Mean data loss over the batch (grad=False) or its gradient w.r.t. the
-    logits (grad=True). Both come from one set of formulas; y must already be
-    validated."""
+    logits (grad=True). Both come from one set of formulas; y holds class
+    indices in [0, class_count), as a Dataset's labels do."""
     n = logits.shape[0]
     if net.loss_kind == "cross_entropy":
         shifted = logits - logits.max(axis=1, keepdims=True)
@@ -197,8 +175,7 @@ def _data_loss(net: Network, logits: np.ndarray, y: np.ndarray, grad: bool):
 def loss_gradient(net: Network, logits: np.ndarray, y: np.ndarray) -> np.ndarray:
     """d(mean data loss)/d(logits), the only loss output a training step needs.
 
-    ``y`` must hold int64 labels in [0, class_count), as validate_labels returns
-    them: fit validates its labels once, not on every step.
+    ``y`` holds class indices in [0, class_count), as a Dataset's labels do.
     """
     return _data_loss(net, logits, y, grad=True)
 
@@ -209,8 +186,8 @@ def compute_loss(net: Network, logits, y, lam: float) -> LossReport:
     The penalty is 0.5 * lam times the sum of the per-array sums of squares,
     taken in parameters() order.
     """
-    logits = as_matrix(logits, "logits")
-    y = validate_labels(y, logits.shape[0], net.class_count)
+    logits = as_matrix(logits)
+    y = np.asarray(y)
     data_loss = _data_loss(net, logits, y, grad=False)
     reg_loss = 0.5 * lam * sum(float(np.add.reduce(p * p, None)) for p in parameters(net))
     correct = int(np.sum(predict_from_logits(logits) == y))
@@ -232,15 +209,11 @@ def backward_full(net: Network, trace: ForwardTrace, grad_logits, lam: float, ou
 
     Writes one gradient vector laid out like net.flat (unflatten gives its
     per-array views) into ``out``, a buffer a training loop reuses, and returns
-    it. It consumes the trace: the last layer's output is dropped once the
-    readout gradient is written, and each record is popped and handed, with the
-    gradient computed for it, to rff_layer.backward, which consumes both.
+    it. It consumes the trace, which must be a training pass of net: the last
+    layer's output is dropped once the readout gradient is written, and each
+    record is popped and handed, with the gradient computed for it, to
+    rff_layer.backward, which consumes both.
     """
-    grad_logits = as_matrix(grad_logits, "grad_logits")
-    if grad_logits.shape != trace.logits.shape:
-        raise ShapeError(f"grad_logits shape {grad_logits.shape} != logits shape {trace.logits.shape}")
-    if len(trace.caches) != len(net.layers):
-        raise ShapeError("trace does not match network depth; backward_full needs an unconsumed training trace")
     views = unflatten(net, out)
     np.matmul(grad_logits.T, trace.caches[-1].output, out=views[-2])
     trace.caches[-1].output = None

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, NumericError, ParameterError, ShapeError
+from .errors import NumericError, ParameterError
 from .network import (
     Network,
     backward_full,
@@ -14,7 +14,6 @@ from .network import (
     forward_full,
     loss_gradient,
     parameters,
-    validate_labels,
 )
 from .numerics import Rng, as_matrix, row_blocks
 
@@ -31,8 +30,6 @@ class AdamState:
 def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState, config: TrainConfig) -> None:
     """One bias-corrected Adam update of p, in place (fit passes net.flat), with
     config's lr, beta1, beta2 and epsilon."""
-    if p.shape != g.shape or p.shape != state.m.shape:
-        raise ShapeError(f"parameter/gradient/state shapes differ: {p.shape}/{g.shape}/{state.m.shape}")
     state.step += 1
     t = state.step
     # theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps), with scalars hoisted; the
@@ -97,22 +94,17 @@ def fit(net: Network, X, y, config: TrainConfig) -> TrainingLog:
     Each step writes its gradients into one reused buffer laid out like
     net.flat, so Adam updates every parameter with a single call. A step's
     activations are freed before Adam runs, so at most one trace is alive.
-    Inputs, labels and that every parameter is still a view of net.flat are
-    checked once, before the first step.
+
+    X and y are a Dataset's features and labels, as wide as net's input, and
+    with batch norm every batch has at least 2 rows: run_training builds the
+    network from the data it trains on and checks the batch size first. That
+    every parameter is still a view of net.flat is checked once, before the
+    first step.
     """
-    X = as_matrix(X, "training input")
-    if X.shape[1] != net.d_in:
-        raise ShapeError(f"training input has {X.shape[1]} columns, network expects {net.d_in}")
+    X = as_matrix(X)
     n = X.shape[0]
-    if n == 0:
-        raise DataError("cannot fit on an empty dataset")
-    y = validate_labels(y, n, net.class_count)
     has_bn = any(layer.batchnorm is not None for layer in net.layers)
     batch_size = config.batch_size if config.batch_size is not None else n
-    if batch_size < 1:
-        raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
-    if has_bn and min(batch_size, n) < 2:
-        raise ParameterError("batch norm requires batches of at least 2 samples")
     flat = net.flat
     if not all(p.base is flat for p in parameters(net)):
         raise ParameterError("a trainable array was rebound and is no longer a view of net.flat; "

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
 from .numerics import Rng, as_matrix, gaussian_matrix
 
 BN_MOMENTUM = 0.1  # weight of each training batch in the running statistics
@@ -32,10 +31,6 @@ class BatchNormState:
     def identity(cls, width: int) -> "BatchNormState":
         return cls(gamma=np.ones(width), beta=np.zeros(width),
                    running_mean=np.zeros(width), running_var=np.ones(width))
-
-    @property
-    def width(self) -> int:
-        return self.gamma.shape[0]
 
 
 @dataclass
@@ -66,10 +61,6 @@ class LayerCache:
 
 def init_layer(d_in: int, D: int, stddev: float, rng: Rng, batchnorm: bool = False) -> RffLayer:
     """Fresh layer with omega ~ N(0, stddev^2), i.e. an RBF-like spectral density."""
-    if d_in < 1 or D < 1:
-        raise ParameterError(f"layer dimensions must be positive, got d_in={d_in}, D={D}")
-    if stddev <= 0:
-        raise ParameterError(f"init stddev must be positive, got {stddev}")
     omega = gaussian_matrix(D, d_in, 0.0, stddev, rng)
     bn = BatchNormState.identity(2 * D) if batchnorm else None
     return RffLayer(omega=omega, batchnorm=bn)
@@ -80,13 +71,9 @@ def batchnorm_forward(bn: BatchNormState, x: np.ndarray, training: bool):
 
     Training mode uses batch stats, updates the running averages in place and
     records (x_hat, inv_std) for batchnorm_backward; inference mode uses the
-    running stats and records None."""
-    if x.shape[1] != bn.width:
-        raise ShapeError(f"batch norm expects width {bn.width}, got {x.shape[1]}")
+    running stats and records None. A training batch needs at least 2 rows."""
     if training:
         n = x.shape[0]
-        if n < 2:
-            raise ParameterError("batch norm in training mode needs a batch of at least 2")
         # np.add.reduce(.., 0) / n is what x.mean(axis=0) computes, minus the wrapper's overhead
         mean = np.add.reduce(x, 0) / n
         # x_hat is normalised in place from x - mean; y holds the squares until it is built
@@ -117,8 +104,6 @@ def batchnorm_backward(bn: BatchNormState, record: tuple[np.ndarray, np.ndarray]
     (views into a flat gradient buffer during training). The caller hands
     grad_y over: grad_x is built inside it and returned."""
     x_hat, inv_std = record
-    if grad_y.shape != x_hat.shape:
-        raise ShapeError(f"batch norm grad shape {grad_y.shape} != input shape {x_hat.shape}")
     scratch = grad_y * x_hat
     np.add.reduce(scratch, 0, out=gamma_out)
     np.add.reduce(grad_y, 0, out=beta_out)
@@ -144,9 +129,7 @@ def forward(layer: RffLayer, X, training: bool = False):
     Output rows are sqrt(1/D) [cos(f_1)..cos(f_D), sin(f_1)..sin(f_D)]; the
     cos-then-sin order pairs feature m with m+D and is relied on by backward.
     """
-    X = as_matrix(X, "layer input")
-    if X.shape[1] != layer.d_in:
-        raise ShapeError(f"layer expects {layer.d_in} input columns, got {X.shape[1]}")
+    X = as_matrix(X)
     f = X @ layer.omega.T
     D = layer.D
     features = np.empty((X.shape[0], 2 * D))
@@ -174,11 +157,6 @@ def backward(layer: RffLayer, cache: LayerCache, grad_output, out, input_grad: b
     consumes the record (it sets output, bn and features to None once read) and,
     with batch norm, builds its input gradient inside grad_output.
     """
-    grad_output = as_matrix(grad_output, "grad_output")
-    if grad_output.shape != cache.features.shape:
-        raise ShapeError(f"grad_output shape {grad_output.shape} != layer output shape {cache.features.shape}")
-    if layer.batchnorm is not None and cache.bn is None:
-        raise ParameterError("backward through batch norm needs a training-mode forward")
     cache.output = None
     if layer.batchnorm is not None:
         grad_feats = batchnorm_backward(layer.batchnorm, cache.bn, grad_output, *out[1:])

@@ -176,6 +176,15 @@ def test_train_bad_set_value_is_usage_error(tmp_path):
                    "--out", str(tmp_path / "r")) == 1
 
 
+def test_train_on_one_class_is_a_data_error_before_any_output(tmp_path, capsys):
+    data = tmp_path / "one.csv"
+    data.write_text("1,2,a\n3,4,a\n5,6,a\n7,8,a\n")
+    out = tmp_path / "r"
+    assert run_cli("train", "--data-path", str(data), "--epochs", "1", "--out", str(out)) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == "data error: one: need at least 2 classes, got 1\n"
+
+
 def test_train_mismatched_dims_no_partial_output(tmp_path):
     out = tmp_path / "r"
     assert run_cli("train", "--task", "monks1", "--dim", "8,8,8",
@@ -343,12 +352,22 @@ def test_eval_and_inspect_of_a_provided_split_ignore_split_seed(monks1_model, tm
     ["--bandwidth", "nan"],
     ["--bandwidth", "inf"],
     ["--bandwidth", "0"],
+    ["--bandwidth", "-1"],
     ["--dims", "64,x"],
+    ["--dims", ","],
+    ["--dims", "-4"],
+    ["--dims", "64,0"],
+    ["--features", "0"],
+    ["--features", "-2"],
+    ["--pairs", "0"],
+    ["--pairs", "-1"],
 ], ids=" ".join)
 def test_approx_bench_bad_setting_is_usage_error_before_any_output(tmp_path, capsys, flags):
     out = tmp_path / "bench.csv"
     assert run_cli("approx-bench", *flags, "--out", str(out)) == 1
-    assert capsys.readouterr().out == ""
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err.startswith("error: ") and flags[0] in printed.err  # the message names the flag
     assert not out.exists()
 
 
@@ -498,13 +517,14 @@ def test_run_training_sets_every_train_config_field(tmp_path, monkeypatch):
         assert [f.name for f in fields(config) if getattr(config, f.name) == f.default] == []
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the blow-up itself warns
-def test_numeric_blowup_exits_3_without_snapshot(tmp_path):
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the finite check reports the blow-up, not numpy's warnings
+def test_numeric_blowup_exits_3_without_snapshot(tmp_path, capsys):
     out = tmp_path / "run"
     code = run_cli("train", "--task", "monks1", "--epochs", "3", "--batch-size", "16",
                    "--lr", "1e308", "--trials", "1", "--out", str(out))
     assert code == 3
     assert not (out / "model-trial0.bin").exists()
+    assert re.fullmatch(r"numeric failure: non-finite parameter after epoch \d+\n", capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("argv", [

@@ -16,13 +16,12 @@ from rffnet.dataio import (
     apply_stages,
     load_csv,
     load_libsvm,
-    load_source,
     parse_registry,
     preprocess_pair,
     save_csv,
     split,
 )
-from rffnet.errors import DataError, ParameterError, ParseError
+from rffnet.errors import DataError, ParseError
 from rffnet.numerics import Rng
 
 
@@ -306,9 +305,6 @@ def test_config_registry_and_loader_admit_the_same_formats_and_split_modes(tmp_p
         reg.write_text(line)
         with pytest.raises(ParseError, match="line 1"):
             parse_registry(str(reg))
-    # an unknown format is rejected before the file is opened
-    with pytest.raises(ParameterError, match="unknown data format"):
-        load_source("arff", tmp_path / "missing.arff")
 
 
 def test_dataset_rejects_nan():

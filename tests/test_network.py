@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rffnet import network
-from rffnet.errors import DataError, ParameterError, ShapeError
+from rffnet.errors import DataError, ParameterError
 from rffnet.network import (
     Network,
     accuracy,
@@ -55,11 +55,6 @@ def test_build_single_layer():
     net = build_network(3, 2, 1, [8], "squared", Rng(0))
     assert len(net.layers) == 1
     assert net.readout_w.shape == (2, 16)
-
-
-def test_build_rejects_mismatched_dims():
-    with pytest.raises(ParameterError):
-        build_network(3, 2, 2, [8], "squared", Rng(0))
 
 
 def test_build_rejects_unknown_loss():
@@ -154,12 +149,6 @@ def test_cross_entropy_matches_log_softmax_on_moderate_logits():
     assert relative_error(compute_loss(net, logits, y, 0.0).data_loss, ref) < 1e-13
 
 
-def test_loss_rejects_bad_labels():
-    net = build_network(3, 2, 1, [4], "squared", Rng(0))
-    with pytest.raises(DataError):
-        compute_loss(net, np.zeros((2, 2)), np.array([0, 2]), 0.0)
-
-
 def test_reg_loss_matches_brute_force_flatten():
     net = build_network(3, 3, 2, [4, 5], "cross_entropy", Rng(7), batch_norm=True)
     lam = 0.37
@@ -208,8 +197,6 @@ def test_backward_packed_network_matches_separate_arrays(bn):
     for g, ref in zip(views, reference):
         assert g.base is out
         assert np.array_equal(g, ref)
-    with pytest.raises(ShapeError):
-        unflatten(net, out[1:])
 
 
 def test_inference_holds_one_layer_at_a_time():
@@ -249,8 +236,6 @@ def test_backward_full_releases_each_layer_before_the_one_below(monkeypatch, bn)
     backward_full(net, trace, loss_gradient(net, trace.logits, y), 0.0, np.empty_like(net.flat))
     assert seen == [2, 1, 0] and trace.caches == []
     assert all(features() is None for features, _ in refs)
-    with pytest.raises(ShapeError, match="unconsumed training trace"):
-        backward_full(net, trace, loss_gradient(net, trace.logits, y), 0.0, np.empty_like(net.flat))
 
 
 def _assert_packed(net):

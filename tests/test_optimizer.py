@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from oracles import training_log_from_csv_text
 
 from rffnet import optimizer
-from rffnet.errors import DataError, ParameterError, ShapeError
+from rffnet.errors import ParameterError
 from rffnet.network import accuracy, build_network, load_network, parameters, predict, save_network
 from rffnet.numerics import Rng
 from rffnet.optimizer import AdamState, TrainConfig, adam_step, fit
@@ -51,16 +51,6 @@ def test_adam_second_moment_nonnegative():
     for i in range(50):
         adam_step(p, rng.derive(i).normal(5, 0.0, 10.0), state, TrainConfig())
         assert np.all(state.v >= 0.0)
-
-
-def test_adam_shape_mismatch():
-    p = np.zeros(3)
-    state = _adam_state(p)
-    with pytest.raises(ShapeError):
-        adam_step(p, np.zeros(4), state, TrainConfig())
-    with pytest.raises(ShapeError):
-        adam_step(np.zeros(4), np.zeros(4), state, TrainConfig())
-    assert state.step == 0
 
 
 _finite = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
@@ -106,18 +96,6 @@ def test_fit_leaves_parameters_in_one_buffer_that_round_trips(tmp_path_factory, 
     for p, q in zip(params, parameters(loaded)):
         assert np.array_equal(p, q)
     assert np.array_equal(predict(net, data.X), predict(loaded, data.X))
-
-
-def test_fit_validates_labels_and_columns_before_training():
-    data = two_blobs(20, seed=1)
-    net = build_network(2, 2, 1, [4], "squared", Rng(0))
-    before = [p.copy() for p in parameters(net)]
-    with pytest.raises(DataError):
-        fit(net, data.X, data.y + 1, TrainConfig(epochs=1))
-    with pytest.raises(ShapeError):
-        fit(net, data.X[:, :1], data.y, TrainConfig(epochs=1))
-    for b, a in zip(before, parameters(net)):
-        assert np.array_equal(b, a)
 
 
 @pytest.mark.parametrize("rebind", [
@@ -172,12 +150,6 @@ def test_fit_zero_epochs_is_identity():
     assert log.records == []
     for b, a in zip(before, parameters(net)):
         assert np.array_equal(b, a)
-
-
-def test_fit_rejects_empty_dataset():
-    net = build_network(2, 2, 1, [4], "squared", Rng(0))
-    with pytest.raises(DataError):
-        fit(net, np.zeros((0, 2)), np.zeros(0, dtype=np.int64), TrainConfig(epochs=1))
 
 
 def test_fit_zero_lr_is_fixed_point():

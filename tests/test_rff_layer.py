@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rffnet.errors import ParameterError, ShapeError
 from rffnet.numerics import Rng
 from rffnet.rff_layer import (
     BN_EPSILON,
@@ -35,18 +34,6 @@ def test_init_shapes_and_variance():
     assert abs(var - 0.01) / 0.01 < 0.20
 
 
-def test_init_rejects_zero_stddev():
-    with pytest.raises(ParameterError):
-        init_layer(3, 4, 0.0, Rng(0))
-
-
-def test_init_rejects_bad_dims():
-    with pytest.raises(ParameterError):
-        init_layer(0, 4, 0.1, Rng(0))
-    with pytest.raises(ParameterError):
-        init_layer(3, 0, 0.1, Rng(0))
-
-
 def test_init_same_seed_same_omega():
     a = init_layer(5, 8, 0.1, Rng(42))
     b = init_layer(5, 8, 0.1, Rng(42))
@@ -67,12 +54,6 @@ def test_forward_scalar_case():
     out, _ = forward(layer, np.array([[0.5]]))
     assert abs(out[0, 0] - 0.540302) < 1e-6
     assert abs(out[0, 1] - 0.841471) < 1e-6
-
-
-def test_forward_shape_error():
-    layer = init_layer(4, 8, 0.1, Rng(1))
-    with pytest.raises(ShapeError):
-        forward(layer, np.zeros((3, 5)))
 
 
 @given(st.integers(0, 10_000))
@@ -199,24 +180,16 @@ def test_batchnorm_inference_identity_stats():
     assert np.abs(y - x / np.sqrt(1 + BN_EPSILON)).max() < 1e-9
 
 
-def test_batchnorm_inference_records_nothing_and_backward_refuses_it():
+def test_batchnorm_inference_records_nothing():
     # only a training-mode forward records what backward reads; a layer without batch
     # norm still differentiates an inference record (test_gradient_matches_finite_differences)
     layer = init_layer(3, 4, 0.5, Rng(7), batchnorm=True)
     X = Rng(8).normal((5, 3))
-    out, cache = forward(layer, X, training=False)
+    _, cache = forward(layer, X, training=False)
     assert cache.bn is None
-    with pytest.raises(ParameterError):
-        backward(layer, cache, np.ones_like(out), grad_arrays(layer))
     _, cache = forward(layer, X, training=True)
     x_hat, inv_std = cache.bn
     assert x_hat.shape == (5, 8) and inv_std.shape == (8,)
-
-
-def test_batchnorm_rejects_batch_of_one():
-    bn = BatchNormState.identity(2)
-    with pytest.raises(ParameterError):
-        batchnorm_forward(bn, np.zeros((1, 2)), training=True)
 
 
 def test_batchnorm_running_stats_update():

@@ -143,3 +143,28 @@ def test_mem_probe_trains_on_a_small_eeg_shaped_file(tmp_path):
     peak = float(re.fullmatch(r"rows 300 peak_rss_mb (\S+)\n", result.stdout).group(1))
     assert peak > 0
     assert (tmp_path / "metrics.csv").read_text().startswith("trial,seed,test_acc,train_acc\n")
+
+
+# the statements of src/rffnet that no command of scripts/reach.py's corpus executes, and why each stays
+_DATASET_LABELS = ("Dataset is the one home of label validity: every loader codes exactly one label per row "
+                   "within its class names, but tasks and library callers build a Dataset directly")
+REACH_ALLOWLIST = {
+    ("cli.py", 'return field(default=default, metadata={"key": key, "flag": flag, "choices": choices, '
+               '"check": check})'):
+        "runs at import, while RunConfig's class body builds the key table; the tracer runs only during commands",
+    ("dataio.py", 'raise DataError(f"labels shape {self.y.shape} does not match {self.X.shape[0]} rows")'):
+        _DATASET_LABELS,
+    ("dataio.py", 'raise DataError(f"labels must lie in [0, {self.class_count})")'): _DATASET_LABELS,
+    ("optimizer.py", 'raise ParameterError("a trainable array was rebound and is no longer a view of net.flat; "'):
+        "code outside fit can rebind a parameter after the network is built, and fit would then train a stale "
+        "buffer without any error",
+}
+
+
+def test_reach_corpus_exits_cleanly_and_leaves_only_the_allowlisted_statements_unreached():
+    # a new branch that no command reaches fails here: delete it, reach it from the corpus, or allowlist it
+    results, unreached = load_script("reach").run()
+    unclean = [(argv, code, err) for argv, code, err in results
+               if code not in (0, 1, 2, 3) or len(err.splitlines()) > 1]
+    assert unclean == []
+    assert sorted({(module, text) for module, _, text in unreached}) == sorted(REACH_ALLOWLIST)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from rffnet.errors import ParameterError
 from rffnet.tasks import MONKS_TRAIN_SIZES, make_monks, monks_grid, monks_rule, two_blobs
 
 
@@ -60,11 +59,6 @@ def test_monks12_training_labels_clean():
     for task in ("monks1", "monks2"):
         train, _ = make_monks(task)
         assert np.array_equal(train.y, monks_rule(task, train.X))
-
-
-def test_unknown_task_rejected():
-    with pytest.raises(ParameterError):
-        make_monks("monks4")
 
 
 def test_two_blobs_shape_and_balance():
