@@ -296,9 +296,14 @@ def corpus():
                        ("loss", lambda h, w: _set(h, "loss_kind", "absolute")),
                        ("key", lambda h, w: h.pop("preprocess_stages"))):
         yield ["eval", _edited(model, f"{name}.bin", edit), "--task", "monks1"]
+    yield ["eval", _edited("v1.bin", "chain.bin", lambda h, w: _set(h["layers"][1], "d_in", 3)), "--task", "blobs"]
 
     # --- numeric failures: exit 3
     yield ["train", "--task", "blobs", "--lr", "1e308", "--epochs", "2", "--dim", "4", "--out", "big"]
+    yield ["train", "--task", "monks1", "--epochs", "0", "--dim", "2", "--set", "model.omega_stddev=1e308",
+           "--out", "big"]
+    for flags in (["--spread", "1e308"], ["--bandwidth", "1e-308"]):
+        yield ["approx-bench", *flags, "--dims", "64"]
 
     def overflowing(h, omega):
         omega[...] = 1e308

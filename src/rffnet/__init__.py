@@ -1,14 +1,7 @@
 """Deep kernel learning with stacked trainable random Fourier feature layers."""
 
 from .dataio import Dataset, load_csv, load_libsvm, preprocess_pair, split
-from .errors import (
-    DataError,
-    NumericError,
-    ParameterError,
-    ParseError,
-    RffnetError,
-    ShapeError,
-)
+from .errors import DataError, NumericError, ParameterError, RffnetError
 from .kernel_analysis import (
     SpectralDensity,
     empirical_kernel,

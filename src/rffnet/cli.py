@@ -4,8 +4,10 @@ Run configs are flat dotted-key text files (e.g. ``model.layers = 2``); command
 line flags override file values. Every run directory is self-describing: the
 resolved config, seeds, metrics, and logs are enough to replay it exactly.
 
-Exit codes: 0 success, 1 usage or config error, 2 data error (also a file that
-cannot be read or decoded), 3 numeric failure.
+Exit codes: 0 success, and one per error class: 1 ParameterError (usage or
+config), 2 DataError (also a file that cannot be read or decoded), 3
+NumericError. Every command runs with numpy's floating-point warnings off, so a
+failure is reported once, by the finite check that catches it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import dataio, kernel_analysis, tasks
 from .dataio import Dataset, apply_stages, preprocess_pair, split
-from .errors import DataError, NumericError, ParameterError, ParseError, ShapeError
+from .errors import DataError, NumericError, ParameterError
 from .kernel_analysis import SpectralDensity, empirical_kernel, kpca_project, omega_histogram, rff_approx_error
 from .network import (
     LOSS_KINDS,
@@ -330,12 +332,14 @@ def run_training(cfg: RunConfig) -> list[TrialResult]:
             omega_stddev=cfg.omega_stddev,
             readout_stddev=cfg.readout_stddev,
         )
+        if not np.isfinite(net.flat).all():
+            raise NumericError(f"the initial parameters are not finite: model.omega_stddev = {cfg.omega_stddev!r} "
+                               f"or model.readout_stddev = {cfg.readout_stddev!r} overflows float64")
         tc = TrainConfig(epochs=resolved.epochs, batch_size=resolved.batch_size,
                          reg_lambda=cfg.reg_lambda, seed=seed_t, lr=cfg.lr,
                          beta1=cfg.beta1, beta2=cfg.beta2, epsilon=cfg.epsilon,
                          shuffle=cfg.shuffle)
-        with np.errstate(over="ignore", invalid="ignore"):  # fit's finite check reports a divergence once
-            log = fit(net, train.X, train.y, tc)
+        log = fit(net, train.X, train.y, tc)
         test_acc = accuracy(net, test.X, test.y)
         train_acc = log.records[-1].train_acc if log.records else accuracy(net, train.X, train.y)
         save_network(net, os.path.join(cfg.out, f"model-trial{t}.bin"),
@@ -412,15 +416,14 @@ def _eval_inputs(args):
     net, stages, label_names = load_network(args.model)
     data = _load_eval_data(args, net.d_in)
     if data.d != net.d_in:
-        raise ShapeError(f"model expects {net.d_in} raw features, dataset has {data.d}")
+        raise DataError(f"model expects {net.d_in} raw features, dataset has {data.d}")
     y = dataio.code_labels(data.label_names, label_names)[0][data.y]
     return net, label_names, apply_stages(data.X, stages), y
 
 
 def cmd_eval(args) -> int:
     net, label_names, X, y = _eval_inputs(args)
-    with np.errstate(over="ignore", invalid="ignore"):  # the finite check below reports an overflow once
-        logits = forward_full(net, X, training=False).logits
+    logits = forward_full(net, X, training=False).logits
     non_finite = logits.size - int(np.isfinite(logits).sum())
     if non_finite:
         raise NumericError(f"{non_finite} of the model's {logits.size} logits are not finite")
@@ -475,8 +478,7 @@ def cmd_inspect(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     h = X  # walk the layers up to the last exported one
     for i, layer in enumerate(net.layers[:layer_indices[-1] + 1]):
-        with np.errstate(over="ignore", invalid="ignore"):  # the finite check below reports an overflow once
-            h, cache = forward(layer, h)
+        h, cache = forward(layer, h)
         if i not in layer_indices:
             continue
         if not np.isfinite(cache.features).all():
@@ -517,6 +519,9 @@ def cmd_approx_bench(args) -> int:
     lines = ["D,mean_error,max_error"]
     for D in dims:
         mean_error, max_error = rff_approx_error(density, D, U, V, rng.derive("freqs", D))
+        if not (math.isfinite(mean_error) and math.isfinite(max_error)):
+            raise NumericError(f"the approximation error at D={D} is not finite: --spread {args.spread} "
+                               f"or --bandwidth {args.bandwidth} overflows float64")
         lines.append(f"{D},{mean_error!r},{max_error!r}")
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -617,11 +622,12 @@ def main(argv=None) -> int:
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with np.errstate(all="ignore"):  # numpy's warnings are not the report: each failure has a finite check
+            return args.func(args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, ParseError, ShapeError, OSError, UnicodeDecodeError) as exc:
+    except (DataError, OSError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

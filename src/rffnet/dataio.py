@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataError, ParseError
+from .errors import DataError
 from .numerics import Rng
 
 DATA_FORMATS = ("csv", "libsvm")
@@ -44,9 +44,8 @@ def _finite_columns(values: np.ndarray, what: str) -> np.ndarray:
 
 def apply_stages(X: np.ndarray, stages) -> np.ndarray:
     """X with each (shift, div) stage applied in order: X = (X - shift) / div."""
-    with np.errstate(over="ignore"):
-        for shift, div in stages:
-            X = _finite_columns((X - shift) / div, "scaled value")
+    for shift, div in stages:
+        X = _finite_columns((X - shift) / div, "scaled value")
     return X
 
 
@@ -117,10 +116,10 @@ def load_csv(path, label_column: int = -1, label_names: list[str] | None = None)
                     width = len(row)
                     col = label_column if label_column >= 0 else width + label_column
                 if len(row) != width:
-                    raise ParseError(f"expected {width} columns, found {len(row)}", line=line_no)
+                    raise DataError(f"{path} line {line_no}: expected {width} columns, found {len(row)}")
                 if not 0 <= col < width:
-                    raise ParseError(f"label column {label_column} out of range for {width} columns",
-                                     line=line_no)
+                    raise DataError(f"{path} line {line_no}: label column {label_column} out of range "
+                                    f"for {width} columns")
                 label_tokens.append(row.pop(col).strip())
                 line_nos.append(line_no)
                 rows.append(row)
@@ -133,10 +132,10 @@ def load_csv(path, label_column: int = -1, label_names: list[str] | None = None)
                 try:
                     float(cell)
                 except ValueError:
-                    raise ParseError(f"non-numeric feature value {cell!r} in column {k + (k >= col)}",
-                                     line=row_no) from None
+                    raise DataError(f"{path} line {row_no}: non-numeric feature value {cell!r} "
+                                    f"in column {k + (k >= col)}") from None
         if isinstance(exc, csv.Error):  # e.g. a field over csv.field_size_limit(), on the line being read
-            raise ParseError(str(exc), line=reader.line_num) from None
+            raise DataError(f"{path} line {reader.line_num}: {exc}") from None
         raise
     return Dataset(X, *code_labels(label_tokens, label_names))
 
@@ -170,10 +169,10 @@ def load_libsvm(path, label_names: list[str] | None = None, min_dim: int = 0) ->
                     idx = int(idx_str)
                     val = float(val_str)
                 except ValueError:
-                    raise ParseError(f"malformed feature entry {item!r}", line=line_no) from None
+                    raise DataError(f"{path} line {line_no}: malformed feature entry {item!r}") from None
                 if idx <= prev:
-                    raise ParseError(f"feature index {idx} not strictly increasing (previous {prev})",
-                                     line=line_no)
+                    raise DataError(f"{path} line {line_no}: feature index {idx} not strictly increasing "
+                                    f"(previous {prev})")
                 prev = idx
                 pairs.append((idx, val))
             d = max(d, prev)
@@ -212,15 +211,13 @@ def minmax_stage(X: np.ndarray):
     """(shift, div) scaling each column of X to [0, 1]; div is 1 where a column
     is constant, which the shift already maps to 0."""
     lo = X.min(axis=0)
-    with np.errstate(over="ignore"):
-        span = _finite_columns(X.max(axis=0) - lo, "range")
+    span = _finite_columns(X.max(axis=0) - lo, "range")
     return lo, np.where(span > 0, span, 1.0)
 
 
 def whiten_stage(X: np.ndarray):
     """(shift, div) standardizing each column of X with its mean and population std (floored at 1e-12)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return X.mean(axis=0), np.maximum(_finite_columns(X.std(axis=0), "standard deviation"), 1e-12)
+    return X.mean(axis=0), np.maximum(_finite_columns(X.std(axis=0), "standard deviation"), 1e-12)
 
 
 NORMALIZE_SCHEMES = ("none", "minmax", "whiten", "minmax+whiten")
@@ -288,22 +285,22 @@ def parse_registry(path) -> dict[str, TaskEntry]:
             if not line:
                 continue
             if "\x00" in line:  # no name or path holds one, and open() rejects it
-                raise ParseError("NUL byte in line", line=line_no)
+                raise DataError(f"{path} line {line_no}: NUL byte in line")
             parts = line.split()
             if len(parts) not in (5, 6):
-                raise ParseError(f"expected 5 or 6 fields, found {len(parts)}", line=line_no)
+                raise DataError(f"{path} line {line_no}: expected 5 or 6 fields, found {len(parts)}")
             name, fmt, label_col, split_mode, p = parts[:5]
             if fmt not in DATA_FORMATS:
-                raise ParseError(f"unknown format {fmt!r}", line=line_no)
+                raise DataError(f"{path} line {line_no}: unknown format {fmt!r}")
             if split_mode not in SPLIT_MODES:
-                raise ParseError(f"unknown split mode {split_mode!r}", line=line_no)
+                raise DataError(f"{path} line {line_no}: unknown split mode {split_mode!r}")
             try:
                 label_column = 0 if label_col == "-" else int(label_col)
             except ValueError:
-                raise ParseError(f"label column {label_col!r} is not an integer or '-'", line=line_no) from None
+                raise DataError(f"{path} line {line_no}: label column {label_col!r} is not an integer or '-'") from None
             test_path = resolve(parts[5]) if len(parts) == 6 and split_mode == "provided" else None
             if split_mode == "provided" and test_path is None:
-                raise ParseError("provided split needs a test path", line=line_no)
+                raise DataError(f"{path} line {line_no}: provided split needs a test path")
             tasks[name] = TaskEntry(fmt=fmt, label_column=label_column,
                                     split_mode=split_mode, path=resolve(p), test_path=test_path)
     return tasks

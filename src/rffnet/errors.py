@@ -1,31 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one class per exit code of the command line."""
 
 
 class RffnetError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ShapeError(RffnetError, ValueError):
-    """Operands have incompatible or unexpected dimensions."""
-
-
 class ParameterError(RffnetError, ValueError):
-    """An argument is outside its valid range."""
+    """An argument is outside its valid range (exit 1)."""
 
 
 class DataError(RffnetError, ValueError):
-    """Dataset contents violate a contract (bad labels, empty data, ...)."""
-
-
-class ParseError(RffnetError, ValueError):
-    """A data file could not be parsed; carries the offending line number."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+    """Data read from a file violates its format or a contract: a malformed line,
+    bad labels, empty data, a width that does not match (exit 2)."""
 
 
 class NumericError(RffnetError, ArithmeticError):
-    """A numeric invariant was violated (NaN/Inf where finite values are required)."""
+    """A numeric invariant was violated: NaN/Inf where finite values are required (exit 3)."""

@@ -128,8 +128,7 @@ def omega_histogram(layer: RffLayer, dim_index: int, bins: int):
     A column that no ``bins`` finite-width bins can cut, its range too wide for
     a float64 or too narrow to split, raises NumericError."""
     column = layer.omega[:, dim_index]
-    with np.errstate(over="ignore"):
-        span = column.max() - column.min()
+    span = column.max() - column.min()
     if np.isfinite(span):  # on a range that overflows, np.histogram fails with an IndexError
         try:
             counts, edges = np.histogram(column, bins=bins)

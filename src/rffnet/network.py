@@ -248,8 +248,9 @@ def accuracy(net: Network, X, y) -> float:
 # div) pairs as wide as layer 0's input. Every other width follows: a layer
 # reads the 2D columns of the one below, and the readout those of the last.
 # A v1 header, which also stored the class count, every d_in, the stage width
-# and the batch-norm constants, loads through the same decoder, which ignores
-# those keys but for the batch-norm entry.
+# and the batch-norm constants, loads through the same decoder, which checks
+# each stated d_in against the width below it and ignores the other keys but
+# the batch-norm entry.
 
 _MAGIC = b"RFFNET1\n"
 _V1_BATCHNORM = {"momentum": BN_MOMENTUM, "epsilon": BN_EPSILON}
@@ -287,9 +288,10 @@ def load_network(path):
 
     Any file that is not exactly such a snapshot raises DataError: a wrong
     magic line, an unterminated or malformed header, dimensions that are not
-    positive integers, an unknown loss kind, label names that are not at least
-    two distinct strings, a batch-norm entry that is not true, false, null or
-    v1's constants, a negative running variance, a stored value that is not
+    positive integers, a layer's stated d_in that is not the width below it,
+    an unknown loss kind, label names that are not at least two distinct
+    strings, a batch-norm entry that is not true, false, null or v1's
+    constants, a negative running variance, a stored value that is not
     finite, a preprocessing divisor that is not > 0, or a data section shorter
     or longer than the header describes.
     """
@@ -341,7 +343,9 @@ def _decode_snapshot(header: dict, data: np.ndarray):
         raise DataError("snapshot has no layers")
     d_in = width = header["layers"][0]["d_in"]
     layers = []
-    for meta in header["layers"]:
+    for i, meta in enumerate(header["layers"]):
+        if "d_in" in meta and meta["d_in"] != width:
+            raise DataError(f"layer {i} states d_in {meta['d_in']!r}, but the layer below it has {width} outputs")
         omega = take(meta["D"], width)
         width = 2 * meta["D"]
         has_bn = meta["batchnorm"]

@@ -7,7 +7,7 @@ import csv
 import numpy as np
 
 from rffnet.dataio import Dataset, _open_text, code_labels
-from rffnet.errors import DataError, ParameterError, ParseError
+from rffnet.errors import DataError, ParameterError
 from rffnet.kernel_analysis import feature_map
 from rffnet.numerics import sym_eig_topk
 from rffnet.optimizer import EpochRecord, TrainingLog
@@ -70,11 +70,11 @@ def load_csv_oracle(path, label_column: int = -1, label_names: list[str] | None 
             if width is None:
                 width = len(row)
             if len(row) != width:
-                raise ParseError(f"expected {width} columns, found {len(row)}", line=line_no)
+                raise DataError(f"{path} line {line_no}: expected {width} columns, found {len(row)}")
             col = label_column if label_column >= 0 else len(row) + label_column
             if not 0 <= col < len(row):
-                raise ParseError(f"label column {label_column} out of range for {len(row)} columns",
-                                 line=line_no)
+                raise DataError(f"{path} line {line_no}: label column {label_column} out of range "
+                                f"for {len(row)} columns")
             label_tokens.append(row[col].strip())
             feats = []
             for j, cell in enumerate(row):
@@ -83,8 +83,8 @@ def load_csv_oracle(path, label_column: int = -1, label_names: list[str] | None 
                 try:
                     feats.append(float(cell))
                 except ValueError:
-                    raise ParseError(f"non-numeric feature value {cell!r} in column {j}",
-                                     line=line_no) from None
+                    raise DataError(f"{path} line {line_no}: non-numeric feature value {cell!r} "
+                                    f"in column {j}") from None
             rows.append(feats)
     if not rows:
         raise DataError(f"{path}: no data rows")

@@ -371,6 +371,18 @@ def test_approx_bench_bad_setting_is_usage_error_before_any_output(tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the finite check reports the overflow, not numpy's warnings
+@pytest.mark.parametrize("flags", [["--spread", "1e308"], ["--bandwidth", "1e-308"]], ids=" ".join)
+def test_approx_bench_whose_error_is_not_finite_exits_3_before_any_output(tmp_path, capsys, flags):
+    out = tmp_path / "bench.csv"
+    assert run_cli("approx-bench", *flags, "--dims", "64", "--out", str(out)) == 3
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert re.fullmatch(r"numeric failure: the approximation error at D=64 is not finite: --spread \S+ "
+                        r"or --bandwidth \S+ overflows float64\n", printed.err)
+    assert not out.exists()
+
+
 def test_approx_bench_rows_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -408,9 +420,9 @@ def test_eval_truncated_model_is_data_error(tmp_path, capsys):
 
 
 def test_eval_and_inspect_of_layers_that_do_not_chain_exit_2_naming_the_snapshot(tmp_path, capsys):
-    # a v1 header stores layer 1's d_in, which the decoder ignores: layer 1 reads layer 0's
-    # 2D = 8 outputs. An entry that does not chain but describes as many values then
-    # misreads the payload, and the snapshot fails to load before any file is written
+    # a v1 header stores layer 1's d_in, and layer 1 reads layer 0's 2D = 8 outputs. An entry
+    # that does not chain, even one that describes as many values, is named before its values
+    # are read, and the snapshot fails to load before any file is written
     v1 = (Path(__file__).parent / "data" / "blobs-bn-v1.bin").read_bytes()
     entry = b'{"D": 3, "batchnorm": {"epsilon": 1e-05, "momentum": 0.1}, "d_in": 8}'
     assert v1.count(entry) == 1
@@ -420,7 +432,8 @@ def test_eval_and_inspect_of_layers_that_do_not_chain_exit_2_naming_the_snapshot
         out = tmp_path / command
         capsys.readouterr()
         assert run_cli(command, str(model), "--task", "blobs", "--out", str(out)) == 2
-        assert capsys.readouterr().err.startswith(f"data error: {model}: ")
+        assert capsys.readouterr().err == (f"data error: {model}: layer 1 states d_in 3, "
+                                           f"but the layer below it has 8 outputs\n")
         assert not out.exists()
 
 
@@ -527,6 +540,16 @@ def test_numeric_blowup_exits_3_without_snapshot(tmp_path, capsys):
     assert re.fullmatch(r"numeric failure: non-finite parameter after epoch \d+\n", capsys.readouterr().err)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the finite check reports the overflow, not numpy's warnings
+def test_initial_parameters_that_overflow_exit_3_without_snapshot(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("train", "--task", "monks1", "--epochs", "0", "--dim", "2",
+                   "--set", "model.omega_stddev=1e308", "--out", str(out)) == 3
+    assert not (out / "model-trial0.bin").exists()
+    assert capsys.readouterr().err == ("numeric failure: the initial parameters are not finite: model.omega_stddev = "
+                                       "1e+308 or model.readout_stddev = 0.1 overflows float64\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "--set", "train.beta1=1"],
     ["train", "--set", "train.beta2=1"],
@@ -576,6 +599,15 @@ def test_normalization_overflow_is_a_data_error_naming_the_column(tmp_path, caps
     assert code == 2
     err = capsys.readouterr().err
     assert err == f"data error: normalization overflowed: the {what} of feature column 1 is not finite\n"
+
+
+def test_a_bad_line_in_the_test_file_is_a_data_error_naming_that_file(tmp_path, blob_csv, capsys):
+    test = tmp_path / "test.csv"
+    test.write_text("1.0,2.0,0\nx,2.0,1\n")
+    assert run_cli("train", "--data-path", blob_csv, "--test-path", str(test), "--data-split", "provided",
+                   "--out", str(tmp_path / "run")) == 2
+    assert capsys.readouterr().err == f"data error: {test} line 2: non-numeric feature value 'x' in column 0\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_normalize_none_is_a_scheme_not_a_missing_value(tmp_path):
@@ -658,6 +690,7 @@ _CONFIG_LINE = st.one_of(
 @example(b"data.path = a\x00b", False)
 @example(b"data.registry = r\x00", True)
 @example(b"out = a\x00b", True)
+@example(b"model.omega_stddev = 1e308", True)  # the initial parameters overflow: exit 3
 @settings(max_examples=100, deadline=None)
 def test_fuzzed_config_file_bytes_exit_with_a_documented_code(text, with_task):
     with tempfile.TemporaryDirectory() as tmp:
@@ -669,7 +702,7 @@ def test_fuzzed_config_file_bytes_exit_with_a_documented_code(text, with_task):
             pass
         code = cli.main(["train", "--config", str(config), "--epochs", "0", "--layers", "1", "--dim", "2",
                          "--out", os.path.join(tmp, "run")])
-    assert code in (0, 1, 2)
+    assert code in (0, 1, 2, 3)
 
 
 @pytest.mark.parametrize("case, code", [

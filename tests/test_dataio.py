@@ -21,7 +21,7 @@ from rffnet.dataio import (
     save_csv,
     split,
 )
-from rffnet.errors import DataError, ParseError
+from rffnet.errors import DataError
 from rffnet.numerics import Rng
 
 
@@ -51,45 +51,45 @@ def test_load_csv_header_and_label_column(tmp_path):
     assert data.label_names == ["a", "b"]
     # files carry no header row: a line of column names is a non-numeric first row
     p = write(tmp_path / "h.csv", "label,x0,x1\na,1,2\n")
-    with pytest.raises(ParseError, match="line 1"):
+    with pytest.raises(DataError, match="line 1"):
         load_csv(p, label_column=0)
 
 
 def test_load_csv_ragged_row_names_line(tmp_path):
     p = write(tmp_path / "d.csv", "1,2,a\n1,2,3,a\n")
-    with pytest.raises(ParseError, match="line 2"):
+    with pytest.raises(DataError, match="line 2"):
         load_csv(p)
 
 
 def test_load_csv_non_numeric_cell(tmp_path):
     p = write(tmp_path / "d.csv", "1,2,a\n1,x,a\n")
-    with pytest.raises(ParseError, match="line 2"):
+    with pytest.raises(DataError, match="line 2"):
         load_csv(p)
 
 
 def test_load_csv_field_over_the_csv_limit_names_its_record(tmp_path):
     # csv.reader refuses a field longer than csv.field_size_limit() (131072 by default)
     p = write(tmp_path / "d.csv", "1," + "x" * 200_000 + "\n")
-    with pytest.raises(ParseError, match="line 1: field larger than field limit"):
+    with pytest.raises(DataError, match="line 1: field larger than field limit"):
         load_csv(p)
     p = write(tmp_path / "e.csv", "1,2,a\n\n1," + "x" * 200_000 + ",a\n")
-    with pytest.raises(ParseError, match="line 3"):
+    with pytest.raises(DataError, match="line 3"):
         load_csv(p)
     p = write(tmp_path / "f.csv", "1,y,a\n1," + "x" * 200_000 + ",a\n")
-    with pytest.raises(ParseError, match="line 1: non-numeric feature value 'y'"):
+    with pytest.raises(DataError, match="line 1: non-numeric feature value 'y'"):
         load_csv(p)
 
 
 def test_load_csv_names_the_physical_line_after_a_quoted_newline(tmp_path):
     # a quoted label spans lines 1-2, so the next record is on line 3, not record 2
     p = write(tmp_path / "d.csv", '1,2,"a\nb"\n1,x,c\n')
-    with pytest.raises(ParseError, match="line 3: non-numeric feature value 'x'"):
+    with pytest.raises(DataError, match="line 3: non-numeric feature value 'x'"):
         load_csv(p)
     p = write(tmp_path / "e.csv", '1,2,"a\nb"\n1,2,3,c\n')
-    with pytest.raises(ParseError, match="line 3: expected 3 columns, found 4"):
+    with pytest.raises(DataError, match="line 3: expected 3 columns, found 4"):
         load_csv(p)
     p = write(tmp_path / "f.csv", '1,2,"a\nb"\n\n1,' + "x" * 200_000 + ",c\n")
-    with pytest.raises(ParseError, match="line 4: field larger than field limit"):
+    with pytest.raises(DataError, match="line 4: field larger than field limit"):
         load_csv(p)
 
 
@@ -119,10 +119,10 @@ def test_load_libsvm_empty_feature_line(tmp_path):
 
 def test_load_libsvm_rejects_non_increasing(tmp_path):
     p = write(tmp_path / "d.svm", "1 1:0.5 3:1 2:0.1\n")
-    with pytest.raises(ParseError, match="line 1"):
+    with pytest.raises(DataError, match="line 1"):
         load_libsvm(p)
     p2 = write(tmp_path / "d2.svm", "1 1:0.5\n1 2:1 2:2\n")
-    with pytest.raises(ParseError, match="line 2"):
+    with pytest.raises(DataError, match="line 2"):
         load_libsvm(p2)
 
 
@@ -289,7 +289,7 @@ def test_registry_rejects_malformed(tmp_path):
     reg = tmp_path / "registry.txt"
     for text in ("bad csv -1\n", "t csv x random_half d.csv\n"):
         reg.write_text(text)
-        with pytest.raises(ParseError, match="line 1"):
+        with pytest.raises(DataError, match="line 1"):
             parse_registry(str(reg))
 
 
@@ -303,7 +303,7 @@ def test_config_registry_and_loader_admit_the_same_formats_and_split_modes(tmp_p
     assert len(parse_registry(str(reg))) == len(DATA_FORMATS) * len(SPLIT_MODES)
     for line in ("t arff -1 random_half d.txt\n", "t csv -1 kfold d.txt\n"):
         reg.write_text(line)
-        with pytest.raises(ParseError, match="line 1"):
+        with pytest.raises(DataError, match="line 1"):
             parse_registry(str(reg))
 
 
@@ -340,7 +340,7 @@ def test_load_csv_matches_the_per_cell_float_oracle(text, label_column, label_na
         path = write(Path(tmp, "d.csv"), text)
         try:
             want = load_csv_oracle(path, label_column, label_names)
-        except (DataError, ParseError) as exc:
+        except DataError as exc:
             with pytest.raises(type(exc)) as got:
                 load_csv(path, label_column, label_names)
             assert str(got.value) == str(exc)

@@ -134,6 +134,24 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def test_one_error_class_per_exit_code_and_one_floating_point_policy_in_cli_main():
+    # the exception class is the exit code, and numpy's warnings are switched off once, where every
+    # command runs, so a failure is reported by its finite check alone
+    package = Path(ROOT, "src", "rffnet")
+    errors = ast.parse((package / "errors.py").read_text())
+    assert {node.name for node in errors.body if isinstance(node, ast.ClassDef)} == {
+        "RffnetError", "ParameterError", "DataError", "NumericError"}
+    sites = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        sites += [(path.name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "errstate"
+                  or isinstance(node, ast.Name) and node.id == "errstate"]
+    cli_tree = ast.parse((package / "cli.py").read_text())
+    main = next(node for node in cli_tree.body if isinstance(node, ast.FunctionDef) and node.name == "main")
+    assert len(sites) == 1 and sites[0][0] == "cli.py" and main.lineno <= sites[0][1] <= main.end_lineno, sites
+
+
 def test_mem_probe_trains_on_a_small_eeg_shaped_file(tmp_path):
     result = subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "mem_probe.py"), "--rows", "300", "--out", str(tmp_path)],
