@@ -234,6 +234,7 @@ def corpus():
     yield ["train"]
     yield ["train", "--set", "bogus.key=1"]
     yield ["train", "--set", "train.seed=abc"]
+    yield ["train", "--trials", "x"]  # a flag's text is parsed by its key, as --set's is
     yield ["train", "--set", "model.batch_norm=maybe"]
     yield ["train", "--set", "train.seed"]
     yield ["train", "--config", "missing.cfg"]
@@ -258,7 +259,8 @@ def corpus():
     yield ["train", "--task", "nosuch"]
     for name, line in (("nul", "t csv -1 random_half a\x00b"), ("fields", "t csv -1"),
                        ("format", "t arff -1 random_half d.csv"), ("split", "t csv -1 kfold d.csv"),
-                       ("column", "t csv x random_half d.csv"), ("test", "t csv -1 provided d.csv")):
+                       ("column", "t csv x random_half d.csv"), ("test", "t csv -1 provided d.csv"),
+                       ("twice", "t csv -1 random_half d.csv\nt csv -1 random_half e.csv")):
         yield ["train", "--task", "t", "--registry", _write(f"reg-{name}.txt", f"# {name}\n{line}\n")]
     for name, text in (("utf8", b"\xff\xfe1,2,0\n"), ("ragged", "1,2,a\n1,b\n"), ("empty", ""),
                        ("cell", "1,x,a\n2,3,b\n"), ("field", "1," + "9" * 140_000 + ",a\n"),
@@ -323,6 +325,7 @@ def run() -> tuple[list[tuple[list[str], object, str]], list[tuple[str, int, str
     stderr)], [(module file, line, text) of each unreached statement])."""
     tracer = LineTracer()
     make_datasets = _load_make_datasets()
+    cli._blas_threads.cache_clear()  # a per-process lookup: the corpus's first command must run it, traced
     results = []
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:

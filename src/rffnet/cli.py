@@ -7,12 +7,15 @@ resolved config, seeds, metrics, and logs are enough to replay it exactly.
 Exit codes: 0 success, and one per error class: 1 ParameterError (usage or
 config), 2 DataError (also a file that cannot be read or decoded), 3
 NumericError. Every command runs with numpy's floating-point warnings off, so a
-failure is reported once, by the finite check that catches it.
+failure is reported once, by the finite check that catches it, and with numpy's
+bundled OpenBLAS on one thread, so its bytes do not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import math
 import os
 import sys
@@ -74,7 +77,7 @@ class RunConfig:
     # model
     layers: str = _key("auto", "model.layers", "--layers")
     dim: str = _key("64", "model.dim", "--dim")
-    batch_norm: bool = _key(True, "model.batch_norm")  # --batch-norm / --no-batch-norm
+    batch_norm: bool = _key(True, "model.batch_norm", "--batch-norm")
     loss: str = _key("auto", "model.loss", "--loss", ["auto", *LOSS_KINDS])
     omega_stddev: float = _key(0.1, "model.omega_stddev", check=_FINITE_POSITIVE)
     readout_stddev: float = _key(0.1, "model.readout_stddev", check=_FINITE_NONNEGATIVE)
@@ -93,12 +96,10 @@ class RunConfig:
 
 
 _FIELD_BY_KEY = {f.metadata["key"]: f for f in fields(RunConfig)}
-_FLAG_TYPES = {"int": int, "float": float}
 # eval/inspect's data flags; overriding only these keeps their own --seed and --out off train.seed and out
 _EVAL_DATA_FIELDS = [_FIELD_BY_KEY[k] for k in ("data.task", "data.registry", "data.path", "data.format", "data.label_column")]
-# the keys a task's registry line or generator sets for itself
-_TASK_SOURCE_FIELDS = [_FIELD_BY_KEY[k] for k in ("data.path", "data.test_path", "data.format", "data.label_column",
-                                                  "data.split")]
+# the keys a task's registry line (its preset) or generator sets for itself
+_TASK_SOURCE_FIELDS = [f for name in dataio.TASK_SOURCE_FIELDS for f in fields(RunConfig) if f.name == name]
 
 
 def _parse_bool(value: str) -> bool:
@@ -220,8 +221,8 @@ def _builtin_task(name: str) -> TaskData:
 def load_task_data(cfg: RunConfig) -> TaskData:
     if cfg.task:
         registry = dataio.parse_registry(cfg.registry) if os.path.exists(cfg.registry) else {}
-        entry = registry.get(cfg.task)
-        if entry is None:
+        preset = registry.get(cfg.task)
+        if preset is None:
             if cfg.task in BUILTIN_TASKS:
                 return _builtin_task(cfg.task)
             raise DataError(
@@ -229,8 +230,7 @@ def load_task_data(cfg: RunConfig) -> TaskData:
                 f"run scripts/make_datasets.py (and scripts/fetch_data.py for the large UCI sets)"
             )
         name = cfg.task
-        cfg = replace(cfg, fmt=entry.fmt, path=entry.path, label_column=entry.label_column,
-                      test_path=entry.test_path, split_mode=entry.split_mode)
+        cfg = replace(cfg, **preset)
     elif cfg.path:
         name = os.path.splitext(os.path.basename(cfg.path))[0]
     else:
@@ -370,8 +370,6 @@ def _config_from_args(args, table=fields(RunConfig)) -> RunConfig:
         value = getattr(args, flag[2:].replace("-", "_"), None) if flag else None  # argparse's dest
         if value is not None:
             set_config_key(cfg, f.metadata["key"], str(value))
-    if getattr(args, "batch_norm", None) is not None:
-        cfg.batch_norm = args.batch_norm
     for item in getattr(args, "set", None) or []:
         if "=" not in item:
             raise ParameterError(f"--set expects key=value, got {item!r}")
@@ -388,15 +386,13 @@ def cmd_train(args) -> int:
 # --- eval -------------------------------------------------------------------
 
 
-def _load_eval_data(args, raw_width: int):
-    """Resolve the dataset for eval/inspect from --task / --data-path / --config;
-    a data flag overrides the config only when given.
+def _load_eval_data(args, cfg: RunConfig, raw_width: int):
+    """Resolve the dataset for eval/inspect from cfg: --config's keys, each
+    overridden by a data flag that was given.
 
     A given --data-path is evaluated whole (libsvm rows zero-padded to the model's
     raw width). A task, or a config's own data.path, honours --on train|test: a
     random half replays the split for --split-seed (default: the config's train.seed)."""
-    cfg = _config_from_args(args, _EVAL_DATA_FIELDS)
-    _check_config(cfg)
     if args.data_path:
         return dataio.load_source(cfg.fmt, cfg.path, cfg.label_column, min_dim=raw_width)[0]
     if not cfg.task and not cfg.path:
@@ -413,8 +409,10 @@ def _eval_inputs(args):
     Every source codes its labels in its own first-appearance order, so the
     labels are recoded by name onto the snapshot's label_names. The snapshot's
     preprocessing stages, if any, have layer 0's input width."""
+    cfg = _config_from_args(args, _EVAL_DATA_FIELDS)  # a bad key or flag value is a usage error, found first
+    _check_config(cfg)
     net, stages, label_names = load_network(args.model)
-    data = _load_eval_data(args, net.d_in)
+    data = _load_eval_data(args, cfg, net.d_in)
     if data.d != net.d_in:
         raise DataError(f"model expects {net.d_in} raw features, dataset has {data.d}")
     y = dataio.code_labels(data.label_names, label_names)[0][data.y]
@@ -542,8 +540,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_key_flags(p, table) -> None:
+    """Each row's flag; its text reaches set_config_key as a --set value does. A bool row's
+    flag comes with its --no- form."""
     for f in (f for f in table if f.metadata["flag"]):
-        p.add_argument(f.metadata["flag"], type=_FLAG_TYPES.get(f.type), choices=f.metadata["choices"])
+        if f.type == "bool":
+            p.add_argument(f.metadata["flag"], action=argparse.BooleanOptionalAction)
+        else:
+            p.add_argument(f.metadata["flag"], choices=f.metadata["choices"])
 
 
 def _add_data_args(p):
@@ -557,8 +560,6 @@ def _add_data_args(p):
 def _train_args(p):
     p.add_argument("--config", help="flat key=value config file")
     _add_key_flags(p, fields(RunConfig))
-    p.add_argument("--batch-norm", dest="batch_norm", action="store_true", default=None)
-    p.add_argument("--no-batch-norm", dest="batch_norm", action="store_false")
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
     p.set_defaults(func=cmd_train)
 
@@ -617,9 +618,28 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _blas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, found by name among the
+    files this process maps; a pair that does nothing with another BLAS library or without
+    /proc/self/maps."""
+    try:
+        with open("/proc/self/maps") as fh:
+            lib = next(ctypes.CDLL(line.split(None, 5)[5].strip()) for line in fh if "/libscipy_openblas64_" in line)
+    except (OSError, StopIteration):
+        return (lambda: 1), (lambda n: None)
+    get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    get_threads, set_threads = _blas_threads()
+    threads = get_threads()
+    set_threads(1)  # a product split across threads can round otherwise, and seeded bytes would differ
     try:
         args = parser.parse_args(argv)
         with np.errstate(all="ignore"):  # numpy's warnings are not the report: each failure has a finite check
@@ -633,6 +653,8 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    finally:
+        set_threads(threads)
 
 
 if __name__ == "__main__":

@@ -258,27 +258,22 @@ def split(data: Dataset, seed: int):
 # --- task registry ----------------------------------------------------------
 
 
-@dataclass
-class TaskEntry:
-    """One line of the registry manifest, less the task name that keys it."""
-
-    fmt: str  # csv | libsvm
-    label_column: int  # ignored for libsvm
-    split_mode: str  # provided | random_half
-    path: str
-    test_path: str | None = None  # set exactly when split_mode is provided
+# the RunConfig fields a registry line sets: data.path, data.test_path, data.format, data.label_column, data.split
+TASK_SOURCE_FIELDS = ("path", "test_path", "fmt", "label_column", "split_mode")
 
 
-def parse_registry(path) -> dict[str, TaskEntry]:
+def parse_registry(path) -> dict[str, dict]:
     """Manifest format: 'name format label_column split_mode path [test_path]'
-    per line, '#' comments allowed. Relative data paths are resolved against
-    the manifest's own directory; a random_half line's test path is ignored."""
+    per line, '#' comments allowed. Each name maps to its preset, a value for
+    each of TASK_SOURCE_FIELDS. Relative data paths are resolved against the
+    manifest's own directory; a random_half line's test path is ignored; a
+    name defined twice is a DataError."""
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(p):
         return p if os.path.isabs(p) else os.path.join(base, p)
 
-    tasks = {}
+    tasks, defined_on = {}, {}
     with _open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -290,6 +285,9 @@ def parse_registry(path) -> dict[str, TaskEntry]:
             if len(parts) not in (5, 6):
                 raise DataError(f"{path} line {line_no}: expected 5 or 6 fields, found {len(parts)}")
             name, fmt, label_col, split_mode, p = parts[:5]
+            if name in defined_on:
+                raise DataError(f"{path} line {line_no}: task {name!r} is already defined on line {defined_on[name]}")
+            defined_on[name] = line_no
             if fmt not in DATA_FORMATS:
                 raise DataError(f"{path} line {line_no}: unknown format {fmt!r}")
             if split_mode not in SPLIT_MODES:
@@ -301,6 +299,5 @@ def parse_registry(path) -> dict[str, TaskEntry]:
             test_path = resolve(parts[5]) if len(parts) == 6 and split_mode == "provided" else None
             if split_mode == "provided" and test_path is None:
                 raise DataError(f"{path} line {line_no}: provided split needs a test path")
-            tasks[name] = TaskEntry(fmt=fmt, label_column=label_column,
-                                    split_mode=split_mode, path=resolve(p), test_path=test_path)
+            tasks[name] = dict(zip(TASK_SOURCE_FIELDS, (resolve(p), test_path, fmt, label_column, split_mode)))
     return tasks

@@ -1,5 +1,8 @@
+import hashlib
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import fields, replace
@@ -54,6 +57,33 @@ def test_train_deterministic_metrics(tmp_path):
     assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
     assert (out1 / "log-trial0.csv").read_bytes() == (out2 / "log-trial0.csv").read_bytes()
     assert (out1 / "model-trial0.bin").read_bytes() == (out2 / "model-trial0.bin").read_bytes()
+
+
+def test_train_writes_the_same_bytes_under_any_openblas_thread_count(tmp_path):
+    # at width 300 a product split across two threads rounds differently; the command runs BLAS on one
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"threads{threads}"
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys; from rffnet.cli import main; sys.exit(main(sys.argv[1:]))",
+             "train", "--task", "blobs", "--dim", "300", "--batch-size", "100", "--epochs", "3", "--out", str(out)],
+            capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        runs.append([hashlib.sha256((out / name).read_bytes()).hexdigest()
+                     for name in ("model-trial0.bin", "log-trial0.csv")])
+    assert runs[0] == runs[1]
+
+
+def test_a_command_runs_blas_on_one_thread_and_restores_the_count(monkeypatch):
+    get_threads = cli._blas_threads()[0]
+    during = []
+    monkeypatch.setattr(cli, "cmd_approx_bench", lambda args: during.append(get_threads()) or 0)
+    before = get_threads()
+    assert run_cli("approx-bench") == 0
+    assert during == [1] and get_threads() == before
 
 
 @pytest.mark.parametrize("task", ["monks1", "monks2", "monks3"])
@@ -169,11 +199,16 @@ def test_train_bad_loss_flag_is_usage_error(tmp_path):
                    "--out", str(tmp_path / "r")) == 1
 
 
-def test_train_bad_set_value_is_usage_error(tmp_path):
-    assert run_cli("train", "--task", "monks1", "--set", "train.seed=abc",
-                   "--out", str(tmp_path / "r")) == 1
+def test_train_bad_set_value_is_usage_error(tmp_path, capsys):
     assert run_cli("train", "--task", "monks1", "--layers", "x",
                    "--out", str(tmp_path / "r")) == 1
+    # a flag's text is parsed by its key, as a --set value is, before any file is read
+    capsys.readouterr()
+    for argv, key in ((["train", "--task", "monks1", "--set", "train.seed=abc"], "train.seed"),
+                      (["train", "--trials", "abc"], "train.trials"), (["train", "--lr", "abc"], "train.lr"),
+                      (["eval", "missing.bin", "--label-column", "abc"], "data.label_column")):
+        assert run_cli(*argv, "--out", str(tmp_path / "r")) == 1
+        assert capsys.readouterr().err == f"error: bad value 'abc' for config key {key!r}\n"
 
 
 def test_train_on_one_class_is_a_data_error_before_any_output(tmp_path, capsys):
@@ -828,8 +863,8 @@ def test_eval_pads_sparse_libsvm_to_model_width(tmp_path, capsys):
     assert results[0] == results[1]
 
 
-# `rffnet train`'s options as (option strings, dest, choices, type), and the config
-# key each per-key flag sets, as they were before the flags were derived from RunConfig
+# `rffnet train`'s options as (option strings, dest, choices, type), and the config key each
+# per-key flag sets; a flag's text is parsed by its key, so argparse gives none a type
 TRAIN_OPTIONS = [
     (["-h", "--help"], "help", None, None),
     (["--config"], "config", None, None),
@@ -837,33 +872,68 @@ TRAIN_OPTIONS = [
     (["--registry"], "registry", None, None),
     (["--data-path"], "data_path", None, None),
     (["--format"], "format", ["csv", "libsvm"], None),
-    (["--label-column"], "label_column", None, int),
+    (["--label-column"], "label_column", None, None),
     (["--test-path"], "test_path", None, None),
     (["--data-split"], "data_split", ["provided", "random_half"], None),
     (["--normalize"], "normalize", ("none", "minmax", "whiten", "minmax+whiten"), None),
     (["--layers"], "layers", None, None),
     (["--dim"], "dim", None, None),
+    (["--batch-norm", "--no-batch-norm"], "batch_norm", None, None),
     (["--loss"], "loss", ["auto", "squared", "squared_hinge", "cross_entropy"], None),
     (["--epochs"], "epochs", None, None),
     (["--batch-size"], "batch_size", None, None),
-    (["--lr"], "lr", None, float),
-    (["--reg-lambda"], "reg_lambda", None, float),
-    (["--seed"], "seed", None, int),
-    (["--trials"], "trials", None, int),
+    (["--lr"], "lr", None, None),
+    (["--reg-lambda"], "reg_lambda", None, None),
+    (["--seed"], "seed", None, None),
+    (["--trials"], "trials", None, None),
     (["--out"], "out", None, None),
-    (["--batch-norm"], "batch_norm", None, None),
-    (["--no-batch-norm"], "batch_norm", None, None),
     (["--set"], "set", None, None),
 ]
 FLAG_KEYS = {
     "--task": "data.task", "--data-path": "data.path", "--format": "data.format",
     "--label-column": "data.label_column", "--test-path": "data.test_path",
     "--data-split": "data.split", "--normalize": "data.normalize", "--registry": "data.registry",
-    "--layers": "model.layers", "--dim": "model.dim", "--loss": "model.loss",
+    "--layers": "model.layers", "--dim": "model.dim", "--batch-norm": "model.batch_norm", "--loss": "model.loss",
     "--epochs": "train.epochs", "--batch-size": "train.batch_size", "--lr": "train.lr",
     "--reg-lambda": "train.lambda", "--seed": "train.seed", "--trials": "train.trials",
     "--out": "out",
 }
+
+
+def _row_options(row):
+    """The option strings of a RunConfig row's flag: none, the flag, or for a bool row also its --no- form."""
+    flag = row.metadata["flag"]
+    if flag is None:
+        return []
+    return [flag, f"--no-{flag[2:]}"] if row.type == "bool" else [flag]
+
+
+# the option strings of each command's own options, which are no RunConfig row's ([] is the model path)
+OWN_OPTIONS = {
+    "train": [["-h", "--help"], ["--config"], ["--set"]],
+    "eval": [["-h", "--help"], [], ["--config"], ["--on"], ["--split-seed"], ["--out"]],
+    "inspect": [["-h", "--help"], [], ["--config"], ["--on"], ["--split-seed"], ["--layer"], ["--kpca-dim"],
+                ["--bins"], ["--hist-dims"], ["--max-samples"], ["--seed"], ["--out"]],
+}
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "inspect"])
+def test_every_setting_flag_is_a_row_of_the_key_table(command):
+    # one description per setting: each train option but --config and --set, and each data flag of eval
+    # and inspect, is a RunConfig row's flag (a bool row's with its --no- form), offers the row's
+    # choices and leaves its text to the row's parser, as --set does
+    table = [f for f in fields(cli.RunConfig) if f.metadata["flag"]]
+    row_of = {tuple(_row_options(f)): f for f in table}
+    actions = _subparser(cli.build_parser(command), command)._actions
+    assert [a.option_strings for a in actions if a.option_strings in OWN_OPTIONS[command]] == OWN_OPTIONS[command]
+    keyed = [a for a in actions if a.option_strings not in OWN_OPTIONS[command]]
+    rows = [row_of.get(tuple(a.option_strings)) for a in keyed]
+    assert None not in rows, [a.option_strings for a in keyed]
+    assert [(a.choices, a.type) for a in keyed] == [(f.metadata["choices"], None) for f in rows]
+    if command == "train":
+        assert rows == table
+    else:
+        assert all(f.metadata["key"].startswith("data.") for f in rows)
 
 
 def test_config_table_pins_keys_flags_and_readme(tmp_path):
@@ -897,7 +967,6 @@ def test_config_table_pins_keys_flags_and_readme(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     rows = re.findall(r"^\| `([a-z_.0-9]+)` \| `([^`]*)` \| (.*) \|$", readme, re.M)
     defaults = dict(line.split(" = ", 1) for line in cli.config_to_text(cli.RunConfig()).splitlines())
-    flags = {f.metadata["key"]: f"`{f.metadata['flag']}`" if f.metadata["flag"] else "" for f in table}
-    flags["model.batch_norm"] = "`--batch-norm` / `--no-batch-norm`"
+    flags = {f.metadata["key"]: " / ".join(f"`{o}`" for o in _row_options(f)) for f in table}
     assert {key: (default, flag) for key, default, flag in rows} == \
         {key: (defaults[key], flags[key]) for key in keys}

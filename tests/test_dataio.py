@@ -12,6 +12,7 @@ from rffnet.cli import RunConfig, load_task_data
 from rffnet.dataio import (
     DATA_FORMATS,
     SPLIT_MODES,
+    TASK_SOURCE_FIELDS,
     Dataset,
     apply_stages,
     load_csv,
@@ -277,6 +278,10 @@ def test_registry_parse_and_load(tmp_path):
     )
     tasks = parse_registry(str(reg))
     assert set(tasks) == {"paired", "solo"}
+    # a line is a preset of the RunConfig fields behind data.path .. data.split
+    assert tasks["solo"] == {"path": str(single), "test_path": None, "fmt": "csv", "label_column": -1,
+                             "split_mode": "random_half"}
+    assert tasks["paired"]["test_path"] == str(test) and tuple(tasks["paired"]) == TASK_SOURCE_FIELDS
     tr, te = load_task_data(RunConfig(task="paired", registry=str(reg))).for_trial(0)
     assert tr.n == 3 and te.n == 2
     assert tr.label_names == te.label_names  # shared mapping
@@ -291,6 +296,18 @@ def test_registry_rejects_malformed(tmp_path):
         reg.write_text(text)
         with pytest.raises(DataError, match="line 1"):
             parse_registry(str(reg))
+
+
+def test_registry_rejects_a_task_named_twice(tmp_path):
+    # the later line would otherwise win silently, whatever its split or files
+    (tmp_path / "monks2-train.csv").write_text("1,2,a\n3,4,b\n")
+    reg = tmp_path / "registry.txt"
+    reg.write_text("monks1 csv -1 provided monks1-train.csv monks1-test.csv\n"
+                   "# the same name again\n"
+                   "monks1 csv -1 random_half monks2-train.csv\n")
+    with pytest.raises(DataError) as err:
+        parse_registry(str(reg))
+    assert str(err.value) == f"{reg} line 3: task 'monks1' is already defined on line 1"
 
 
 def test_config_registry_and_loader_admit_the_same_formats_and_split_modes(tmp_path):
