@@ -244,6 +244,7 @@ def corpus():
     yield ["train", "--task", "monks1", "--lr", "-1"]
     yield ["train", "--task", "monks1", "--data-path", three]
     yield ["train", "--data-path", three, "--data-split", "provided"]
+    yield ["train", "--data-path", "missing.csv", "--batch-size", "0", "--out", "bad"]  # a usage error, found first
     for flags in (["--layers", "abc"], ["--layers", "0"], ["--layers", "2", "--dim", "4,4,4"], ["--dim", "0"],
                   ["--batch-size", "0"], ["--epochs", "-1"], ["--batch-size", "1"]):
         yield ["train", "--task", "monks1", *flags, "--out", "bad"]
@@ -270,7 +271,8 @@ def corpus():
     yield ["train", "--data-path", _write("overflow.csv", "1e308,0,x\n-1e308,1,y\n"), "--test-path", te,
            "--out", "bad"]
     yield ["train", "--data-path", three, "--label-column", "5"]
-    for name, text in (("entry", "1 1:x\n"), ("order", "1 2:1 1:1\n"), ("none", "# nothing\n")):
+    for name, text in (("entry", "1 1:x\n"), ("order", "1 2:1 1:1\n"), ("none", "# nothing\n"),
+                       ("huge", "1 1:0.5\n2 1000000000000000:1\n"), ("past", "1 1:0.5\n2 99999999999999999999:1\n")):
         yield ["train", "--data-path", _write(f"{name}.svm", text), "--format", "libsvm"]
     yield ["train", "--data-path", tr, "--test-path", _write("wide.csv", "0,0,0,x\n"), "--out", "bad"]
     yield ["train", "--data-path", tr, "--test-path", _write("unseen.csv", "0,0,z\n"), "--out", "bad"]

@@ -60,6 +60,29 @@ _FINITE_NONNEGATIVE = (lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0
 _FINITE_POSITIVE = (lambda v: math.isfinite(v) and v > 0.0, "finite and > 0")
 
 
+def _int_list(text) -> list[int] | None:
+    """The integers of a comma list, empty items skipped, or None if an item is no integer."""
+    try:
+        return [int(tok) for tok in str(text).split(",") if tok.strip()]
+    except ValueError:
+        return None
+
+
+def _int_at_least(low: int, value) -> bool:
+    """Whether int() reads value, as resolve_model does, as an integer >= low."""
+    try:
+        return int(value) >= low
+    except (TypeError, ValueError):
+        return False
+
+
+_LAYER_COUNT = (lambda v: v == "auto" or _int_at_least(1, v), "an integer >= 1 or 'auto'")
+_WIDTHS = (lambda v: min(_int_list(v) or [0]) >= 1, "a comma list of integers >= 1")
+_EPOCHS = (lambda v: v == "auto" or _int_at_least(0, v), "an integer >= 0 or 'auto'")
+_BATCH_SIZE = (lambda v: v == "auto" or str(v).lower() == "full" or _int_at_least(1, v),
+               "an integer >= 1, 'full' or 'auto'")
+
+
 @dataclass
 class RunConfig:
     """Every run setting; each field's metadata is its row in the one table of
@@ -75,15 +98,15 @@ class RunConfig:
     split_mode: str = _key("random_half", "data.split", "--data-split", list(dataio.SPLIT_MODES))
     normalize: str = _key("minmax+whiten", "data.normalize", "--normalize", dataio.NORMALIZE_SCHEMES)
     # model
-    layers: str = _key("auto", "model.layers", "--layers")
-    dim: str = _key("64", "model.dim", "--dim")
+    layers: str = _key("auto", "model.layers", "--layers", check=_LAYER_COUNT)
+    dim: str = _key("64", "model.dim", "--dim", check=_WIDTHS)
     batch_norm: bool = _key(True, "model.batch_norm", "--batch-norm")
     loss: str = _key("auto", "model.loss", "--loss", ["auto", *LOSS_KINDS])
     omega_stddev: float = _key(0.1, "model.omega_stddev", check=_FINITE_POSITIVE)
     readout_stddev: float = _key(0.1, "model.readout_stddev", check=_FINITE_NONNEGATIVE)
     # training
-    epochs: str = _key("auto", "train.epochs", "--epochs")
-    batch_size: str = _key("auto", "train.batch_size", "--batch-size")
+    epochs: str = _key("auto", "train.epochs", "--epochs", check=_EPOCHS)
+    batch_size: str = _key("auto", "train.batch_size", "--batch-size", check=_BATCH_SIZE)
     lr: float = _key(1e-3, "train.lr", "--lr", check=_FINITE_POSITIVE)
     reg_lambda: float = _key(1e-4, "train.lambda", "--reg-lambda", check=_FINITE_NONNEGATIVE)
     beta1: float = _key(0.9, "train.beta1", check=_UNIT_INTERVAL)
@@ -171,6 +194,14 @@ def _check_task_source(cfg: RunConfig) -> None:
         raise ParameterError(f"data.task {cfg.task!r} names its own data source; drop {', '.join(clashing)}")
 
 
+def _check_data_source(cfg: RunConfig) -> None:
+    """Raise ParameterError when the keys name no data source, or a provided split without its test file."""
+    if not cfg.task and not cfg.path:
+        raise ParameterError("no data source: set data.task or data.path (--task, --data-path, or a --config)")
+    if cfg.split_mode == "provided" and not cfg.test_path:
+        raise ParameterError("data.split = provided requires data.test_path")
+
+
 def config_to_text(cfg: RunConfig) -> str:
     lines = []
     for f in fields(cfg):
@@ -231,14 +262,9 @@ def load_task_data(cfg: RunConfig) -> TaskData:
             )
         name = cfg.task
         cfg = replace(cfg, **preset)
-    elif cfg.path:
-        name = os.path.splitext(os.path.basename(cfg.path))[0]
     else:
-        raise ParameterError("config needs data.task or data.path")
-    data, test = dataio.load_source(cfg.fmt, cfg.path, cfg.label_column, cfg.test_path)
-    if test is None and cfg.split_mode == "provided":
-        raise ParameterError("data.split = provided requires data.test_path")
-    return TaskData(name, data, test)
+        name = os.path.splitext(os.path.basename(cfg.path))[0]
+    return TaskData(name, *dataio.load_source(cfg.fmt, cfg.path, cfg.label_column, cfg.test_path))
 
 
 @dataclass
@@ -250,42 +276,21 @@ class ResolvedModel:
     batch_size: int | None
 
 
-def _to_int(value, what: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ParameterError(f"{what} must be an integer or 'auto', got {value!r}") from None
-
-
 def resolve_model(cfg: RunConfig, n_train: int, n_classes: int) -> ResolvedModel:
-    layer_count = default_layer_count(n_train) if cfg.layers == "auto" else _to_int(cfg.layers, "model.layers")
-    if layer_count < 1:
-        raise ParameterError(f"model.layers must be >= 1, got {layer_count}")
-    dim_parts = [_to_int(tok, "model.dim") for tok in str(cfg.dim).split(",") if tok.strip()]
-    if len(dim_parts) == 1:
-        dims = dim_parts * layer_count
-    elif len(dim_parts) == layer_count:
-        dims = dim_parts
-    else:
-        raise ParameterError(f"model.dim lists {len(dim_parts)} widths for {layer_count} layers")
-    if min(dims) < 1:
-        raise ParameterError(f"model.dim widths must be >= 1, got {cfg.dim!r}")
-    if cfg.loss == "auto":
-        loss_kind = "squared_hinge" if n_classes == 2 else "cross_entropy"
-    else:
-        loss_kind = cfg.loss
+    """Resolve each 'auto' of cfg, whose values their key rows admit, for n_train rows of n_classes."""
+    layer_count = default_layer_count(n_train) if cfg.layers == "auto" else int(cfg.layers)
+    dims = _int_list(cfg.dim)
+    if len(dims) == 1:
+        dims *= layer_count
+    elif len(dims) != layer_count:  # the one rule that needs the data: an 'auto' depth depends on n_train
+        raise ParameterError(f"model.dim lists {len(dims)} widths for {layer_count} layers")
+    loss_kind = ("squared_hinge" if n_classes == 2 else "cross_entropy") if cfg.loss == "auto" else cfg.loss
     small = n_train <= SMALL_DATA_LIMIT
-    epochs = (SMALL_DATA_EPOCHS if small else LARGE_DATA_EPOCHS) if cfg.epochs == "auto" else _to_int(cfg.epochs, "train.epochs")
+    epochs = (SMALL_DATA_EPOCHS if small else LARGE_DATA_EPOCHS) if cfg.epochs == "auto" else int(cfg.epochs)
     if cfg.batch_size == "auto":
         batch_size = min(SMALL_DATA_BATCH, n_train) if small else LARGE_DATA_BATCH
-    elif str(cfg.batch_size).lower() == "full":
-        batch_size = None
     else:
-        batch_size = _to_int(cfg.batch_size, "train.batch_size")
-        if batch_size < 1:
-            raise ParameterError(f"train.batch_size must be >= 1, 'full' or 'auto', got {batch_size}")
-    if epochs < 0:
-        raise ParameterError(f"train.epochs must be >= 0, got {epochs}")
+        batch_size = None if str(cfg.batch_size).lower() == "full" else int(cfg.batch_size)
     return ResolvedModel(layer_count=layer_count, dims=dims, loss_kind=loss_kind,
                          epochs=epochs, batch_size=batch_size)
 
@@ -301,11 +306,36 @@ class TrialResult:
     train_acc: float
 
 
+def _run_trial(cfg: RunConfig, data: TaskData, resolved: ResolvedModel, t: int) -> TrialResult:
+    """Train trial t (seed cfg.seed + t) and write its model-trial<t>.bin and log-trial<t>.csv."""
+    seed_t = cfg.seed + t
+    train_raw, test_raw = data.for_trial(seed_t)
+    train, test, stages = preprocess_pair(train_raw, test_raw, cfg.normalize)
+    net = build_network(d_in=train.d, n_classes=train.class_count, layer_count=resolved.layer_count,
+                        D_per_layer=resolved.dims, loss_kind=resolved.loss_kind, rng=Rng(seed_t).derive("init"),
+                        batch_norm=cfg.batch_norm, omega_stddev=cfg.omega_stddev, readout_stddev=cfg.readout_stddev)
+    if not np.isfinite(net.flat).all():
+        raise NumericError(f"the initial parameters are not finite: model.omega_stddev = {cfg.omega_stddev!r} "
+                           f"or model.readout_stddev = {cfg.readout_stddev!r} overflows float64")
+    tc = TrainConfig(epochs=resolved.epochs, batch_size=resolved.batch_size,
+                     reg_lambda=cfg.reg_lambda, seed=seed_t, lr=cfg.lr,
+                     beta1=cfg.beta1, beta2=cfg.beta2, epsilon=cfg.epsilon,
+                     shuffle=cfg.shuffle)
+    log = fit(net, train.X, train.y, tc)
+    test_acc = accuracy(net, test.X, test.y)
+    train_acc = log.records[-1].train_acc if log.records else accuracy(net, train.X, train.y)
+    save_network(net, os.path.join(cfg.out, f"model-trial{t}.bin"),
+                 preprocess=stages, label_names=train.label_names)
+    write_text_atomic(os.path.join(cfg.out, f"log-trial{t}.csv"), log.to_csv_text())
+    return TrialResult(trial=t, seed=seed_t, test_acc=test_acc, train_acc=train_acc)
+
+
 def run_training(cfg: RunConfig) -> list[TrialResult]:
     """Train cfg.trials models (seeds seed, seed+1, ...) and write all artifacts."""
-    # validate the whole configuration before any output is created
+    # every rule that needs no data is checked before any data is read or output created
     _check_config(cfg)
     _check_task_source(cfg)
+    _check_data_source(cfg)
     data = load_task_data(cfg)
     # every trial's training split has the same size and classes, so one resolution serves all
     probe_train, _ = data.for_trial(cfg.seed)
@@ -316,36 +346,7 @@ def run_training(cfg: RunConfig) -> list[TrialResult]:
         raise DataError(f"{data.name}: need at least 2 classes, got {probe_train.class_count}")
     os.makedirs(cfg.out, exist_ok=True)
     write_text_atomic(os.path.join(cfg.out, "config.txt"), config_to_text(cfg))
-    results = []
-    for t in range(cfg.trials):
-        seed_t = cfg.seed + t
-        train_raw, test_raw = data.for_trial(seed_t)
-        train, test, stages = preprocess_pair(train_raw, test_raw, cfg.normalize)
-        net = build_network(
-            d_in=train.d,
-            n_classes=train.class_count,
-            layer_count=resolved.layer_count,
-            D_per_layer=resolved.dims,
-            loss_kind=resolved.loss_kind,
-            rng=Rng(seed_t).derive("init"),
-            batch_norm=cfg.batch_norm,
-            omega_stddev=cfg.omega_stddev,
-            readout_stddev=cfg.readout_stddev,
-        )
-        if not np.isfinite(net.flat).all():
-            raise NumericError(f"the initial parameters are not finite: model.omega_stddev = {cfg.omega_stddev!r} "
-                               f"or model.readout_stddev = {cfg.readout_stddev!r} overflows float64")
-        tc = TrainConfig(epochs=resolved.epochs, batch_size=resolved.batch_size,
-                         reg_lambda=cfg.reg_lambda, seed=seed_t, lr=cfg.lr,
-                         beta1=cfg.beta1, beta2=cfg.beta2, epsilon=cfg.epsilon,
-                         shuffle=cfg.shuffle)
-        log = fit(net, train.X, train.y, tc)
-        test_acc = accuracy(net, test.X, test.y)
-        train_acc = log.records[-1].train_acc if log.records else accuracy(net, train.X, train.y)
-        save_network(net, os.path.join(cfg.out, f"model-trial{t}.bin"),
-                     preprocess=stages, label_names=train.label_names)
-        write_text_atomic(os.path.join(cfg.out, f"log-trial{t}.csv"), log.to_csv_text())
-        results.append(TrialResult(trial=t, seed=seed_t, test_acc=test_acc, train_acc=train_acc))
+    results = [_run_trial(cfg, data, resolved, t) for t in range(cfg.trials)]
     metrics_lines = ["trial,seed,test_acc,train_acc"]
     for r in results:
         metrics_lines.append(f"{r.trial},{r.seed},{r.test_acc!r},{r.train_acc!r}")
@@ -395,8 +396,6 @@ def _load_eval_data(args, cfg: RunConfig, raw_width: int):
     random half replays the split for --split-seed (default: the config's train.seed)."""
     if args.data_path:
         return dataio.load_source(cfg.fmt, cfg.path, cfg.label_column, min_dim=raw_width)[0]
-    if not cfg.task and not cfg.path:
-        raise ParameterError("need --task, --data-path, or a --config naming one")
     split_seed = args.split_seed if args.split_seed is not None else cfg.seed
     train, test = load_task_data(cfg).for_trial(split_seed)
     return train if args.on == "train" else test
@@ -411,6 +410,8 @@ def _eval_inputs(args):
     preprocessing stages, if any, have layer 0's input width."""
     cfg = _config_from_args(args, _EVAL_DATA_FIELDS)  # a bad key or flag value is a usage error, found first
     _check_config(cfg)
+    if not args.data_path:  # a given --data-path is evaluated whole, whatever the config's split
+        _check_data_source(cfg)
     net, stages, label_names = load_network(args.model)
     data = _load_eval_data(args, cfg, net.d_in)
     if data.d != net.d_in:
@@ -441,20 +442,15 @@ def cmd_eval(args) -> int:
 # --- inspect ----------------------------------------------------------------
 
 
-def _int_list(text: str, flag: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise ParameterError(f"{flag} must be a comma list of integers, got {text!r}") from None
-
-
 def cmd_inspect(args) -> int:
     # every flag is checked before any work, so a usage error leaves no file behind
     if args.bins < 1:
         raise ParameterError(f"--bins must be >= 1, got {args.bins}")
     if args.max_samples < 0:
         raise ParameterError(f"--max-samples must be >= 0 (0 keeps every row), got {args.max_samples}")
-    hist_dims = _int_list(args.hist_dims, "--hist-dims") if args.hist_dims else [0]
+    hist_dims = _int_list(args.hist_dims or "0")
+    if hist_dims is None:
+        raise ParameterError(f"--hist-dims must be a comma list of integers, got {args.hist_dims!r}")
     net, _, X, y = _eval_inputs(args)
     n_layers = len(net.layers)
     if args.layer is None:
@@ -500,9 +496,9 @@ def cmd_inspect(args) -> int:
 
 def cmd_approx_bench(args) -> int:
     # every flag is checked before any work, so a usage error prints nothing else
-    dims = _int_list(args.dims, "--dims")
+    dims = _int_list(args.dims)
     if not dims or min(dims) < 1:
-        raise ParameterError(f"--dims must list one or more feature counts >= 1, got {args.dims!r}")
+        raise ParameterError(f"--dims must be a comma list of one or more integers >= 1, got {args.dims!r}")
     for flag, value in (("--pairs", args.pairs), ("--features", args.features)):
         if value < 1:
             raise ParameterError(f"{flag} must be >= 1, got {value}")

@@ -21,6 +21,9 @@ from .numerics import Rng
 
 DATA_FORMATS = ("csv", "libsvm")
 SPLIT_MODES = ("provided", "random_half")  # a given test file, or a seeded random half
+# the most float64 values (2 GiB) a LIBSVM file may expand to, rows x largest feature index; checked before
+# allocating, since one stated index can ask for petabytes, or for gigabytes the OS grants lazily
+MAX_DENSE_VALUES = 2**28
 
 
 @contextmanager
@@ -150,7 +153,8 @@ def save_csv(data: Dataset, path) -> None:
 
 def load_libsvm(path, label_names: list[str] | None = None, min_dim: int = 0) -> Dataset:
     """Parse 'label idx:val idx:val ...' lines with 1-based strictly increasing
-    indices; absent indices are zeros and d is the largest index seen."""
+    indices; absent indices are zeros and d is the largest index seen. A file
+    whose rows x d exceeds MAX_DENSE_VALUES is a DataError."""
     entries = []
     label_tokens = []
     d = min_dim
@@ -177,6 +181,9 @@ def load_libsvm(path, label_names: list[str] | None = None, min_dim: int = 0) ->
                 pairs.append((idx, val))
             d = max(d, prev)
             entries.append(pairs)
+            if len(entries) * d > MAX_DENSE_VALUES:
+                raise DataError(f"{path} line {line_no}: feature index {d} makes a dense {len(entries)} x {d} "
+                                f"matrix, more than the {MAX_DENSE_VALUES} values a LIBSVM file may expand to")
     if not entries:
         raise DataError(f"{path}: no data rows")
     X = np.zeros((len(entries), d))

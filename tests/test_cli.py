@@ -608,6 +608,9 @@ def test_initial_parameters_that_overflow_exit_3_without_snapshot(tmp_path, caps
     ["train", "--set", "model.readout_stddev=-1"],
     ["train", "--set", "train.trials=0"],
     ["train", "--layers", "none"],
+    ["train", "--layers", "2,3"],
+    ["train", "--dim", ","],
+    ["train", "--set", "train.epochs=AUTO"],  # a --set value overrides the --epochs flag given below
 ])
 def test_out_of_range_adam_or_l2_setting_is_usage_error(tmp_path, capsys, argv):
     out = tmp_path / "run"
@@ -615,6 +618,70 @@ def test_out_of_range_adam_or_l2_setting_is_usage_error(tmp_path, capsys, argv):
     setting = (argv[2] if argv[1] == "--set" else argv[1]).split("=")[0]  # a key, or the flag of one
     assert FLAG_KEYS.get(setting, setting) in capsys.readouterr().err
     assert not out.exists()
+
+
+# a value that each row with a check or choices refuses
+REFUSED = {
+    "data.format": "arff", "data.split": "kfold", "data.normalize": "zscore", "model.layers": "0",
+    "model.dim": "auto", "model.loss": "absolute", "model.omega_stddev": "0", "model.readout_stddev": "-1",
+    "train.epochs": "AUTO", "train.batch_size": "0", "train.lr": "-1", "train.lambda": "inf", "train.beta1": "1",
+    "train.beta2": "-0.5", "train.epsilon": "nan", "train.trials": "0",
+}
+
+
+def test_every_checked_row_has_a_refused_value():
+    table = fields(cli.RunConfig)
+    assert sorted(REFUSED) == sorted(f.metadata["key"] for f in table if f.metadata["check"] or f.metadata["choices"])
+
+
+@pytest.mark.parametrize("argv, key", [
+    *((["--data-path", "missing.csv", "--set", f"{key}={value}"], key) for key, value in REFUSED.items()),
+    (["--data-path", "missing.csv", "--dim", "auto"], "model.dim"),
+    (["--data-path", "missing.csv", "--data-split", "provided"], "data.test_path"),
+    (["--test-path", "missing.csv"], "data.path"),  # no data source
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_a_usage_error_comes_before_any_data_is_read(tmp_path, capsys, argv, key):
+    # each rule that needs no data is checked before the (missing) data file is opened
+    out = tmp_path / "run"
+    assert run_cli("train", *argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    if key == "model.dim":  # its row has no 'auto' to offer
+        assert "auto" not in err.split(", got")[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "inspect"])
+@pytest.mark.parametrize("line, key", [
+    *((f"{key} = {REFUSED[key]}", key) for key in ("model.layers", "model.dim", "train.epochs", "train.batch_size")),
+    ("data.split = provided", "data.test_path"),
+])
+def test_eval_and_inspect_refuse_a_config_value_before_reading_the_model(tmp_path, capsys, command, line, key):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"data.path = missing.csv\n{line}\n")
+    out = tmp_path / "out"
+    assert run_cli(command, str(tmp_path / "missing.bin"), "--config", str(config), "--out", str(out)) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+# the quirks that the key rows admit, with what resolve_model made of each on monks1 (124 training rows, 2
+# classes) before the rows checked them: (layer_count, dims, epochs, batch_size)
+@pytest.mark.parametrize("flags, row_values, resolved", [
+    (["--batch-size", "FULL"], dict(batch_size="FULL"), (2, [64, 64], 1000, None)),
+    (["--layers", "+2"], dict(layers="+2"), (2, [64, 64], 1000, 32)),
+    (["--dim", "4,"], dict(dim="4,"), (2, [4, 4], 1000, 32)),
+    (["--layers", "3", "--dim", " 8 ,4,,2"], dict(layers="3", dim="8 ,4,,2"), (3, [8, 4, 2], 1000, 32)),
+    (["--epochs", "0", "--batch-size", "1"], dict(epochs="0", batch_size="1"), (2, [64, 64], 0, 1)),
+    (["--layers", "1", "--epochs", "+7", "--batch-size", "Full"], dict(layers="1", epochs="+7", batch_size="Full"),
+     (1, [64], 7, None)),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_admitted_quirks_resolve_as_before(flags, row_values, resolved):
+    cfg = cli._config_from_args(cli.build_parser("train").parse_args(["train", "--task", "monks1", *flags]))
+    assert cfg == cli.RunConfig(task="monks1", **row_values)  # a flag and a RunConfig built in Python agree
+    cli._check_config(cfg)
+    layer_count, dims, epochs, batch_size = resolved
+    assert cli.resolve_model(cfg, 124, 2) == cli.ResolvedModel(layer_count, dims, "squared_hinge", epochs, batch_size)
 
 
 # feature column 0 is constant; column 1 holds values whose scaling overflows

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import load_csv_oracle
 
+from rffnet import dataio
 from rffnet.cli import RunConfig, load_task_data
 from rffnet.dataio import (
     DATA_FORMATS,
@@ -125,6 +126,21 @@ def test_load_libsvm_rejects_non_increasing(tmp_path):
     p2 = write(tmp_path / "d2.svm", "1 1:0.5\n1 2:1 2:2\n")
     with pytest.raises(DataError, match="line 2"):
         load_libsvm(p2)
+
+
+@pytest.mark.parametrize("index", [10**9, 10**15, 10**20])
+def test_load_libsvm_refuses_a_huge_index_before_allocating(tmp_path, index):
+    # 10**9 on 2 rows is 16 GB that the OS would grant lazily; 10**20 is past numpy's largest dimension
+    p = write(tmp_path / "huge.svm", f"1 1:0.5\n2 {index}:1\n")
+    with pytest.raises(DataError, match=f"huge.svm line 2: feature index {index} makes a dense 2 x {index} matrix"):
+        load_libsvm(p)
+
+
+def test_load_libsvm_limit_counts_rows_times_width(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataio, "MAX_DENSE_VALUES", 6)
+    assert load_libsvm(write(tmp_path / "six.svm", "1 3:1\n2 1:1\n")).X.shape == (2, 3)
+    with pytest.raises(DataError, match="line 3: feature index 3 makes a dense 3 x 3 matrix"):
+        load_libsvm(write(tmp_path / "nine.svm", "1 3:1\n2 1:1\n1 2:1\n"))
 
 
 def test_load_libsvm_against_reference_parser(tmp_path):
