@@ -244,11 +244,15 @@ def corpus():
     yield ["train", "--task", "monks1", "--lr", "-1"]
     yield ["train", "--task", "monks1", "--data-path", three]
     yield ["train", "--data-path", three, "--data-split", "provided"]
-    yield ["train", "--data-path", "missing.csv", "--batch-size", "0", "--out", "bad"]  # a usage error, found first
+    for flags in (["--batch-size", "0"], ["--layers", "2", "--dim", "4,4,4"], ["--batch-size", "1"]):
+        yield ["train", "--data-path", "missing.csv", *flags, "--out", "bad"]  # a usage error, found first
+    for flags in (["--dim", "1000000000000000"], ["--layers", "1000000000000000", "--dim", "1"]):
+        yield ["train", "--task", "monks1", *flags, "--epochs", "0", "--out", "bad"]  # more parameters than fit
     for flags in (["--layers", "abc"], ["--layers", "0"], ["--layers", "2", "--dim", "4,4,4"], ["--dim", "0"],
                   ["--batch-size", "0"], ["--epochs", "-1"], ["--batch-size", "1"]):
         yield ["train", "--task", "monks1", *flags, "--out", "bad"]
     yield ["eval", model]
+    yield ["eval", model, "--task", "monks1", "--format", "libsvm", "--label-column", "3", "--out", "bad"]
     for flags in (["--bins", "0"], ["--max-samples", "-1"], ["--hist-dims", "a"], ["--layer", "5"],
                   ["--hist-dims", "9"], ["--kpca-dim", "3", "--max-samples", "2"]):
         yield ["inspect", model, "--task", "monks1", *flags, "--out", "bad"]

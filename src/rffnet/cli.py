@@ -34,6 +34,7 @@ from .network import (
     default_layer_count,
     forward_full,
     load_network,
+    parameter_count,
     predict_from_logits,
     save_network,
 )
@@ -177,29 +178,37 @@ def load_config_file(path) -> RunConfig:
     return cfg
 
 
+def _check_widths(widths: list[int], layer_count: int) -> None:
+    if len(widths) not in (1, layer_count):
+        raise ParameterError(f"model.dim lists {len(widths)} widths for {layer_count} layers")
+
+
+def _check_batch(batch_norm: bool, rows: int) -> None:
+    if batch_norm and rows < 2:
+        raise ParameterError(f"model.batch_norm needs batches of at least 2 rows; train.batch_size gives {rows}")
+
+
 def _check_config(cfg: RunConfig) -> None:
-    """Raise ParameterError naming the first key whose value its row does not admit."""
+    """Raise ParameterError naming the key(s) of the first rule cfg breaks, of every rule that needs no data:
+    each row's values, a task beside file-source keys, no data source, a provided split without its test
+    file, and an explicit depth or batch size that the widths or batch norm do not fit."""
     for f in fields(cfg):
         value, meta = getattr(cfg, f.name), f.metadata
         if meta["choices"] is not None and value not in meta["choices"]:
             raise ParameterError(f"{meta['key']} must be one of {', '.join(meta['choices'])}, got {value!r}")
         if meta["check"] is not None and not meta["check"][0](value):
             raise ParameterError(f"{meta['key']} must be {meta['check'][1]}, got {value!r}")
-
-
-def _check_task_source(cfg: RunConfig) -> None:
-    """Raise ParameterError naming the file-source keys set beside data.task, which would be ignored."""
     clashing = [f.metadata["key"] for f in _TASK_SOURCE_FIELDS if getattr(cfg, f.name) != f.default]
-    if cfg.task and clashing:
+    if cfg.task and clashing:  # the task's own source would replace them unread
         raise ParameterError(f"data.task {cfg.task!r} names its own data source; drop {', '.join(clashing)}")
-
-
-def _check_data_source(cfg: RunConfig) -> None:
-    """Raise ParameterError when the keys name no data source, or a provided split without its test file."""
     if not cfg.task and not cfg.path:
         raise ParameterError("no data source: set data.task or data.path (--task, --data-path, or a --config)")
     if cfg.split_mode == "provided" and not cfg.test_path:
         raise ParameterError("data.split = provided requires data.test_path")
+    if cfg.layers != "auto":
+        _check_widths(_int_list(cfg.dim), int(cfg.layers))
+    if str(cfg.batch_size).lower() not in ("auto", "full"):
+        _check_batch(cfg.batch_norm, int(cfg.batch_size))
 
 
 def config_to_text(cfg: RunConfig) -> str:
@@ -270,20 +279,18 @@ def load_task_data(cfg: RunConfig) -> TaskData:
 @dataclass
 class ResolvedModel:
     layer_count: int
-    dims: list[int]
+    dims: list[int]  # as model.dim states them: one width per layer, or one width for every layer
     loss_kind: str
     epochs: int
     batch_size: int | None
 
 
 def resolve_model(cfg: RunConfig, n_train: int, n_classes: int) -> ResolvedModel:
-    """Resolve each 'auto' of cfg, whose values their key rows admit, for n_train rows of n_classes."""
+    """Resolve each 'auto' of cfg, which _check_config admits, for n_train rows of n_classes, and check the
+    resolved depth and batch size as _check_config checks explicit ones."""
     layer_count = default_layer_count(n_train) if cfg.layers == "auto" else int(cfg.layers)
     dims = _int_list(cfg.dim)
-    if len(dims) == 1:
-        dims *= layer_count
-    elif len(dims) != layer_count:  # the one rule that needs the data: an 'auto' depth depends on n_train
-        raise ParameterError(f"model.dim lists {len(dims)} widths for {layer_count} layers")
+    _check_widths(dims, layer_count)
     loss_kind = ("squared_hinge" if n_classes == 2 else "cross_entropy") if cfg.loss == "auto" else cfg.loss
     small = n_train <= SMALL_DATA_LIMIT
     epochs = (SMALL_DATA_EPOCHS if small else LARGE_DATA_EPOCHS) if cfg.epochs == "auto" else int(cfg.epochs)
@@ -291,6 +298,7 @@ def resolve_model(cfg: RunConfig, n_train: int, n_classes: int) -> ResolvedModel
         batch_size = min(SMALL_DATA_BATCH, n_train) if small else LARGE_DATA_BATCH
     else:
         batch_size = None if str(cfg.batch_size).lower() == "full" else int(cfg.batch_size)
+    _check_batch(cfg.batch_norm, batch_size or n_train)
     return ResolvedModel(layer_count=layer_count, dims=dims, loss_kind=loss_kind,
                          epochs=epochs, batch_size=batch_size)
 
@@ -332,16 +340,15 @@ def _run_trial(cfg: RunConfig, data: TaskData, resolved: ResolvedModel, t: int) 
 
 def run_training(cfg: RunConfig) -> list[TrialResult]:
     """Train cfg.trials models (seeds seed, seed+1, ...) and write all artifacts."""
-    # every rule that needs no data is checked before any data is read or output created
-    _check_config(cfg)
-    _check_task_source(cfg)
-    _check_data_source(cfg)
+    _check_config(cfg)  # every rule that needs no data, before any data is read or output created
     data = load_task_data(cfg)
     # every trial's training split has the same size and classes, so one resolution serves all
     probe_train, _ = data.for_trial(cfg.seed)
     resolved = resolve_model(cfg, probe_train.n, probe_train.class_count)
-    if cfg.batch_norm and (resolved.batch_size or probe_train.n) < 2:
-        raise ParameterError("batch norm requires batches of at least 2 samples")
+    count = parameter_count(probe_train.d, probe_train.class_count, resolved.layer_count, resolved.dims, cfg.batch_norm)
+    if count > dataio.MAX_DENSE_VALUES:
+        raise ParameterError(f"model.dim = {cfg.dim!r} and model.layers = {resolved.layer_count} make {count} "
+                             f"parameters, more than the {dataio.MAX_DENSE_VALUES} a model may hold")
     if probe_train.class_count < 2:
         raise DataError(f"{data.name}: need at least 2 classes, got {probe_train.class_count}")
     os.makedirs(cfg.out, exist_ok=True)
@@ -354,7 +361,7 @@ def run_training(cfg: RunConfig) -> list[TrialResult]:
     accs = np.array([r.test_acc for r in results])
     mean_acc = float(accs.mean())
     std_acc = float(accs.std(ddof=1)) if len(accs) > 1 else 0.0
-    dims_str = "/".join(str(d) for d in resolved.dims)
+    dims_str = "/".join(str(d) for d in resolved.dims * (resolved.layer_count // len(resolved.dims)))
     summary = "dataset,layers,D,trials,mean_acc,std_acc\n"
     summary += f"{data.name},{resolved.layer_count},{dims_str},{cfg.trials},{mean_acc!r},{std_acc!r}\n"
     write_text_atomic(os.path.join(cfg.out, "summary.csv"), summary)
@@ -387,33 +394,28 @@ def cmd_train(args) -> int:
 # --- eval -------------------------------------------------------------------
 
 
-def _load_eval_data(args, cfg: RunConfig, raw_width: int):
-    """Resolve the dataset for eval/inspect from cfg: --config's keys, each
-    overridden by a data flag that was given.
-
-    A given --data-path is evaluated whole (libsvm rows zero-padded to the model's
-    raw width). A task, or a config's own data.path, honours --on train|test: a
-    random half replays the split for --split-seed (default: the config's train.seed)."""
-    if args.data_path:
-        return dataio.load_source(cfg.fmt, cfg.path, cfg.label_column, min_dim=raw_width)[0]
-    split_seed = args.split_seed if args.split_seed is not None else cfg.seed
-    train, test = load_task_data(cfg).for_trial(split_seed)
-    return train if args.on == "train" else test
-
-
 def _eval_inputs(args):
     """Load the snapshot args.model and the data to run it on; returns
     (net, label_names, preprocessed features, labels).
 
-    Every source codes its labels in its own first-appearance order, so the
-    labels are recoded by name onto the snapshot's label_names. The snapshot's
-    preprocessing stages, if any, have layer 0's input width."""
-    cfg = _config_from_args(args, _EVAL_DATA_FIELDS)  # a bad key or flag value is a usage error, found first
-    _check_config(cfg)
-    if not args.data_path:  # a given --data-path is evaluated whole, whatever the config's split
-        _check_data_source(cfg)
+    The data is --config's keys, each overridden by a data flag that was given. A
+    given --data-path replaces the config's task and is evaluated whole (libsvm
+    rows zero-padded to the model's raw width). A task, or a config's own
+    data.path, honours --on train|test: a random half replays the split for
+    --split-seed (default: the config's train.seed). Every source codes its
+    labels in its own first-appearance order, so the labels are recoded by name
+    onto the snapshot's label_names. The snapshot's preprocessing stages, if any,
+    have layer 0's input width."""
+    cfg = _config_from_args(args, _EVAL_DATA_FIELDS)
+    if args.data_path and not args.task:  # a given file replaces the config's task; beside --task it clashes
+        cfg.task = None
+    _check_config(cfg)  # a usage error is found before the model or the data is read
     net, stages, label_names = load_network(args.model)
-    data = _load_eval_data(args, cfg, net.d_in)
+    if args.data_path:
+        data = dataio.load_source(cfg.fmt, cfg.path, cfg.label_column, min_dim=net.d_in)[0]
+    else:
+        train, test = load_task_data(cfg).for_trial(cfg.seed if args.split_seed is None else args.split_seed)
+        data = train if args.on == "train" else test
     if data.d != net.d_in:
         raise DataError(f"model expects {net.d_in} raw features, dataset has {data.d}")
     y = dataio.code_labels(data.label_names, label_names)[0][data.y]

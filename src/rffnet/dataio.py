@@ -21,8 +21,9 @@ from .numerics import Rng
 
 DATA_FORMATS = ("csv", "libsvm")
 SPLIT_MODES = ("provided", "random_half")  # a given test file, or a seeded random half
-# the most float64 values (2 GiB) a LIBSVM file may expand to, rows x largest feature index; checked before
-# allocating, since one stated index can ask for petabytes, or for gigabytes the OS grants lazily
+# the most float64 values (2 GiB) a LIBSVM file may expand to, rows x largest feature index, and the most
+# parameters a model may hold; checked before allocating, since one stated index or width can ask for
+# petabytes, or for gigabytes the OS grants lazily
 MAX_DENSE_VALUES = 2**28
 
 

@@ -92,15 +92,25 @@ def build_network(
     omega_stddev: float = 0.1,
     readout_stddev: float = 0.1,
 ) -> Network:
-    """Chain layer_count == len(D_per_layer) layers, one per width, plus a linear readout."""
+    """Chain layer_count layers, one per width of D_per_layer (a single width serves every layer), plus a
+    linear readout."""
     layers = []
     dim = d_in
-    for D in D_per_layer:
+    for D in D_per_layer * (layer_count // len(D_per_layer)):
         layers.append(init_layer(dim, D, omega_stddev, rng, batchnorm=batch_norm))
         dim = 2 * D
     readout_w = gaussian_matrix(n_classes, dim, 0.0, readout_stddev, rng)
     readout_b = np.zeros(n_classes)
     return Network(layers=layers, readout_w=readout_w, readout_b=readout_b, loss_kind=loss_kind)
+
+
+def parameter_count(d_in: int, n_classes: int, layer_count: int, D_per_layer: list[int], batch_norm: bool) -> int:
+    """The length of the flat buffer build_network makes, counted without building it or repeating a single
+    width: each layer's omega (and its batch norm's gamma and beta), then the readout."""
+    repeats = layer_count // len(D_per_layer)
+    omega = D_per_layer[0] * d_in + sum(2 * a * b for a, b in zip(D_per_layer, D_per_layer[1:]))
+    omega += (repeats - 1) * 2 * D_per_layer[0] ** 2
+    return omega + 4 * sum(D_per_layer) * repeats * batch_norm + n_classes * (2 * D_per_layer[-1] + 1)
 
 
 def forward_full(net: Network, X, training: bool = False) -> ForwardTrace:

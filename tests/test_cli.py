@@ -220,6 +220,18 @@ def test_train_on_one_class_is_a_data_error_before_any_output(tmp_path, capsys):
     assert capsys.readouterr().err == "data error: one: need at least 2 classes, got 1\n"
 
 
+# sizes whose parameters (over 2^47 bytes) no allocation could hold
+@pytest.mark.parametrize("flags", [["--dim", "1000000000000000"], ["--layers", "1000000000000000", "--dim", "1"]],
+                         ids=" ".join)
+def test_a_model_too_large_to_hold_is_a_usage_error_before_any_output(tmp_path, capsys, flags):
+    out = tmp_path / "run"
+    assert run_cli("train", "--task", "monks1", *flags, "--epochs", "0", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: model.dim = ") and "model.layers" in err and "268435456" in err
+    assert not out.exists()
+
+
 def test_train_mismatched_dims_no_partial_output(tmp_path):
     out = tmp_path / "r"
     assert run_cli("train", "--task", "monks1", "--dim", "8,8,8",
@@ -472,6 +484,26 @@ def test_eval_and_inspect_of_layers_that_do_not_chain_exit_2_naming_the_snapshot
         assert not out.exists()
 
 
+def test_eval_data_path_replaces_the_config_task_and_scores_the_whole_file(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli(*train_args(out)) == 0
+    model = str(out / "model-trial0.bin")
+    _, test = cli.load_task_data(cli.RunConfig(task="monks1")).for_trial(0)
+    save_csv(test, tmp_path / "other.csv")
+    capsys.readouterr()
+    assert run_cli("eval", model, "--task", "monks1", "--out", str(tmp_path / "task")) == 0
+    task_acc = capsys.readouterr().out
+    assert run_cli("eval", model, "--config", str(out / "config.txt"), "--data-path", str(tmp_path / "other.csv"),
+                   "--out", str(tmp_path / "file")) == 0
+    assert capsys.readouterr().out == task_acc
+    confusion = (tmp_path / "file" / "confusion.csv").read_text().splitlines()[1:]
+    assert sum(int(v) for row in confusion for v in row.split(",")[1:]) == test.n
+    # a --task given beside the --data-path is still refused
+    assert run_cli("eval", model, "--config", str(out / "config.txt"), "--task", "monks1",
+                   "--data-path", str(tmp_path / "other.csv"), "--out", str(tmp_path / "both")) == 1
+    assert not (tmp_path / "both").exists()
+
+
 def test_eval_reuses_run_config_for_data(tmp_path, capsys):
     out = tmp_path / "run"
     assert run_cli(*train_args(out, "--epochs", "20")) == 0
@@ -639,6 +671,8 @@ def test_every_checked_row_has_a_refused_value():
     (["--data-path", "missing.csv", "--dim", "auto"], "model.dim"),
     (["--data-path", "missing.csv", "--data-split", "provided"], "data.test_path"),
     (["--test-path", "missing.csv"], "data.path"),  # no data source
+    (["--data-path", "missing.csv", "--layers", "2", "--dim", "4,4,4"], "model.dim"),
+    (["--data-path", "missing.csv", "--batch-size", "1"], "train.batch_size"),  # batch norm is on by default
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_a_usage_error_comes_before_any_data_is_read(tmp_path, capsys, argv, key):
     # each rule that needs no data is checked before the (missing) data file is opened
@@ -655,24 +689,28 @@ def test_a_usage_error_comes_before_any_data_is_read(tmp_path, capsys, argv, key
 @pytest.mark.parametrize("line, key", [
     *((f"{key} = {REFUSED[key]}", key) for key in ("model.layers", "model.dim", "train.epochs", "train.batch_size")),
     ("data.split = provided", "data.test_path"),
+    ("data.task = monks1", "data.task 'monks1' names its own data source; drop data.path"),  # as in train
 ])
 def test_eval_and_inspect_refuse_a_config_value_before_reading_the_model(tmp_path, capsys, command, line, key):
     config = tmp_path / "run.cfg"
     config.write_text(f"data.path = missing.csv\n{line}\n")
     out = tmp_path / "out"
     assert run_cli(command, str(tmp_path / "missing.bin"), "--config", str(config), "--out", str(out)) == 1
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert key in err and len(err.splitlines()) == 1
     assert not out.exists()
 
 
 # the quirks that the key rows admit, with what resolve_model made of each on monks1 (124 training rows, 2
-# classes) before the rows checked them: (layer_count, dims, epochs, batch_size)
+# classes) before the rows checked them: (layer_count, dims, epochs, batch_size); dims are the widths as
+# model.dim states them, a single width serving every layer
 @pytest.mark.parametrize("flags, row_values, resolved", [
-    (["--batch-size", "FULL"], dict(batch_size="FULL"), (2, [64, 64], 1000, None)),
-    (["--layers", "+2"], dict(layers="+2"), (2, [64, 64], 1000, 32)),
-    (["--dim", "4,"], dict(dim="4,"), (2, [4, 4], 1000, 32)),
+    (["--batch-size", "FULL"], dict(batch_size="FULL"), (2, [64], 1000, None)),
+    (["--layers", "+2"], dict(layers="+2"), (2, [64], 1000, 32)),
+    (["--dim", "4,"], dict(dim="4,"), (2, [4], 1000, 32)),
     (["--layers", "3", "--dim", " 8 ,4,,2"], dict(layers="3", dim="8 ,4,,2"), (3, [8, 4, 2], 1000, 32)),
-    (["--epochs", "0", "--batch-size", "1"], dict(epochs="0", batch_size="1"), (2, [64, 64], 0, 1)),
+    (["--epochs", "0", "--batch-size", "1", "--no-batch-norm"], dict(epochs="0", batch_size="1", batch_norm=False),
+     (2, [64], 0, 1)),
     (["--layers", "1", "--epochs", "+7", "--batch-size", "Full"], dict(layers="1", epochs="+7", batch_size="Full"),
      (1, [64], 7, None)),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)

@@ -21,6 +21,7 @@ from rffnet.network import (
     forward_full,
     load_network,
     loss_gradient,
+    parameter_count,
     parameters,
     predict,
     predict_from_logits,
@@ -69,6 +70,13 @@ def test_forward_zero_input_single_layer():
     feats = np.concatenate([np.full(8, scale), np.zeros(8)])
     expected = net.readout_w @ feats + net.readout_b
     assert np.abs(trace.logits - expected).max() < 1e-12
+
+
+def test_parameter_count_is_the_length_of_the_built_buffer():
+    for dims, layer_count, batch_norm in (([5], 3, True), ([4, 7], 2, False), ([3, 2, 6], 3, True)):
+        net = build_network(4, 3, layer_count, dims, "squared", Rng(0), batch_norm=batch_norm)
+        assert len(net.layers) == layer_count  # a single width serves every layer
+        assert parameter_count(4, 3, layer_count, dims, batch_norm) == net.flat.size
 
 
 def test_trace_length_equals_layer_count():
