@@ -253,11 +253,11 @@ def corpus():
         yield ["train", "--task", "monks1", *flags, "--out", "bad"]
     yield ["eval", model]
     yield ["eval", model, "--task", "monks1", "--format", "libsvm", "--label-column", "3", "--out", "bad"]
-    for flags in (["--bins", "0"], ["--max-samples", "-1"], ["--hist-dims", "a"], ["--layer", "5"],
-                  ["--hist-dims", "9"], ["--kpca-dim", "3", "--max-samples", "2"]):
+    for flags in (["--bins", "0"], ["--bins", "1000000000000000"], ["--max-samples", "-1"], ["--hist-dims", "a"],
+                  ["--layer", "5"], ["--hist-dims", "9"], ["--kpca-dim", "3", "--max-samples", "2"]):
         yield ["inspect", model, "--task", "monks1", *flags, "--out", "bad"]
     for flags in (["--dims", ","], ["--dims", "0"], ["--spread", "nan"], ["--bandwidth", "0"], ["--pairs", "0"],
-                  ["--features", "-2"]):
+                  ["--features", "-2"], ["--pairs", "1000000000000000"], ["--dims", "1000000000000000"]):
         yield ["approx-bench", *flags]
 
     # --- data errors: exit 2
@@ -328,7 +328,11 @@ def corpus():
 
 def run() -> tuple[list[tuple[list[str], object, str]], list[tuple[str, int, str]]]:
     """Run the corpus in a temporary directory; returns ([(argv, exit code,
-    stderr)], [(module file, line, text) of each unreached statement])."""
+    stderr)], [(module file, line, text) of each unreached statement]).
+
+    The sources are parsed before the first command runs, so a source edited
+    while the corpus runs cannot shift the lines that the report names."""
+    sources = {path.name: statements(path) for path in sorted(PACKAGE_DIR.glob("*.py"))}
     tracer = LineTracer()
     make_datasets = _load_make_datasets()
     cli._blas_threads.cache_clear()  # a per-process lookup: the corpus's first command must run it, traced
@@ -344,11 +348,11 @@ def run() -> tuple[list[tuple[list[str], object, str]], list[tuple[str, int, str
             os.chdir(cwd)
     executed = tracer.lines()
     unreached = []
-    for path in sorted(PACKAGE_DIR.glob("*.py")):
-        lines = executed.get(path.name, set())
-        for line, (span, text) in sorted(statements(path).items()):
+    for name, found in sources.items():
+        lines = executed.get(name, set())
+        for line, (span, text) in sorted(found.items()):
             if not lines.intersection(span):
-                unreached.append((path.name, line, text))
+                unreached.append((name, line, text))
     return results, unreached
 
 

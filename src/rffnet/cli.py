@@ -188,6 +188,13 @@ def _check_batch(batch_norm: bool, rows: int) -> None:
         raise ParameterError(f"model.batch_norm needs batches of at least 2 rows; train.batch_size gives {rows}")
 
 
+def _check_array_size(values: int, made_by: str) -> None:
+    """Refuse, before any work, a setting that makes an array of more than dataio.MAX_DENSE_VALUES values."""
+    if values > dataio.MAX_DENSE_VALUES:
+        raise ParameterError(f"{made_by} makes an array of {values} values, more than the "
+                             f"{dataio.MAX_DENSE_VALUES} an array may hold")
+
+
 def _check_config(cfg: RunConfig) -> None:
     """Raise ParameterError naming the key(s) of the first rule cfg breaks, of every rule that needs no data:
     each row's values, a task beside file-source keys, no data source, a provided split without its test
@@ -448,6 +455,7 @@ def cmd_inspect(args) -> int:
     # every flag is checked before any work, so a usage error leaves no file behind
     if args.bins < 1:
         raise ParameterError(f"--bins must be >= 1, got {args.bins}")
+    _check_array_size(args.bins + 1, f"--bins {args.bins}")  # the histogram's edges
     if args.max_samples < 0:
         raise ParameterError(f"--max-samples must be >= 0 (0 keeps every row), got {args.max_samples}")
     hist_dims = _int_list(args.hist_dims or "0")
@@ -508,6 +516,9 @@ def cmd_approx_bench(args) -> int:
         raise ParameterError(f"--bandwidth must be finite and > 0, got {args.bandwidth}")
     if not math.isfinite(args.spread):
         raise ParameterError(f"--spread must be finite, got {args.spread}")
+    _check_array_size(args.pairs * args.features, f"--pairs {args.pairs} with --features {args.features}")  # U, V
+    # each D's frequencies are D x --features, and a 2-row block of its features is 2 x 2D
+    _check_array_size(max(dims) * max(args.features, 4), f"--dims {max(dims)} with --features {args.features}")
     density = SpectralDensity(kind=args.density, bandwidth=args.bandwidth)
     rng = Rng(args.seed)
     U = rng.derive("points").normal((args.pairs, args.features))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
-from .numerics import Rng, as_matrix, row_blocks, sym_eig_topk
+from .numerics import Rng, row_blocks, sym_eig_topk
 from .rff_layer import RffLayer, forward
 
 DENSITY_KINDS = ("rbf", "laplacian", "cauchy")
@@ -35,8 +35,7 @@ class SpectralDensity:
 
 def empirical_kernel(features) -> np.ndarray:
     """K = S S^T over raw layer features; rows of S are unit norm, so diag(K) = 1."""
-    S = as_matrix(features)
-    return S @ S.T
+    return features @ features.T
 
 
 def sample_frequencies(density: SpectralDensity, D: int, d: int, rng: Rng) -> np.ndarray:
@@ -55,7 +54,7 @@ def sample_frequencies(density: SpectralDensity, D: int, d: int, rng: Rng) -> np
 
 def closed_form_kernel(density: SpectralDensity, U, V) -> np.ndarray:
     """Exact kernel values k(u_i - v_i) for paired rows of U and V."""
-    z = as_matrix(U) - as_matrix(V)
+    z = U - V
     b = density.bandwidth
     if density.kind == "rbf":
         return np.exp(-np.sum(z * z, axis=1) / (2.0 * b * b))
@@ -76,8 +75,6 @@ def rff_approx_error(density: SpectralDensity, D: int, U, V, rng: Rng) -> tuple[
     The estimates are computed in row blocks of about APPROX_BLOCK_BYTES per
     feature map, so memory is O(block x D) whatever the number of pairs; each
     estimate has the same bits as a one-shot map of all pairs."""
-    U = as_matrix(U)
-    V = as_matrix(V)
     exact = closed_form_kernel(density, U, V)
     omega = sample_frequencies(density, D, U.shape[1], rng)
     est = _kernel_estimate(omega, U, V)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .numerics import Rng, as_matrix, gaussian_matrix
+from .numerics import Rng, gaussian_matrix
 from .rff_layer import BN_EPSILON, BN_MOMENTUM, BatchNormState, LayerCache, RffLayer, backward, forward, init_layer
 
 LOSS_KINDS = ("squared", "squared_hinge", "cross_entropy")
@@ -68,14 +68,6 @@ class ForwardTrace:
     logits: np.ndarray
 
 
-@dataclass
-class LossReport:
-    data_loss: float
-    reg_loss: float
-    total: float
-    correct_count: int
-
-
 def default_layer_count(n_samples: int) -> int:
     """Suggested depth for a training set of n samples: ceil(n/1000) + 1."""
     return math.ceil(n_samples / 1000) + 1
@@ -116,7 +108,7 @@ def parameter_count(d_in: int, n_classes: int, layer_count: int, D_per_layer: li
 def forward_full(net: Network, X, training: bool = False) -> ForwardTrace:
     """Run every layer and the readout. A training pass keeps each layer's record for
     backward_full; an inference pass keeps none, so it holds one layer's arrays at a time."""
-    h = as_matrix(X)
+    h = X
     caches = []
     for layer in net.layers:
         h, cache = forward(layer, h, training=training)
@@ -190,19 +182,15 @@ def loss_gradient(net: Network, logits: np.ndarray, y: np.ndarray) -> np.ndarray
     return _data_loss(net, logits, y, grad=True)
 
 
-def compute_loss(net: Network, logits, y, lam: float) -> LossReport:
-    """Mean data loss, L2 penalty over all trainable parameters and correct count.
+def compute_loss(net: Network, logits: np.ndarray, y: np.ndarray, lam: float) -> tuple[float, float, int]:
+    """(mean data loss, L2 penalty over all trainable parameters, correct count).
 
     The penalty is 0.5 * lam times the sum of the per-array sums of squares,
     taken in parameters() order.
     """
-    logits = as_matrix(logits)
-    y = np.asarray(y)
     data_loss = _data_loss(net, logits, y, grad=False)
     reg_loss = 0.5 * lam * sum(float(np.add.reduce(p * p, None)) for p in parameters(net))
-    correct = int(np.sum(predict_from_logits(logits) == y))
-    return LossReport(data_loss=data_loss, reg_loss=reg_loss,
-                      total=data_loss + reg_loss, correct_count=correct)
+    return data_loss, reg_loss, int(np.sum(predict_from_logits(logits) == y))
 
 
 def _targets(net: Network, y: np.ndarray, n: int) -> np.ndarray:
@@ -244,7 +232,6 @@ def predict(net: Network, X) -> np.ndarray:
 
 
 def accuracy(net: Network, X, y) -> float:
-    y = np.asarray(y)
     return float(np.mean(predict(net, X) == y))
 
 
@@ -277,8 +264,8 @@ def save_network(net: Network, path, preprocess, label_names) -> None:
             blobs.extend([bn.gamma, bn.beta, bn.running_mean, bn.running_var])
     layers_meta[0]["d_in"] = net.d_in
     blobs.extend([net.readout_w, net.readout_b])
-    for shift, div in preprocess:
-        blobs.extend([np.asarray(shift, dtype=np.float64), np.asarray(div, dtype=np.float64)])
+    for stage in preprocess:
+        blobs.extend(stage)
     header = {
         "loss_kind": net.loss_kind,
         "layers": layers_meta,

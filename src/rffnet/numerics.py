@@ -1,5 +1,5 @@
-"""Dense float64 helpers: matrix coercion, row blocking, a portable PRNG, and a
-symmetric top-k eigensolver.
+"""Dense float64 helpers: row blocking, a portable PRNG, and a symmetric top-k
+eigensolver.
 
 All matrices are plain 2-D float64 numpy arrays in row-major order. The PRNG is a
 counter-based splitmix64 stream defined here (not the platform default) so that a
@@ -14,11 +14,6 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-
-
-def as_matrix(a) -> np.ndarray:
-    """Coerce ``a`` to a float64 array, copying only if needed."""
-    return np.asarray(a, dtype=np.float64)
 
 
 def row_blocks(n: int, size: int, merge_singleton: bool) -> list[tuple[int, int]]:
@@ -75,15 +70,15 @@ class Rng:
         return ((self.raw(n) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
     def normal(self, shape, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
-        """Gaussian draws via Box-Muller on the uniform stream."""
-        size = int(np.prod(shape)) if not np.isscalar(shape) else int(shape)
+        """Gaussian draws via Box-Muller on the uniform stream, shaped like ``shape``
+        (an int or a tuple of ints)."""
+        size = int(np.prod(shape))
         half = (size + 1) // 2
         u1 = self.uniform_open(half)
         u2 = self.uniform(half)
         r = np.sqrt(-2.0 * np.log(u1))
         z = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])[:size]
-        out = mean + std * z
-        return out if np.isscalar(shape) else out.reshape(shape)
+        return (mean + std * z).reshape(shape)
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n)."""

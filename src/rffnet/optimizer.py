@@ -15,29 +15,18 @@ from .network import (
     loss_gradient,
     parameters,
 )
-from .numerics import Rng, as_matrix, row_blocks
+from .numerics import Rng, row_blocks
 
 
-@dataclass
-class AdamState:
-    """First/second moment accumulators, shaped like the one array they update."""
-
-    m: np.ndarray
-    v: np.ndarray
-    step: int = 0
-
-
-def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState, config: TrainConfig) -> None:
-    """One bias-corrected Adam update of p, in place (fit passes net.flat), with
-    config's lr, beta1, beta2 and epsilon."""
-    state.step += 1
-    t = state.step
+def adam_step(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int, config: TrainConfig) -> None:
+    """Adam update number t (1-based) of p, bias-corrected, in place (fit passes
+    net.flat), with config's lr, beta1, beta2 and epsilon. The first and second
+    moments m and v, shaped like p, are updated in place too."""
     # theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps), with scalars hoisted; the
     # update alpha * m / (sqrt(v) * root_bc2 + eps) is evaluated in place, in that
     # order, through one scratch array besides denom
     alpha = config.lr / (1.0 - config.beta1**t)
     root_bc2 = 1.0 / np.sqrt(1.0 - config.beta2**t)
-    m, v = state.m, state.v
     scratch = np.multiply(1.0 - config.beta1, g)
     m *= config.beta1
     m += scratch
@@ -101,7 +90,6 @@ def fit(net: Network, X, y, config: TrainConfig) -> TrainingLog:
     every parameter is still a view of net.flat is checked once, before the
     first step.
     """
-    X = as_matrix(X)
     n = X.shape[0]
     has_bn = any(layer.batchnorm is not None for layer in net.layers)
     batch_size = config.batch_size if config.batch_size is not None else n
@@ -110,7 +98,7 @@ def fit(net: Network, X, y, config: TrainConfig) -> TrainingLog:
         raise ParameterError("a trainable array was rebound and is no longer a view of net.flat; "
                              "assign into it in place, or build a new Network from the arrays")
     grad = np.empty_like(flat)
-    state = AdamState(m=np.zeros_like(flat), v=np.zeros_like(flat))
+    m, v, t = np.zeros_like(flat), np.zeros_like(flat), 0
     log = TrainingLog()
     base_rng = Rng(config.seed)
     for epoch in range(config.epochs):
@@ -124,10 +112,12 @@ def fit(net: Network, X, y, config: TrainConfig) -> TrainingLog:
             backward_full(net, trace, loss_gradient(net, trace.logits, y[idx]), config.reg_lambda, out=grad)
             # free this step's activations before Adam, the next forward and the evaluation
             del trace
-            adam_step(flat, grad, state, config)
+            t += 1
+            adam_step(flat, grad, m, v, t, config)
         if not np.isfinite(flat).all():
             raise NumericError(f"non-finite parameter after epoch {epoch}")
-        report = compute_loss(net, forward_full(net, X, training=False).logits, y, config.reg_lambda)
-        log.records.append(EpochRecord(epoch=epoch, loss=report.total, reg_loss=report.reg_loss,
-                                       train_acc=report.correct_count / n))
+        data_loss, reg_loss, correct = compute_loss(net, forward_full(net, X, training=False).logits, y,
+                                                    config.reg_lambda)
+        log.records.append(EpochRecord(epoch=epoch, loss=data_loss + reg_loss, reg_loss=reg_loss,
+                                       train_acc=correct / n))
     return log

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng, as_matrix, gaussian_matrix
+from .numerics import Rng, gaussian_matrix
 
 BN_MOMENTUM = 0.1  # weight of each training batch in the running statistics
 BN_EPSILON = 1e-5  # added to every variance before its square root
@@ -124,12 +124,11 @@ def batchnorm_backward(bn: BatchNormState, record: tuple[np.ndarray, np.ndarray]
 
 
 def forward(layer: RffLayer, X, training: bool = False):
-    """Apply the layer to a batch; returns (output, cache).
+    """Apply the layer to a float64 batch; returns (output, cache).
 
     Output rows are sqrt(1/D) [cos(f_1)..cos(f_D), sin(f_1)..sin(f_D)]; the
     cos-then-sin order pairs feature m with m+D and is relied on by backward.
     """
-    X = as_matrix(X)
     f = X @ layer.omega.T
     D = layer.D
     features = np.empty((X.shape[0], 2 * D))

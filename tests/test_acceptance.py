@@ -99,7 +99,8 @@ def test_c5_phishing(tmp_path):
 
 def _network_objective(net, X, y, lam):
     trace = forward_full(net, X, training=True)
-    return compute_loss(net, trace.logits, y, lam).total
+    data_loss, reg_loss, _ = compute_loss(net, trace.logits, y, lam)
+    return data_loss + reg_loss
 
 
 def test_c6a_gradient_check_random_architectures():

@@ -320,6 +320,7 @@ def monks1_model(tmp_path_factory):
     ["--hist-dims", "0,x"],
     ["--kpca-dim", "3", "--max-samples", "2"],
     ["--max-samples", "-1"],
+    ["--bins", "1000000000000000"],  # more histogram edges than an array may hold
 ], ids=" ".join)
 def test_inspect_bad_flag_is_usage_error_before_any_file(monks1_model, tmp_path, flags):
     out = tmp_path / "d"
@@ -408,6 +409,8 @@ def test_eval_and_inspect_of_a_provided_split_ignore_split_seed(monks1_model, tm
     ["--features", "-2"],
     ["--pairs", "0"],
     ["--pairs", "-1"],
+    ["--pairs", "1000000000000000"],  # more points than an array may hold
+    ["--dims", "1000000000000000"],  # more frequencies than an array may hold
 ], ids=" ".join)
 def test_approx_bench_bad_setting_is_usage_error_before_any_output(tmp_path, capsys, flags):
     out = tmp_path / "bench.csv"

@@ -102,11 +102,11 @@ def test_logits_finite_over_many_random_networks():
 def test_squared_loss_at_minimum():
     net = build_network(3, 2, 1, [4], "squared", Rng(0))
     logits = np.array([[1.0, 0.0], [0.0, 1.0]])
-    report = compute_loss(net, logits, np.array([0, 1]), 0.0)
+    data_loss, _, correct = compute_loss(net, logits, np.array([0, 1]), 0.0)
     grad = loss_gradient(net, logits, np.array([0, 1]))
-    assert report.data_loss == 0.0
+    assert data_loss == 0.0
     assert np.array_equal(grad, np.zeros((2, 2)))
-    assert report.correct_count == 2
+    assert correct == 2
 
 
 def test_squared_hinge_margin_values():
@@ -115,21 +115,19 @@ def test_squared_hinge_margin_values():
     net = Network(layers=build_network(2, 2, 1, [4], "squared_hinge", Rng(0)).layers,
                   readout_w=np.zeros((2, 8)), readout_b=np.zeros(2),
                   loss_kind="squared_hinge")
-    report = compute_loss(net, np.array([[-2.0, 2.0]]), np.array([1]), 0.0)
-    assert report.data_loss == 0.0
-    report = compute_loss(net, np.array([[0.0, 0.0]]), np.array([1]), 0.0)
+    assert compute_loss(net, np.array([[-2.0, 2.0]]), np.array([1]), 0.0)[0] == 0.0
+    data_loss = compute_loss(net, np.array([[0.0, 0.0]]), np.array([1]), 0.0)[0]
     grad = loss_gradient(net, np.array([[0.0, 0.0]]), np.array([1]))
-    assert report.data_loss == 2.0
+    assert data_loss == 2.0
     assert np.array_equal(grad, [[2.0, -2.0]])
     # half a margin short on each column: 0.5^2 + 0.5^2
-    report = compute_loss(net, np.array([[-0.5, 0.5]]), np.array([1]), 0.0)
-    assert report.data_loss == 0.5
+    assert compute_loss(net, np.array([[-0.5, 0.5]]), np.array([1]), 0.0)[0] == 0.5
 
 
 def test_cross_entropy_uniform_logits():
     net = build_network(3, 2, 1, [4], "cross_entropy", Rng(0))
-    report = compute_loss(net, np.zeros((4, 2)), np.array([0, 1, 0, 1]), 0.0)
-    assert abs(report.data_loss - math.log(2.0)) < 1e-12
+    data_loss = compute_loss(net, np.zeros((4, 2)), np.array([0, 1, 0, 1]), 0.0)[0]
+    assert abs(data_loss - math.log(2.0)) < 1e-12
 
 
 @pytest.mark.parametrize("gap", [30.0, 1000.0, 1e6])
@@ -141,8 +139,8 @@ def test_cross_entropy_exact_at_extreme_logits(gap):
     y = np.array([2, 0])
     expected = (2.0 * gap + math.log1p(math.exp(-gap) + math.exp(-2.0 * gap))
                 + gap + math.log1p(2.0 * math.exp(-gap))) / 2.0
-    report = compute_loss(net, logits, y, 0.0)
-    assert relative_error(report.data_loss, expected, floor=1.0) < 1e-15
+    data_loss = compute_loss(net, logits, y, 0.0)[0]
+    assert relative_error(data_loss, expected, floor=1.0) < 1e-15
     grad = loss_gradient(net, logits, y)
     assert np.all(np.isfinite(grad))
     assert np.allclose(grad.sum(axis=1), 0.0, atol=1e-15)
@@ -154,16 +152,15 @@ def test_cross_entropy_matches_log_softmax_on_moderate_logits():
     logits = Rng(4).normal((6, 3), 0.0, 3.0)
     y = np.array([0, 1, 2, 2, 1, 0])
     ref = np.mean([math.log(sum(math.exp(v) for v in row)) - row[k] for row, k in zip(logits, y)])
-    assert relative_error(compute_loss(net, logits, y, 0.0).data_loss, ref) < 1e-13
+    assert relative_error(compute_loss(net, logits, y, 0.0)[0], ref) < 1e-13
 
 
 def test_reg_loss_matches_brute_force_flatten():
     net = build_network(3, 3, 2, [4, 5], "cross_entropy", Rng(7), batch_norm=True)
     lam = 0.37
-    report = compute_loss(net, np.zeros((2, 3)), np.array([0, 1]), lam)
+    reg_loss = compute_loss(net, np.zeros((2, 3)), np.array([0, 1]), lam)[1]
     theta = np.concatenate([p.reshape(-1) for p in parameters(net)])
-    assert abs(report.reg_loss - 0.5 * lam * float(theta @ theta)) < 1e-12
-    assert report.total == report.data_loss + report.reg_loss
+    assert abs(reg_loss - 0.5 * lam * float(theta @ theta)) < 1e-12
 
 
 def test_backward_zero_grad_zero_lambda():
@@ -273,8 +270,8 @@ def test_every_construction_packs_parameters_into_flat(tmp_path, bn):
 
 def _objective(net, X, y, lam):
     trace = forward_full(net, X, training=True)
-    report = compute_loss(net, trace.logits, y, lam)
-    return report.total
+    data_loss, reg_loss, _ = compute_loss(net, trace.logits, y, lam)
+    return data_loss + reg_loss
 
 
 @pytest.mark.parametrize("loss_kind", ["squared", "squared_hinge", "cross_entropy"])

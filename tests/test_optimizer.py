@@ -12,45 +12,38 @@ from rffnet import optimizer
 from rffnet.errors import ParameterError
 from rffnet.network import accuracy, build_network, load_network, parameters, predict, save_network
 from rffnet.numerics import Rng
-from rffnet.optimizer import AdamState, TrainConfig, adam_step, fit
+from rffnet.optimizer import TrainConfig, adam_step, fit
 from rffnet.tasks import two_blobs
-
-
-def _adam_state(p):
-    return AdamState(m=np.zeros_like(p), v=np.zeros_like(p))
 
 
 def test_adam_zero_gradient_is_noop():
     p = np.array([1.0, -2.0])
-    state = _adam_state(p)
-    adam_step(p, np.zeros(2), state, TrainConfig())
+    adam_step(p, np.zeros(2), np.zeros(2), np.zeros(2), 1, TrainConfig())
     assert np.array_equal(p, [1.0, -2.0])
-    assert state.step == 1
 
 
 def test_adam_first_step_hand_value():
     p = np.array([0.0])
-    state = _adam_state(p)
-    adam_step(p, np.array([1.0]), state, TrainConfig(lr=0.001))
+    adam_step(p, np.array([1.0]), np.zeros(1), np.zeros(1), 1, TrainConfig(lr=0.001))
     expected = -0.001 / (1.0 + 1e-8)
     assert abs(p[0] - expected) < 1e-15
 
 
 def test_adam_minimizes_quadratic():
     p = np.array([1.0])
-    state, config = _adam_state(p), TrainConfig(lr=0.001)
-    for _ in range(5000):
-        adam_step(p, 2.0 * p, state, config)
+    m, v, config = np.zeros(1), np.zeros(1), TrainConfig(lr=0.001)
+    for t in range(1, 5001):
+        adam_step(p, 2.0 * p, m, v, t, config)
     assert abs(p[0]) < 1e-3
 
 
 def test_adam_second_moment_nonnegative():
     rng = Rng(0)
     p = rng.normal(5)
-    state = _adam_state(p)
+    m, v = np.zeros(5), np.zeros(5)
     for i in range(50):
-        adam_step(p, rng.derive(i).normal(5, 0.0, 10.0), state, TrainConfig())
-        assert np.all(state.v >= 0.0)
+        adam_step(p, rng.derive(i).normal(5, 0.0, 10.0), m, v, i + 1, TrainConfig())
+        assert np.all(v >= 0.0)
 
 
 _finite = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
@@ -67,7 +60,7 @@ def test_adam_on_one_flat_buffer_matches_per_array_updates(shapes, data):
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
     flat = np.concatenate([p.ravel() for p in params])
-    state, config = _adam_state(flat), TrainConfig(lr=lr)
+    flat_m, flat_v, config = np.zeros_like(flat), np.zeros_like(flat), TrainConfig(lr=lr)
     for t, grads in enumerate(steps, start=1):
         alpha = lr / (1.0 - 0.9**t)
         root_bc2 = 1.0 / np.sqrt(1.0 - 0.999**t)
@@ -75,10 +68,10 @@ def test_adam_on_one_flat_buffer_matches_per_array_updates(shapes, data):
             mi[...] = mi * 0.9 + (1.0 - 0.9) * g
             vi[...] = vi * 0.999 + (1.0 - 0.999) * g * g
             p -= alpha * mi / (np.sqrt(vi) * root_bc2 + 1e-8)
-        adam_step(flat, np.concatenate([g.ravel() for g in grads]), state, config)
+        adam_step(flat, np.concatenate([g.ravel() for g in grads]), flat_m, flat_v, t, config)
     assert np.array_equal(flat, np.concatenate([p.ravel() for p in ref]))
-    assert np.array_equal(state.m, np.concatenate([mi.ravel() for mi in m]))
-    assert np.array_equal(state.v, np.concatenate([vi.ravel() for vi in v]))
+    assert np.array_equal(flat_m, np.concatenate([mi.ravel() for mi in m]))
+    assert np.array_equal(flat_v, np.concatenate([vi.ravel() for vi in v]))
 
 
 @given(st.integers(0, 500), st.booleans())

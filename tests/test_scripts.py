@@ -189,3 +189,17 @@ def test_reach_corpus_exits_cleanly_and_leaves_only_the_allowlisted_statements_u
                if code not in (0, 1, 2, 3) or len(err.splitlines()) > 1]
     assert unclean == []
     assert sorted({(module, text) for module, _, text in unreached}) == sorted(REACH_ALLOWLIST)
+
+
+def test_reach_parses_every_source_before_the_first_command(monkeypatch):
+    reach = load_script("reach")
+    calls = []
+    monkeypatch.setattr(reach, "statements", lambda path: calls.append(path.name) or {})
+
+    def corpus():
+        calls.append("corpus")
+        yield from ()
+
+    monkeypatch.setattr(reach, "corpus", corpus)
+    assert reach.run() == ([], [])
+    assert calls == [path.name for path in sorted(reach.PACKAGE_DIR.glob("*.py"))] + ["corpus"]
