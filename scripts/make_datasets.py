@@ -5,7 +5,8 @@ registry manifest under data/.
 The monks tasks are generated from their defining rules over the full 432-point
 attribute grid: the grid itself is the canonical test set and the training set
 is a seeded stratified sample of the documented size (monks3 carries 5% label
-noise in training). Large-scale tasks (eeg, phishing) are real measured data
+noise in training), the same sample `rffnet train --task monksN` generates when
+no registry file exists. Large-scale tasks (eeg, phishing) are real measured data
 and cannot be generated; fetch those with scripts/fetch_data.py.
 """
 
@@ -32,12 +33,11 @@ LARGE_TASKS = """\
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="data", help="output directory")
-    parser.add_argument("--seed", type=int, default=0, help="training-subset sampling seed")
     args = parser.parse_args()
     os.makedirs(args.out, exist_ok=True)
     lines = [REGISTRY_HEADER]
     for task in sorted(MONKS_TRAIN_SIZES):
-        train, test = make_monks(task, seed=args.seed)
+        train, test = make_monks(task)
         train_path = os.path.join(args.out, f"{task}-train.csv")
         test_path = os.path.join(args.out, f"{task}-test.csv")
         save_csv(train, train_path)

@@ -205,6 +205,9 @@ def corpus():
     yield ["train", "--data-path", tr, "--test-path", te, "--data-split", "provided", *quick, "--out", "given"]
     cfg = _write("run.cfg", "# a run config\ndata.task = blobs\n\ntrain.epochs = 1\nmodel.dim = 4\nout = cfg\n")
     yield ["train", "--config", cfg, "--set", "train.shuffle=false", "--normalize", "none"]
+    hashed = _write("tr#1.csv", Path(three).read_text())  # config.txt must read the '#' back as part of the path
+    yield ["train", "--data-path", hashed, "--no-batch-norm", "--layers", "1", "--epochs", "2", "--dim", "4",
+           "--out", "hash"]
 
     # --- eval and inspect through --task, --config and --data-path
     model = "monks-reg/model-trial0.bin"
@@ -215,6 +218,7 @@ def corpus():
     yield ["eval", "blobs/model-trial0.bin", "--config", "blobs/config.txt", "--split-seed", "1", "--out", "ev"]
     yield ["eval", "svm/model-trial0.bin", "--data-path", svm, "--format", "libsvm", "--out", "ev"]
     yield ["eval", "v1.bin", "--task", "blobs", "--out", "ev"]
+    yield ["eval", "hash/model-trial0.bin", "--config", "hash/config.txt", "--out", "ev"]
     yield ["inspect", model, "--task", "monks1", "--registry", reg, "--max-samples", "20", "--out", "in"]
     yield ["inspect", model, "--config", "monks-reg/config.txt", "--layer", "1", "--hist-dims", "0,3",
            "--max-samples", "20", "--out", "in"]
@@ -237,6 +241,7 @@ def corpus():
     yield ["train", "--trials", "x"]  # a flag's text is parsed by its key, as --set's is
     yield ["train", "--set", "model.batch_norm=maybe"]
     yield ["train", "--set", "train.seed"]
+    yield ["train", "--task", "monks1", "--set", "out=a\nb"]  # config.txt could not hold it on one line
     yield ["train", "--config", "missing.cfg"]
     yield ["train", "--config", _write("noeq.cfg", "data.task monks1\n")]
     yield ["train", "--config", _write("nul.cfg", "data.path = a\x00b\n")]

@@ -56,6 +56,8 @@ def _key(default, key: str, flag: str | None = None, choices=None, check=None):
     return field(default=default, metadata={"key": key, "flag": flag, "choices": choices, "check": check})
 
 
+_AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
+_FINITE = (math.isfinite, "finite")
 _UNIT_INTERVAL = (lambda v: 0.0 <= v < 1.0, "in [0, 1)")
 _FINITE_NONNEGATIVE = (lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0")
 _FINITE_POSITIVE = (lambda v: math.isfinite(v) and v > 0.0, "finite and > 0")
@@ -114,7 +116,7 @@ class RunConfig:
     beta2: float = _key(0.999, "train.beta2", check=_UNIT_INTERVAL)
     epsilon: float = _key(1e-8, "train.epsilon", check=_FINITE_POSITIVE)
     seed: int = _key(0, "train.seed", "--seed")
-    trials: int = _key(1, "train.trials", "--trials", check=(lambda v: v >= 1, ">= 1"))
+    trials: int = _key(1, "train.trials", "--trials", check=_AT_LEAST_ONE)
     shuffle: bool = _key(True, "train.shuffle")
     out: str = _key("runs/run", "out", "--out")
 
@@ -138,8 +140,8 @@ def _parse_bool(value: str) -> bool:
 def set_config_key(cfg: RunConfig, key: str, value: str) -> None:
     if key not in _FIELD_BY_KEY:
         raise ParameterError(f"unknown config key {key!r}")
-    if "\x00" in value:  # a NUL fits no value, and open() rejects a path that holds one
-        raise ParameterError(f"bad value {value!r} for config key {key!r}: NUL byte")
+    if any(c in value for c in "\x00\n\r"):  # open() rejects a path holding a NUL; config.txt gives a value one line
+        raise ParameterError(f"bad value {value!r} for config key {key!r}: a NUL byte or a line break")
     f = _FIELD_BY_KEY[key]
     ftype = f.type
     value = value.strip()
@@ -157,24 +159,30 @@ def set_config_key(cfg: RunConfig, key: str, value: str) -> None:
     setattr(cfg, f.name, parsed)
 
 
+def _set_item(cfg: RunConfig, item: str, where: str) -> None:
+    """Set the key of one `key = value` item, a config-file line or a --set value; where, the item's
+    source, starts every refusal."""
+    key, eq, value = item.partition("=")
+    if not eq:
+        raise ParameterError(f"{where}: expected 'key = value', got {item.strip()!r}")
+    try:
+        set_config_key(cfg, key.strip(), value)
+    except ParameterError as exc:
+        raise ParameterError(f"{where}: {exc}") from None
+
+
 def load_config_file(path) -> RunConfig:
+    """The config of a file of `key = value` lines; a blank line, and one whose first non-blank
+    character is '#', is skipped, and a '#' anywhere else is part of the value."""
     cfg = RunConfig()
     try:
         with open(path) as fh:
-            lines = fh.readlines()
+            lines = fh.readlines()  # split at line breaks alone: a value may hold \x85 or \u2028
     except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read config file {path}: {exc}") from None
     for line_no, line in enumerate(lines, start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParameterError(f"{path} line {line_no}: expected 'key = value', got {line!r}")
-        key, value = line.split("=", 1)
-        try:
-            set_config_key(cfg, key.strip(), value)
-        except (ValueError, ParameterError) as exc:
-            raise ParameterError(f"{path} line {line_no}: {exc}") from None
+        if line.strip() and not line.lstrip().startswith("#"):
+            _set_item(cfg, line.rstrip("\n"), f"{path} line {line_no}")
     return cfg
 
 
@@ -195,16 +203,22 @@ def _check_array_size(values: int, made_by: str) -> None:
                              f"{dataio.MAX_DENSE_VALUES} an array may hold")
 
 
+def _check_values(rows) -> None:
+    """Raise ParameterError naming the first (name, value, choices, check) row whose value
+    is not among its choices or fails its check pair."""
+    for name, value, choices, check in rows:
+        if choices is not None and value not in choices:
+            raise ParameterError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
+        if check is not None and not check[0](value):
+            raise ParameterError(f"{name} must be {check[1]}, got {value!r}")
+
+
 def _check_config(cfg: RunConfig) -> None:
     """Raise ParameterError naming the key(s) of the first rule cfg breaks, of every rule that needs no data:
     each row's values, a task beside file-source keys, no data source, a provided split without its test
     file, and an explicit depth or batch size that the widths or batch norm do not fit."""
-    for f in fields(cfg):
-        value, meta = getattr(cfg, f.name), f.metadata
-        if meta["choices"] is not None and value not in meta["choices"]:
-            raise ParameterError(f"{meta['key']} must be one of {', '.join(meta['choices'])}, got {value!r}")
-        if meta["check"] is not None and not meta["check"][0](value):
-            raise ParameterError(f"{meta['key']} must be {meta['check'][1]}, got {value!r}")
+    _check_values((f.metadata["key"], getattr(cfg, f.name), f.metadata["choices"], f.metadata["check"])
+                  for f in fields(cfg))
     clashing = [f.metadata["key"] for f in _TASK_SOURCE_FIELDS if getattr(cfg, f.name) != f.default]
     if cfg.task and clashing:  # the task's own source would replace them unread
         raise ParameterError(f"data.task {cfg.task!r} names its own data source; drop {', '.join(clashing)}")
@@ -386,10 +400,7 @@ def _config_from_args(args, table=fields(RunConfig)) -> RunConfig:
         if value is not None:
             set_config_key(cfg, f.metadata["key"], str(value))
     for item in getattr(args, "set", None) or []:
-        if "=" not in item:
-            raise ParameterError(f"--set expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        set_config_key(cfg, key.strip(), value)
+        _set_item(cfg, item, "--set")
     return cfg
 
 
@@ -453,14 +464,12 @@ def cmd_eval(args) -> int:
 
 def cmd_inspect(args) -> int:
     # every flag is checked before any work, so a usage error leaves no file behind
-    if args.bins < 1:
-        raise ParameterError(f"--bins must be >= 1, got {args.bins}")
+    _check_values([("--bins", args.bins, None, _AT_LEAST_ONE),
+                   ("--max-samples", args.max_samples, None, (lambda v: v >= 0, ">= 0 (0 keeps every row)")),
+                   ("--hist-dims", args.hist_dims, None, (lambda v: _int_list(v) is not None,
+                                                          "a comma list of integers"))])
     _check_array_size(args.bins + 1, f"--bins {args.bins}")  # the histogram's edges
-    if args.max_samples < 0:
-        raise ParameterError(f"--max-samples must be >= 0 (0 keeps every row), got {args.max_samples}")
     hist_dims = _int_list(args.hist_dims or "0")
-    if hist_dims is None:
-        raise ParameterError(f"--hist-dims must be a comma list of integers, got {args.hist_dims!r}")
     net, _, X, y = _eval_inputs(args)
     n_layers = len(net.layers)
     if args.layer is None:
@@ -506,16 +515,10 @@ def cmd_inspect(args) -> int:
 
 def cmd_approx_bench(args) -> int:
     # every flag is checked before any work, so a usage error prints nothing else
+    _check_values([("--dims", args.dims, None, _WIDTHS), ("--pairs", args.pairs, None, _AT_LEAST_ONE),
+                   ("--features", args.features, None, _AT_LEAST_ONE),
+                   ("--bandwidth", args.bandwidth, None, _FINITE_POSITIVE), ("--spread", args.spread, None, _FINITE)])
     dims = _int_list(args.dims)
-    if not dims or min(dims) < 1:
-        raise ParameterError(f"--dims must be a comma list of one or more integers >= 1, got {args.dims!r}")
-    for flag, value in (("--pairs", args.pairs), ("--features", args.features)):
-        if value < 1:
-            raise ParameterError(f"{flag} must be >= 1, got {value}")
-    if not (math.isfinite(args.bandwidth) and args.bandwidth > 0):
-        raise ParameterError(f"--bandwidth must be finite and > 0, got {args.bandwidth}")
-    if not math.isfinite(args.spread):
-        raise ParameterError(f"--spread must be finite, got {args.spread}")
     _check_array_size(args.pairs * args.features, f"--pairs {args.pairs} with --features {args.features}")  # U, V
     # each D's frequencies are D x --features, and a 2-row block of its features is 2 x 2D
     _check_array_size(max(dims) * max(args.features, 4), f"--dims {max(dims)} with --features {args.features}")
@@ -656,8 +659,8 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, OSError, UnicodeDecodeError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
+    except (DataError, OSError, UnicodeDecodeError, MemoryError) as exc:  # only a MemoryError may have no message
+        print(f"data error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

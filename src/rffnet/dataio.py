@@ -74,12 +74,8 @@ class Dataset:
     def __post_init__(self):
         if self.X.ndim != 2 or self.X.shape[0] < 1 or self.X.shape[1] < 1:
             raise DataError(f"feature matrix must be non-empty 2-D, got shape {self.X.shape}")
-        if self.y.shape != (self.X.shape[0],):
-            raise DataError(f"labels shape {self.y.shape} does not match {self.X.shape[0]} rows")
         if not np.all(np.isfinite(self.X)):
             raise DataError("features contain NaN or Inf")
-        if self.y.size and (self.y.min() < 0 or self.y.max() >= self.class_count):
-            raise DataError(f"labels must lie in [0, {self.class_count})")
 
 
 def code_labels(tokens: list[str], names: list[str] | None = None):

@@ -39,18 +39,10 @@ class Network:
     def __post_init__(self):
         if self.loss_kind not in LOSS_KINDS:
             raise ParameterError(f"unknown loss kind {self.loss_kind!r}, expected one of {LOSS_KINDS}")
-        params = parameters(self)
-        self.flat = np.empty(sum(p.size for p in params))
-        views = unflatten(self, self.flat)
-        for view, p in zip(views, params):
-            view[...] = p
-        it = iter(views)
-        for layer in self.layers:
-            layer.omega = next(it)
-            if layer.batchnorm is not None:
-                layer.batchnorm.gamma = next(it)
-                layer.batchnorm.beta = next(it)
-        self.readout_w, self.readout_b = it
+        self.flat = np.empty(sum(p.size for p in parameters(self)))
+        for (owner, name), view in zip(_parameter_slots(self), unflatten(self, self.flat)):
+            view[...] = getattr(owner, name)
+            setattr(owner, name, view)
 
     @property
     def d_in(self) -> int:
@@ -119,17 +111,21 @@ def forward_full(net: Network, X, training: bool = False) -> ForwardTrace:
     return ForwardTrace(caches=caches, logits=logits)
 
 
-def parameters(net: Network) -> list[np.ndarray]:
-    """All trainable arrays in declared order: per layer omega (+ gamma, beta), then readout."""
-    params = []
+def _parameter_slots(net: Network):
+    """(owner, attribute) of each trainable array in declared order: per layer omega (+ gamma, beta), then
+    readout."""
     for layer in net.layers:
-        params.append(layer.omega)
+        yield layer, "omega"
         if layer.batchnorm is not None:
-            params.append(layer.batchnorm.gamma)
-            params.append(layer.batchnorm.beta)
-    params.append(net.readout_w)
-    params.append(net.readout_b)
-    return params
+            yield layer.batchnorm, "gamma"
+            yield layer.batchnorm, "beta"
+    yield net, "readout_w"
+    yield net, "readout_b"
+
+
+def parameters(net: Network) -> list[np.ndarray]:
+    """All trainable arrays, in _parameter_slots order."""
+    return [getattr(owner, name) for owner, name in _parameter_slots(net)]
 
 
 def unflatten(net: Network, vec: np.ndarray) -> list[np.ndarray]:
@@ -143,7 +139,7 @@ def unflatten(net: Network, vec: np.ndarray) -> list[np.ndarray]:
 
 def predict_from_logits(logits: np.ndarray) -> np.ndarray:
     """Argmax per row (ties to the lowest index)."""
-    return np.argmax(logits, axis=1).astype(np.int64)
+    return np.argmax(logits, axis=1)
 
 
 def _data_loss(net: Network, logits: np.ndarray, y: np.ndarray, grad: bool):

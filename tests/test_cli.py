@@ -208,7 +208,8 @@ def test_train_bad_set_value_is_usage_error(tmp_path, capsys):
                       (["train", "--trials", "abc"], "train.trials"), (["train", "--lr", "abc"], "train.lr"),
                       (["eval", "missing.bin", "--label-column", "abc"], "data.label_column")):
         assert run_cli(*argv, "--out", str(tmp_path / "r")) == 1
-        assert capsys.readouterr().err == f"error: bad value 'abc' for config key {key!r}\n"
+        where = "--set: " if "--set" in argv else ""  # a --set item's refusal names its source, as a file line's does
+        assert capsys.readouterr().err == f"error: {where}bad value 'abc' for config key {key!r}\n"
 
 
 def test_train_on_one_class_is_a_data_error_before_any_output(tmp_path, capsys):
@@ -534,10 +535,13 @@ def test_eval_data_path_overrides_config_test_file(tmp_path, capsys):
     assert sum(map(sum, rows)) == 10
 
 
-def test_eval_config_replays_the_random_half_of_its_own_data_path(tmp_path, blob_csv, capsys):
+@pytest.mark.parametrize("name", ["blobs.csv", "tr#1 = x.csv"])  # config.txt reads back a '#' or '=' in a value
+def test_eval_config_replays_the_random_half_of_its_own_data_path(tmp_path, blob_csv, capsys, name):
     # only a given --data-path is scored whole; the run's own data.path is split as in training
+    data = tmp_path / name
+    os.replace(blob_csv, data)
     out = tmp_path / "run"
-    assert run_cli("train", "--data-path", blob_csv, "--epochs", "3", "--layers", "1", "--dim", "8",
+    assert run_cli("train", "--data-path", str(data), "--epochs", "3", "--layers", "1", "--dim", "8",
                    "--out", str(out)) == 0
     capsys.readouterr()
     assert run_cli("eval", str(out / "model-trial0.bin"), "--config", str(out / "config.txt"),
@@ -676,6 +680,7 @@ def test_every_checked_row_has_a_refused_value():
     (["--test-path", "missing.csv"], "data.path"),  # no data source
     (["--data-path", "missing.csv", "--layers", "2", "--dim", "4,4,4"], "model.dim"),
     (["--data-path", "missing.csv", "--batch-size", "1"], "train.batch_size"),  # batch norm is on by default
+    (["--data-path", "missing.csv", "--set", "data.registry=r\nx"], "data.registry"),  # config.txt could not hold it
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_a_usage_error_comes_before_any_data_is_read(tmp_path, capsys, argv, key):
     # each rule that needs no data is checked before the (missing) data file is opened
@@ -846,6 +851,48 @@ def test_fuzzed_config_file_bytes_exit_with_a_documented_code(text, with_task):
         code = cli.main(["train", "--config", str(config), "--epochs", "0", "--layers", "1", "--dim", "2",
                          "--out", os.path.join(tmp, "run")])
     assert code in (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("text, path", [
+    ("data.path = tr#1.csv\n", "tr#1.csv"),
+    ("# data.path = a.csv\n\t# data.path = b.csv\ndata.path = c.csv # d\n", "c.csv # d"),
+], ids=["hash-in-value", "comment-lines"])
+def test_a_config_line_is_a_comment_only_when_its_first_non_blank_character_is_a_hash(tmp_path, text, path):
+    config = tmp_path / "run.cfg"
+    config.write_text(text)
+    assert cli.load_config_file(config) == cli.RunConfig(path=path)
+
+
+_STR_KEYS = [f.metadata["key"] for f in fields(cli.RunConfig) if f.type in ("str", "str | None")]
+
+
+# any one-line text: '#', '=', inner spaces, and the separators that str.splitlines() but not a file's lines break at
+@given(st.lists(st.text(st.characters(codec="utf-8", exclude_characters="\x00\n\r")),
+                min_size=len(_STR_KEYS), max_size=len(_STR_KEYS)))
+@example([" a # b = c ", "\x85", "x\u2028y", "none", "#", "=", "", " \x0b ", "é", "\x1c", "1e5", "a=b", "NONE"])
+@settings(max_examples=100, deadline=None)
+def test_config_txt_reads_back_every_str_value_set_config_key_admits(values):
+    cfg = cli.RunConfig()
+    for key, value in zip(_STR_KEYS, values):
+        cli.set_config_key(cfg, key, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "config.txt")
+        cli.write_text_atomic(path, cli.config_to_text(cfg))
+        assert cli.load_config_file(path) == cfg
+
+
+@pytest.mark.parametrize("exc, err", [
+    (MemoryError("Unable to allocate 8.00 EiB"), "data error: Unable to allocate 8.00 EiB\n"),
+    (MemoryError(), "data error: out of memory\n"),
+], ids=["message", "no-message"])
+def test_a_memory_error_exits_2_with_one_line(monkeypatch, capsys, exc, err):
+    # what can still run out is data volume, so it is a data error; no test allocates it
+    def out_of_memory(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_approx_bench", out_of_memory)
+    assert run_cli("approx-bench") == 2
+    assert capsys.readouterr().err == err
 
 
 @pytest.mark.parametrize("case, code", [

@@ -164,15 +164,10 @@ def test_mem_probe_trains_on_a_small_eeg_shaped_file(tmp_path):
 
 
 # the statements of src/rffnet that no command of scripts/reach.py's corpus executes, and why each stays
-_DATASET_LABELS = ("Dataset is the one home of label validity: every loader codes exactly one label per row "
-                   "within its class names, but tasks and library callers build a Dataset directly")
 REACH_ALLOWLIST = {
     ("cli.py", 'return field(default=default, metadata={"key": key, "flag": flag, "choices": choices, '
                '"check": check})'):
         "runs at import, while RunConfig's class body builds the key table; the tracer runs only during commands",
-    ("dataio.py", 'raise DataError(f"labels shape {self.y.shape} does not match {self.X.shape[0]} rows")'):
-        _DATASET_LABELS,
-    ("dataio.py", 'raise DataError(f"labels must lie in [0, {self.class_count})")'): _DATASET_LABELS,
     ("cli.py", "return (lambda: 1), (lambda n: None)"):
         "the corpus runs on numpy's bundled OpenBLAS, whose thread count main pins to one; with another BLAS "
         "library, or without /proc/self/maps, there is nothing to pin",
