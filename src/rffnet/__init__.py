@@ -24,7 +24,7 @@ from .network import (
     save_network,
 )
 from .numerics import Rng, gaussian_matrix, sym_eig_topk
-from .optimizer import TrainConfig, TrainingLog, adam_step, fit
+from .optimizer import adam_step, fit
 from .rff_layer import BatchNormState, RffLayer, backward, forward, init_layer
 
 __version__ = "0.1.0"

@@ -39,7 +39,7 @@ from .network import (
     save_network,
 )
 from .numerics import Rng
-from .optimizer import TrainConfig, fit
+from .optimizer import fit
 from .rff_layer import forward
 
 SMALL_DATA_LIMIT = 1000
@@ -335,6 +335,14 @@ class TrialResult:
     train_acc: float
 
 
+def log_csv_text(log: list[tuple]) -> str:
+    """log-trial<t>.csv: fit's (loss, reg_loss, train_acc) rows, numbered by epoch."""
+    lines = ["epoch,loss,reg_loss,train_acc"]
+    for epoch, (loss, reg_loss, train_acc) in enumerate(log):
+        lines.append(f"{epoch},{loss!r},{reg_loss!r},{train_acc!r}")
+    return "\n".join(lines) + "\n"
+
+
 def _run_trial(cfg: RunConfig, data: TaskData, resolved: ResolvedModel, t: int) -> TrialResult:
     """Train trial t (seed cfg.seed + t) and write its model-trial<t>.bin and log-trial<t>.csv."""
     seed_t = cfg.seed + t
@@ -346,16 +354,12 @@ def _run_trial(cfg: RunConfig, data: TaskData, resolved: ResolvedModel, t: int) 
     if not np.isfinite(net.flat).all():
         raise NumericError(f"the initial parameters are not finite: model.omega_stddev = {cfg.omega_stddev!r} "
                            f"or model.readout_stddev = {cfg.readout_stddev!r} overflows float64")
-    tc = TrainConfig(epochs=resolved.epochs, batch_size=resolved.batch_size,
-                     reg_lambda=cfg.reg_lambda, seed=seed_t, lr=cfg.lr,
-                     beta1=cfg.beta1, beta2=cfg.beta2, epsilon=cfg.epsilon,
-                     shuffle=cfg.shuffle)
-    log = fit(net, train.X, train.y, tc)
+    log = fit(net, train.X, train.y, cfg, resolved.epochs, resolved.batch_size, seed_t)
     test_acc = accuracy(net, test.X, test.y)
-    train_acc = log.records[-1].train_acc if log.records else accuracy(net, train.X, train.y)
+    train_acc = log[-1][2] if log else accuracy(net, train.X, train.y)
     save_network(net, os.path.join(cfg.out, f"model-trial{t}.bin"),
                  preprocess=stages, label_names=train.label_names)
-    write_text_atomic(os.path.join(cfg.out, f"log-trial{t}.csv"), log.to_csv_text())
+    write_text_atomic(os.path.join(cfg.out, f"log-trial{t}.csv"), log_csv_text(log))
     return TrialResult(trial=t, seed=seed_t, test_acc=test_acc, train_acc=train_acc)
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import NumericError, ParameterError
@@ -18,10 +16,11 @@ from .network import (
 from .numerics import Rng, row_blocks
 
 
-def adam_step(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int, config: TrainConfig) -> None:
+def adam_step(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int, config) -> None:
     """Adam update number t (1-based) of p, bias-corrected, in place (fit passes
-    net.flat), with config's lr, beta1, beta2 and epsilon. The first and second
-    moments m and v, shaped like p, are updated in place too."""
+    net.flat), with the lr, beta1, beta2 and epsilon of config, the run's
+    cli.RunConfig. The first and second moments m and v, shaped like p, are
+    updated in place too."""
     # theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps), with scalars hoisted; the
     # update alpha * m / (sqrt(v) * root_bc2 + eps) is evaluated in place, in that
     # order, through one scratch array besides denom
@@ -42,43 +41,16 @@ def adam_step(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int
     p -= scratch
 
 
-@dataclass
-class TrainConfig:
-    epochs: int = 300
-    batch_size: int | None = None  # None = full batch
-    reg_lambda: float = 1e-4
-    seed: int = 0
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    shuffle: bool = True
+def fit(net: Network, X, y, config, epochs: int, batch_size: int | None, seed: int) -> list[tuple]:
+    """Train with shuffled minibatches of batch_size rows (None: the full batch);
+    returns one (loss, reg_loss, train_acc) row per epoch, taken after it.
 
+    config is the run's cli.RunConfig, whose reg_lambda, shuffle and Adam
+    settings apply. epochs, batch_size and seed are the trial's resolved values,
+    which RunConfig holds only as 'auto' or as the base seed.
 
-@dataclass
-class EpochRecord:
-    epoch: int
-    loss: float
-    reg_loss: float
-    train_acc: float
-
-
-@dataclass
-class TrainingLog:
-    records: list[EpochRecord] = field(default_factory=list)
-
-    def to_csv_text(self) -> str:
-        lines = ["epoch,loss,reg_loss,train_acc"]
-        for r in self.records:
-            lines.append(f"{r.epoch},{r.loss!r},{r.reg_loss!r},{r.train_acc!r}")
-        return "\n".join(lines) + "\n"
-
-
-def fit(net: Network, X, y, config: TrainConfig) -> TrainingLog:
-    """Train with shuffled minibatches; logs post-epoch loss and training accuracy.
-
-    Shuffling for epoch e depends only on (config.seed, e), so two runs with the
-    same seed and data produce bit-identical logs and final parameters.
+    Shuffling for epoch e depends only on (seed, e), so two runs with the same
+    seed and data produce bit-identical logs and final parameters.
 
     Each step writes its gradients into one reused buffer laid out like
     net.flat, so Adam updates every parameter with a single call. A step's
@@ -92,16 +64,16 @@ def fit(net: Network, X, y, config: TrainConfig) -> TrainingLog:
     """
     n = X.shape[0]
     has_bn = any(layer.batchnorm is not None for layer in net.layers)
-    batch_size = config.batch_size if config.batch_size is not None else n
+    batch_size = batch_size if batch_size is not None else n
     flat = net.flat
     if not all(p.base is flat for p in parameters(net)):
         raise ParameterError("a trainable array was rebound and is no longer a view of net.flat; "
                              "assign into it in place, or build a new Network from the arrays")
     grad = np.empty_like(flat)
     m, v, t = np.zeros_like(flat), np.zeros_like(flat), 0
-    log = TrainingLog()
-    base_rng = Rng(config.seed)
-    for epoch in range(config.epochs):
+    log = []
+    base_rng = Rng(seed)
+    for epoch in range(epochs):
         if config.shuffle:
             order = base_rng.derive("shuffle", epoch).permutation(n)
         else:
@@ -118,6 +90,5 @@ def fit(net: Network, X, y, config: TrainConfig) -> TrainingLog:
             raise NumericError(f"non-finite parameter after epoch {epoch}")
         data_loss, reg_loss, correct = compute_loss(net, forward_full(net, X, training=False).logits, y,
                                                     config.reg_lambda)
-        log.records.append(EpochRecord(epoch=epoch, loss=data_loss + reg_loss, reg_loss=reg_loss,
-                                       train_acc=correct / n))
+        log.append((data_loss + reg_loss, reg_loss, correct / n))
     return log

@@ -10,7 +10,6 @@ from rffnet.dataio import Dataset, _open_text, code_labels
 from rffnet.errors import DataError, ParameterError
 from rffnet.kernel_analysis import feature_map
 from rffnet.numerics import sym_eig_topk
-from rffnet.optimizer import EpochRecord, TrainingLog
 from rffnet.rff_layer import forward
 
 
@@ -99,11 +98,11 @@ def kernel_from_csv_text(text: str) -> np.ndarray:
     return np.array([[float(tok) for tok in ln.split(",")] for ln in lines[1:]])
 
 
-def training_log_from_csv_text(text: str) -> TrainingLog:
-    """The log TrainingLog.to_csv_text wrote."""
+def training_log_from_csv_text(text: str) -> list[tuple[float, float, float]]:
+    """The (loss, reg_loss, train_acc) rows that cli.log_csv_text wrote, one per epoch in order."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    records = []
+    rows = []
     for ln in lines[1:]:
-        epoch, loss, reg, tacc = ln.split(",")
-        records.append(EpochRecord(int(epoch), float(loss), float(reg), float(tacc)))
-    return TrainingLog(records=records)
+        _, loss, reg, tacc = ln.split(",")
+        rows.append((float(loss), float(reg), float(tacc)))
+    return rows

@@ -32,7 +32,7 @@ from rffnet.network import (
     unflatten,
 )
 from rffnet.numerics import Rng
-from rffnet.optimizer import TrainConfig, fit
+from rffnet.optimizer import fit
 from rffnet.rff_layer import forward, init_layer
 from rffnet.tasks import make_monks
 
@@ -183,7 +183,7 @@ def test_c6d_kernel_invariants_on_trained_model():
     tr, _, _ = preprocess_pair(train, None)
     net = build_network(tr.d, 2, 2, [64, 64], "squared_hinge", Rng(4000).derive("init"),
                         batch_norm=True)
-    fit(net, tr.X, tr.y, TrainConfig(epochs=200, batch_size=32, seed=7))
+    fit(net, tr.X, tr.y, RunConfig(), 200, 32, 7)
     for feats in layer_features(net, tr.X):
         K = empirical_kernel(feats)
         assert_valid_kernel(K, sym_tol=1e-10, psd_tol=-1e-8, diag_tol=1e-10)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from oracles import assert_valid_kernel, kernel_from_csv_text, training_log_from_csv_text
 
-from rffnet import cli
+from rffnet import cli, dataio
 from rffnet.dataio import save_csv
 from rffnet.errors import ParameterError
 from rffnet.network import load_network, save_network
@@ -107,7 +107,7 @@ def test_train_zero_epochs_still_evaluates(tmp_path):
     metrics = (out / "metrics.csv").read_text().splitlines()
     assert len(metrics) == 2  # header + one trial row
     log = training_log_from_csv_text((out / "log-trial0.csv").read_text())
-    assert log.records == []
+    assert log == []
 
 
 def test_train_multi_trial_seeds(tmp_path):
@@ -244,7 +244,7 @@ def test_eval_matches_final_train_accuracy(tmp_path, capsys):
     out = tmp_path / "run"
     assert run_cli(*train_args(out, "--epochs", "30")) == 0
     log = training_log_from_csv_text((out / "log-trial0.csv").read_text())
-    final_train_acc = log.records[-1].train_acc
+    final_train_acc = log[-1][2]
     capsys.readouterr()
     code = run_cli("eval", str(out / "model-trial0.bin"), "--task", "monks1",
                    "--on", "train", "--out", str(tmp_path / "eval"))
@@ -591,17 +591,24 @@ def test_eval_and_inspect_recode_labels_onto_the_snapshot_by_name(tmp_path, caps
         assert "'2'" in capsys.readouterr().err
 
 
-def test_run_training_sets_every_train_config_field(tmp_path, monkeypatch):
-    # a TrainConfig field that no train key reaches is a knob no command can turn
-    real_fit, configs = cli.fit, []
-    monkeypatch.setattr(cli, "fit", lambda net, X, y, config: configs.append(config) or real_fit(net, X, y, config))
+def test_run_training_passes_fit_the_run_config_and_each_trials_resolved_values(tmp_path, monkeypatch):
+    # fit reads every train setting from the run's own RunConfig; only the
+    # resolved epochs and batch size and the trial's seed are passed beside it
+    real_fit, calls = cli.fit, []
+
+    def spy(net, X, y, config, epochs, batch_size, seed):
+        calls.append((config, epochs, batch_size, seed))
+        return real_fit(net, X, y, config, epochs, batch_size, seed)
+
+    monkeypatch.setattr(cli, "fit", spy)
     cfg = cli.RunConfig(task="monks1", epochs="1", batch_size="16", lr=0.01, reg_lambda=0.5, beta1=0.8,
                         beta2=0.99, epsilon=1e-6, seed=5, trials=2, shuffle=False, out=str(tmp_path / "run"))
     assert all(getattr(cfg, f.name) != f.default for f in fields(cfg) if f.metadata["key"].startswith("train."))
     cli.run_training(cfg)
-    assert len(configs) == 2
-    for config in configs:
-        assert [f.name for f in fields(config) if getattr(config, f.name) == f.default] == []
+    assert len(calls) == 2
+    for t, (config, epochs, batch_size, seed) in enumerate(calls):
+        assert config is cfg
+        assert (epochs, batch_size, seed) == (1, 16, 5 + t)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # the finite check reports the blow-up, not numpy's warnings
@@ -786,9 +793,13 @@ def _svm_line(label, items):
 _FILE = st.one_of(
     st.integers(2, 4).flatmap(lambda w: _lines(_csv_row(_NUMBER, w), min_size=3)),
     st.integers(2, 4).flatmap(lambda w: _lines(_csv_row(_EXTREME, w), min_size=3)),
-    # libsvm indices stay small: the largest index sets the feature width
+    # libsvm indices small enough that the file trains: the largest index sets the feature width
     _lines(_svm_line(_NUMBER, st.lists(_NUMBER, min_size=1, max_size=3).map(
         lambda vs: [f"{i}:{v}" for i, v in enumerate(vs, start=1)])), min_size=3),
+    # libsvm indices anywhere in [1, 2**63], strictly increasing within a line
+    _lines(_svm_line(_NUMBER, st.lists(st.tuples(st.integers(1, 2**63), _NUMBER), min_size=1, max_size=3,
+                                       unique_by=lambda item: item[0]).map(
+        lambda items: [f"{i}:{v}" for i, v in sorted(items)])), min_size=3),
     st.integers(1, 4).flatmap(lambda w: _lines(_csv_row(_CELL, w))),
     _lines(st.integers(1, 4).flatmap(lambda w: _csv_row(_CELL, w))),
     _lines(_svm_line(_CELL, st.lists(st.tuples(st.sampled_from(["1", "2", "3", "0", "-1", "x", ""]), _CELL).map(
@@ -811,8 +822,10 @@ _FUZZED_LINE = st.tuples(
 @settings(max_examples=100, deadline=None)
 def test_train_on_fuzzed_registry_and_data_files_exits_with_a_documented_code(line, data, test, bn):
     # every input is read from disk and must load or fail with exit 1, 2 or 3, never a traceback;
-    # the model size and epoch count are fixed, so no example allocates more than the files ask for
-    with tempfile.TemporaryDirectory() as tmp:
+    # the model size and epoch count are fixed and the dense limit is lowered, so no example
+    # allocates more than a few KB (at the real limit one row with index 2**27 would take 1 GiB)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "MAX_DENSE_VALUES", 4096)
         Path(tmp, "d").write_text(data)
         Path(tmp, "t").write_text(test)
         Path(tmp, "registry.txt").write_text(f"t {line}\n")

@@ -17,6 +17,11 @@ snapshot header and log-trial*.csv digests were re-recorded when those files
 lost what a reader can derive: each is the digest of the earlier bytes with the
 class_count, out_dim and preprocess_dim keys, every d_in above layer 0, the
 lr and val_acc columns taken out and each batch-norm entry written as true.
+
+The inspect case reads all 124 training rows (--max-samples' default of 256
+keeps them all). Its kernel and kPCA digests were re-recorded when it stopped
+sampling 64 of them; they agree under OPENBLAS_NUM_THREADS=1 and =2, because
+every command pins OpenBLAS to one thread.
 """
 
 import contextlib
@@ -40,9 +45,8 @@ CASES = {
                                     "--split-seed", "1"],
     "eval-random-half-on-train": ["eval", "{blobs}/model-trial0.bin", "--config", "{blobs}/config.txt",
                                   "--on", "train"],
-    # 64 of the 124 rows: a kernel matrix of all of them has other last bits when OpenBLAS runs 2 threads
     "inspect-on-train": ["inspect", "{monks1}/model-trial0.bin", "--task", "monks1", "--registry", REGISTRY,
-                         "--on", "train", "--kpca-dim", "3", "--max-samples", "64"],
+                         "--on", "train", "--kpca-dim", "3"],
     "approx-bench": ["approx-bench"],
 }
 
@@ -71,10 +75,10 @@ DIGESTS = {
         "stdout": "ea52e22d3276f87f25b836c3b647cf57f9de7fe9ba6e02d705a5f8a2a0117d72",
         "hist-layer0-dim0.csv": "ddb819bb7473ee9653bd3a4197459e3b1446cf7ea19c77d989479f2f9cd633f1",
         "hist-layer1-dim0.csv": "ae28fc666edd224b4c0113abce4d17604c7a5e22a9dde11bebb465f5ebee0f23",
-        "kernel-layer0.csv": "a8feb4c28316e565f1bcaa1c8060fce8bf935cabfef306dd87758ceeebf38ae4",
-        "kernel-layer1.csv": "9e1061a5f36814fbd52ceac26374a8e86edd325e7c1f15ee9101bd9d75e6f051",
-        "kpca-layer0.csv": "ce62bde21ff423958a76d209dda71d57d388ee5c6674060429061a6647c0f292",
-        "kpca-layer1.csv": "a391acc9a89c20996eb48800356889fe49368e043a3601cf30fe6ac4b48e9960",
+        "kernel-layer0.csv": "3213502914a0821d79c9c2f9b4f05eddcad08e3108dc72ce8abb76951a6c2fd7",
+        "kernel-layer1.csv": "e9f54392c8104a3976bb53878cfd7e07932684548f7e1437b5d7461ddd0af22a",
+        "kpca-layer0.csv": "8efee515c3b42b799dba34bf35b0e80d988299cac30d09a5a26e1ac10e1c0ccf",
+        "kpca-layer1.csv": "7296d57b45ed5f3492831c9a1c4585894ed27ff3b639a4691fcde5247a170a54",
     },
     "approx-bench": {
         "stdout": "dc7e0068ad45e81df649d7b905760e9c1728c7a3410cef9c5ddb371dd9ba9b1b",

@@ -19,10 +19,11 @@ import os
 
 import numpy as np
 
+from rffnet.cli import RunConfig, log_csv_text
 from rffnet.dataio import load_csv, preprocess_pair
 from rffnet.network import build_network, parameters
 from rffnet.numerics import Rng
-from rffnet.optimizer import TrainConfig, fit
+from rffnet.optimizer import fit
 from rffnet.tasks import two_blobs
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -37,14 +38,14 @@ def _digests(net, log):
         if layer.batchnorm is not None:
             h.update(layer.batchnorm.running_mean.astype("<f8").tobytes())
             h.update(layer.batchnorm.running_var.astype("<f8").tobytes())
-    return h.hexdigest(), hashlib.sha256(log.to_csv_text().encode()).hexdigest()
+    return h.hexdigest(), hashlib.sha256(log_csv_text(log).encode()).hexdigest()
 
 
 def test_monks1_batchnorm_adam_minibatch_golden():
     train, _, _ = preprocess_pair(load_csv(os.path.join(DATA_DIR, "monks1-train.csv")), None)
     net = build_network(train.d, train.class_count, 2, [64, 64], "squared_hinge",
                         Rng(0).derive("init"), batch_norm=True)
-    log = fit(net, train.X, train.y, TrainConfig(epochs=20, batch_size=32, seed=0))
+    log = fit(net, train.X, train.y, RunConfig(), 20, 32, 0)
     assert _digests(net, log) == (
         "d649171f42a65fe1920e196d5503ad296523f1155cccf5fe2ca28ef5a4bc96ff",
         "c2156fa816576dd871e839d721e99545a363127fd9e565079ff1b5a3a642b969",
@@ -54,7 +55,7 @@ def test_monks1_batchnorm_adam_minibatch_golden():
 def test_no_batchnorm_full_batch_golden():
     data = two_blobs(90, seed=3)
     net = build_network(2, 2, 2, [8, 6], "squared", Rng(5).derive("init"))
-    log = fit(net, data.X, data.y, TrainConfig(epochs=25, lr=0.05, reg_lambda=1e-3, seed=2))
+    log = fit(net, data.X, data.y, RunConfig(lr=0.05, reg_lambda=1e-3), 25, None, 2)
     assert _digests(net, log) == (
         "bc1885acb108a09268bbbf5cd13e38bab097c0006728f4c70ab230322ecbcc7d",
         "fea0e90a06f9f7299e38d6281f222a2807be35f4984f34c5603f3e8949a9d236",
@@ -65,7 +66,7 @@ def test_batchnorm_trailing_single_row_merged_golden():
     # 33 rows in batches of 8 leave one row, which is folded into the batch before it
     data = two_blobs(33, seed=4)
     net = build_network(2, 2, 2, [5, 7], "squared_hinge", Rng(6).derive("init"), batch_norm=True)
-    log = fit(net, data.X, data.y, TrainConfig(epochs=15, batch_size=8, lr=0.01, seed=7))
+    log = fit(net, data.X, data.y, RunConfig(lr=0.01), 15, 8, 7)
     assert _digests(net, log) == (
         "ebad9d3b088613a3e8549e1284afd465c48e9d65d925754b385b4ea45844f240",
         "78a1bc10877e3cd1d8a5d3d41f42d8ba09f6201948a39e02b2088391e68f583b",
@@ -79,5 +80,5 @@ def test_cross_entropy_parameters_golden():
     X = rng.normal((40, 3))
     y = np.argmax(X, axis=1).astype(np.int64)
     net = build_network(3, 3, 2, [6, 6], "cross_entropy", Rng(8).derive("init"), batch_norm=True)
-    log = fit(net, X, y, TrainConfig(epochs=12, batch_size=10, lr=0.01, seed=3))
+    log = fit(net, X, y, RunConfig(lr=0.01), 12, 10, 3)
     assert _digests(net, log)[0] == "20246be6bf8ffe066bc1946e00c50bfa5aac9b37cebfe0a853b250da118adbd1"

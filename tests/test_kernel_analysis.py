@@ -281,7 +281,8 @@ def test_deeper_layer_separates_classes_in_kpca():
     # the classes far apart while layer 1 still mixes them
     from rffnet.dataio import preprocess_pair
     from rffnet.network import build_network
-    from rffnet.optimizer import TrainConfig, fit
+    from rffnet.cli import RunConfig
+    from rffnet.optimizer import fit
     from rffnet.tasks import make_monks
 
     def fisher_ratio(coords, y):
@@ -293,8 +294,8 @@ def test_deeper_layer_separates_classes_in_kpca():
     tr, _, _ = preprocess_pair(train, None)
     net = build_network(tr.d, 2, 2, [64, 64], "squared_hinge", Rng(0).derive("init"),
                         batch_norm=True)
-    log = fit(net, tr.X, tr.y, TrainConfig(epochs=600, batch_size=32, seed=0))
-    assert log.records[-1].train_acc == 1.0
+    log = fit(net, tr.X, tr.y, RunConfig(), 600, 32, 0)
+    assert log[-1][2] == 1.0
     ratios = [fisher_ratio(kpca_project(empirical_kernel(feats), 2), tr.y)
               for feats in layer_features(net, tr.X)]
     assert ratios[1] > 5.0 * ratios[0]

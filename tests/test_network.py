@@ -324,15 +324,16 @@ def test_untrained_network_is_chance_level():
 
 
 def test_objective_decreases_on_separable_toy(tmp_path):
-    from rffnet.optimizer import TrainConfig, fit
+    from rffnet.cli import RunConfig
+    from rffnet.optimizer import fit
     from rffnet.tasks import two_blobs
 
     successes = 0
     for seed in range(20):
         data = two_blobs(100, seed=seed, separation=6.0)
         net = build_network(2, 2, 1, [8], "squared_hinge", Rng(seed).derive("init"))
-        log = fit(net, data.X, data.y, TrainConfig(epochs=10, batch_size=None, seed=seed, shuffle=False))
-        losses = [r.loss for r in log.records]
+        log = fit(net, data.X, data.y, RunConfig(shuffle=False), 10, None, seed)
+        losses = [loss for loss, _, _ in log]
         if losses[-1] < losses[0]:
             successes += 1
     assert successes >= 19

@@ -114,6 +114,26 @@ def test_no_src_module_reads_another_modules_private_name():
     assert reads == []
 
 
+def test_no_src_module_but_cli_imports_cli():
+    # the library is passed the run's config and never reaches back into the command line;
+    # an import inside a function counts too
+    importers = []
+    for path in sorted(Path(ROOT, "src", "rffnet").glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                package = "." * node.level + (node.module or "")
+                names = [package] + [f"{package.rstrip('.')}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(".cli." in f".{name}." for name in names):
+                importers.append(f"{path.name}:{node.lineno}")
+    assert importers == []
+
+
 def test_no_module_imports_a_name_it_never_uses():
     # a package __init__.py imports names to re-export them
     unused = []
