@@ -23,7 +23,7 @@ from .network import (
     predict,
     save_network,
 )
-from .numerics import Rng, gaussian_matrix, sym_eig_topk
+from .numerics import Rng, sym_eig_topk
 from .optimizer import adam_step, fit
 from .rff_layer import BatchNormState, RffLayer, backward, forward, init_layer
 

@@ -14,6 +14,7 @@ bundled OpenBLAS on one thread, so its bytes do not depend on the thread count.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import functools
 import math
@@ -47,7 +48,6 @@ SMALL_DATA_EPOCHS = 1000
 SMALL_DATA_BATCH = 32  # full batch measurably underfits the small UCI tasks
 LARGE_DATA_EPOCHS = 300
 LARGE_DATA_BATCH = 256
-BUILTIN_TASKS = ("monks1", "monks2", "monks3", "blobs")
 
 
 def _key(default, key: str, flag: str | None = None, choices=None, check=None):
@@ -251,6 +251,35 @@ def write_text_atomic(path, text: str) -> None:
     os.replace(tmp, path)
 
 
+@functools.cache
+def _blas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, found by name among the
+    files this process maps; a pair that does nothing with another BLAS library or without
+    /proc/self/maps."""
+    try:
+        with open("/proc/self/maps") as fh:
+            lib = next(ctypes.CDLL(line.split(None, 5)[5].strip()) for line in fh if "/libscipy_openblas64_" in line)
+    except (OSError, StopIteration):
+        return (lambda: 1), (lambda n: None)
+    get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run with numpy's bundled OpenBLAS on one thread, then restore the caller's count: a product split
+    across threads can round otherwise, and seeded bytes would differ."""
+    get_threads, set_threads = _blas_threads()
+    threads = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)
+
+
 # --- data resolution --------------------------------------------------------
 
 
@@ -269,14 +298,15 @@ class TaskData:
         return split(self.data, seed)
 
 
-def _builtin_task(name: str) -> TaskData:
-    """A generated task, its labels coded as if read from the registry's files."""
-    if name.startswith("monks"):
+def _builtin_task(name: str) -> TaskData | None:
+    """The built-in task name, its labels coded as if read from the registry's files, or None if there is none."""
+    if name in tasks.MONKS_TRAIN_SIZES:
         train, test = tasks.make_monks(name)
         train = dataio.recode(train)
         return TaskData(name, train, dataio.recode(test, train.label_names))
     if name == "blobs":
         return TaskData(name, dataio.recode(tasks.two_blobs(400)))
+    return None
 
 
 def load_task_data(cfg: RunConfig) -> TaskData:
@@ -284,12 +314,12 @@ def load_task_data(cfg: RunConfig) -> TaskData:
         registry = dataio.parse_registry(cfg.registry) if os.path.exists(cfg.registry) else {}
         preset = registry.get(cfg.task)
         if preset is None:
-            if cfg.task in BUILTIN_TASKS:
-                return _builtin_task(cfg.task)
-            raise DataError(
-                f"task {cfg.task!r} not found in registry {cfg.registry!r} and not built in; "
-                f"run scripts/make_datasets.py (and scripts/fetch_data.py for the large UCI sets)"
-            )
+            if (builtin := _builtin_task(cfg.task)) is None:
+                raise DataError(
+                    f"task {cfg.task!r} not found in registry {cfg.registry!r} and not built in; "
+                    f"run scripts/make_datasets.py (and scripts/fetch_data.py for the large UCI sets)"
+                )
+            return builtin
         name = cfg.task
         cfg = replace(cfg, **preset)
     else:
@@ -363,8 +393,9 @@ def _run_trial(cfg: RunConfig, data: TaskData, resolved: ResolvedModel, t: int) 
     return TrialResult(trial=t, seed=seed_t, test_acc=test_acc, train_acc=train_acc)
 
 
+@_one_blas_thread()
 def run_training(cfg: RunConfig) -> list[TrialResult]:
-    """Train cfg.trials models (seeds seed, seed+1, ...) and write all artifacts."""
+    """Train cfg.trials models (seeds seed, seed+1, ...) and write all artifacts, with BLAS on one thread."""
     _check_config(cfg)  # every rule that needs no data, before any data is read or output created
     data = load_task_data(cfg)
     # every trial's training split has the same size and classes, so one resolution serves all
@@ -634,28 +665,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _blas_threads():
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, found by name among the
-    files this process maps; a pair that does nothing with another BLAS library or without
-    /proc/self/maps."""
-    try:
-        with open("/proc/self/maps") as fh:
-            lib = next(ctypes.CDLL(line.split(None, 5)[5].strip()) for line in fh if "/libscipy_openblas64_" in line)
-    except (OSError, StopIteration):
-        return (lambda: 1), (lambda n: None)
-    get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
-
-
+@_one_blas_thread()
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    get_threads, set_threads = _blas_threads()
-    threads = get_threads()
-    set_threads(1)  # a product split across threads can round otherwise, and seeded bytes would differ
     try:
         args = parser.parse_args(argv)
         with np.errstate(all="ignore"):  # numpy's warnings are not the report: each failure has a finite check
@@ -669,8 +682,6 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    finally:
-        set_threads(threads)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .numerics import Rng, gaussian_matrix
+from .numerics import Rng
 from .rff_layer import BN_EPSILON, BN_MOMENTUM, BatchNormState, LayerCache, RffLayer, backward, forward, init_layer
 
 LOSS_KINDS = ("squared", "squared_hinge", "cross_entropy")
@@ -83,7 +83,7 @@ def build_network(
     for D in D_per_layer * (layer_count // len(D_per_layer)):
         layers.append(init_layer(dim, D, omega_stddev, rng, batchnorm=batch_norm))
         dim = 2 * D
-    readout_w = gaussian_matrix(n_classes, dim, 0.0, readout_stddev, rng)
+    readout_w = rng.normal((n_classes, dim), 0.0, readout_stddev)
     readout_b = np.zeros(n_classes)
     return Network(layers=layers, readout_w=readout_w, readout_b=readout_b, loss_kind=loss_kind)
 
@@ -198,17 +198,16 @@ def _targets(net: Network, y: np.ndarray, n: int) -> np.ndarray:
     return onehot
 
 
-def backward_full(net: Network, trace: ForwardTrace, grad_logits, lam: float, out: np.ndarray) -> np.ndarray:
+def backward_full(net: Network, trace: ForwardTrace, grad_logits, lam: float, out: np.ndarray, views) -> np.ndarray:
     """Chain rule through readout and every layer, plus the L2 term lam * net.flat.
 
-    Writes one gradient vector laid out like net.flat (unflatten gives its
-    per-array views) into ``out``, a buffer a training loop reuses, and returns
-    it. It consumes the trace, which must be a training pass of net: the last
-    layer's output is dropped once the readout gradient is written, and each
-    record is popped and handed, with the gradient computed for it, to
-    rff_layer.backward, which consumes both.
+    Writes one gradient vector laid out like net.flat into ``out``, a buffer a
+    training loop reuses, through ``views``, unflatten(net, out), which the loop
+    makes once; returns out. It consumes the trace, which must be a training
+    pass of net: the last layer's output is dropped once the readout gradient
+    is written, and each record is popped and handed, with the gradient
+    computed for it, to rff_layer.backward, which consumes both.
     """
-    views = unflatten(net, out)
     np.matmul(grad_logits.T, trace.caches[-1].output, out=views[-2])
     trace.caches[-1].output = None
     np.add.reduce(grad_logits, 0, out=views[-1])

@@ -97,11 +97,6 @@ class Rng:
         return Rng(s)
 
 
-def gaussian_matrix(rows: int, cols: int, mean: float, stddev: float, rng: Rng) -> np.ndarray:
-    """(rows x cols) matrix of i.i.d. N(mean, stddev^2) entries."""
-    return rng.normal((rows, cols), mean, stddev)
-
-
 def sym_eig_topk(a, k: int):
     """Top-k eigenpairs of a symmetric matrix, eigenvalues descending.
 

@@ -12,6 +12,7 @@ from .network import (
     forward_full,
     loss_gradient,
     parameters,
+    unflatten,
 )
 from .numerics import Rng, row_blocks
 
@@ -53,8 +54,9 @@ def fit(net: Network, X, y, config, epochs: int, batch_size: int | None, seed: i
     seed and data produce bit-identical logs and final parameters.
 
     Each step writes its gradients into one reused buffer laid out like
-    net.flat, so Adam updates every parameter with a single call. A step's
-    activations are freed before Adam runs, so at most one trace is alive.
+    net.flat, through views made once per fit, so Adam updates every parameter
+    with one call. A step's activations are freed before Adam runs, so at most
+    one trace is alive.
 
     X and y are a Dataset's features and labels, as wide as net's input, and
     with batch norm every batch has at least 2 rows: run_training builds the
@@ -70,6 +72,7 @@ def fit(net: Network, X, y, config, epochs: int, batch_size: int | None, seed: i
         raise ParameterError("a trainable array was rebound and is no longer a view of net.flat; "
                              "assign into it in place, or build a new Network from the arrays")
     grad = np.empty_like(flat)
+    grad_views = unflatten(net, grad)
     m, v, t = np.zeros_like(flat), np.zeros_like(flat), 0
     log = []
     base_rng = Rng(seed)
@@ -81,7 +84,7 @@ def fit(net: Network, X, y, config, epochs: int, batch_size: int | None, seed: i
         for lo, hi in row_blocks(n, batch_size, merge_singleton=has_bn):
             idx = order[lo:hi]
             trace = forward_full(net, X[idx], training=True)
-            backward_full(net, trace, loss_gradient(net, trace.logits, y[idx]), config.reg_lambda, out=grad)
+            backward_full(net, trace, loss_gradient(net, trace.logits, y[idx]), config.reg_lambda, grad, grad_views)
             # free this step's activations before Adam, the next forward and the evaluation
             del trace
             t += 1

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng, gaussian_matrix
+from .numerics import Rng
 
 BN_MOMENTUM = 0.1  # weight of each training batch in the running statistics
 BN_EPSILON = 1e-5  # added to every variance before its square root
@@ -61,7 +61,7 @@ class LayerCache:
 
 def init_layer(d_in: int, D: int, stddev: float, rng: Rng, batchnorm: bool = False) -> RffLayer:
     """Fresh layer with omega ~ N(0, stddev^2), i.e. an RBF-like spectral density."""
-    omega = gaussian_matrix(D, d_in, 0.0, stddev, rng)
+    omega = rng.normal((D, d_in), 0.0, stddev)
     bn = BatchNormState.identity(2 * D) if batchnorm else None
     return RffLayer(omega=omega, batchnorm=bn)
 

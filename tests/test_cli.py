@@ -86,6 +86,24 @@ def test_a_command_runs_blas_on_one_thread_and_restores_the_count(monkeypatch):
     assert during == [1] and get_threads() == before
 
 
+def test_library_run_training_trains_on_one_blas_thread_and_restores_the_count(tmp_path, monkeypatch):
+    get_threads, set_threads = cli._blas_threads()
+    real_fit, during = cli.fit, []
+
+    def spy(*args):
+        during.append(get_threads())
+        return real_fit(*args)
+
+    monkeypatch.setattr(cli, "fit", spy)
+    before = get_threads()
+    set_threads(2)
+    try:
+        cli.run_training(cli.RunConfig(task="monks1", epochs="1", trials=1, out=str(tmp_path / "run")))
+        assert during == [1] and get_threads() == 2
+    finally:
+        set_threads(before)
+
+
 @pytest.mark.parametrize("task", ["monks1", "monks2", "monks3"])
 def test_builtin_monks_trains_the_registry_files_bytes(tmp_path, monkeypatch, task):
     # from a directory without data/registry.txt the task falls back to its generator,
@@ -185,6 +203,16 @@ def test_train_csv_data_path(tmp_path, blob_csv):
 
 def test_train_unknown_task_is_data_error(tmp_path):
     assert run_cli("train", "--task", "nosuch", "--out", str(tmp_path / "r")) == 2
+
+
+def test_train_monks_name_that_is_not_built_in_is_data_error(tmp_path, capsys):
+    # only monks1-3 are generated: another monks name is looked up, not handed to the generator
+    registry = tmp_path / "registry.txt"
+    registry.write_text("")
+    assert run_cli("train", "--task", "monks4", "--registry", str(registry), "--out", str(tmp_path / "r")) == 2
+    err = capsys.readouterr().err
+    assert f"task 'monks4' not found in registry {str(registry)!r} and not built in" in err
+    assert "Traceback" not in err and not (tmp_path / "r").exists()
 
 
 def test_train_bad_config_key_is_usage_error(tmp_path):

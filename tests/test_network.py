@@ -36,6 +36,12 @@ def relative_error(a, b, floor=1e-8):
     return abs(a - b) / max(abs(a), abs(b), floor)
 
 
+def backward_into_fresh_buffer(net, trace, grad_logits, lam):
+    """backward_full into a new buffer laid out like net.flat, through its views as fit makes them."""
+    out = np.empty_like(net.flat)
+    return backward_full(net, trace, grad_logits, lam, out, unflatten(net, out))
+
+
 def test_default_layer_count():
     assert default_layer_count(124) == 2
     assert default_layer_count(500) == 2
@@ -167,7 +173,7 @@ def test_backward_zero_grad_zero_lambda():
     net = build_network(3, 2, 2, [4, 4], "squared", Rng(1), batch_norm=True)
     X = Rng(2).normal((5, 3))
     trace = forward_full(net, X, training=True)
-    grads = backward_full(net, trace, np.zeros_like(trace.logits), 0.0, np.empty_like(net.flat))
+    grads = backward_into_fresh_buffer(net, trace, np.zeros_like(trace.logits), 0.0)
     assert grads.shape == net.flat.shape
     assert np.abs(grads).max() == 0.0
 
@@ -177,7 +183,7 @@ def test_backward_pure_regularizer():
     lam = 0.25
     X = Rng(2).normal((5, 3))
     trace = forward_full(net, X, training=True)
-    grads = backward_full(net, trace, np.zeros_like(trace.logits), lam, np.empty_like(net.flat))
+    grads = backward_into_fresh_buffer(net, trace, np.zeros_like(trace.logits), lam)
     for p, g in zip(parameters(net), unflatten(net, grads)):
         assert np.abs(g - lam * p).max() < 1e-14
 
@@ -191,11 +197,11 @@ def test_backward_packed_network_matches_separate_arrays(bn):
     y = np.array([0, 1, 1, 0, 1, 0])
     trace = forward_full(net, X, training=True)
     grad_logits = loss_gradient(net, trace.logits, y)
-    data_grads = unflatten(net, backward_full(net, trace, grad_logits, 0.0, np.empty_like(net.flat)))
+    data_grads = unflatten(net, backward_into_fresh_buffer(net, trace, grad_logits, 0.0))
     reference = [g + 0.3 * p for g, p in zip(data_grads, parameters(net))]
     out = np.full_like(net.flat, np.nan)
     trace = forward_full(net, X, training=True)  # backward_full consumed the first trace
-    grads = backward_full(net, trace, grad_logits, 0.3, out=out)
+    grads = backward_full(net, trace, grad_logits, 0.3, out, unflatten(net, out))
     assert grads is out
     views = unflatten(net, grads)
     assert [v.shape for v in views] == [p.shape for p in parameters(net)]
@@ -238,7 +244,7 @@ def test_backward_full_releases_each_layer_before_the_one_below(monkeypatch, bn)
 
     monkeypatch.setattr(network, "backward", backward)
     y = np.array([0, 1] * 4)
-    backward_full(net, trace, loss_gradient(net, trace.logits, y), 0.0, np.empty_like(net.flat))
+    backward_into_fresh_buffer(net, trace, loss_gradient(net, trace.logits, y), 0.0)
     assert seen == [2, 1, 0] and trace.caches == []
     assert all(features() is None for features, _ in refs)
 
@@ -284,7 +290,7 @@ def test_full_network_gradient_check(loss_kind, bn):
     lam = 1e-3
     trace = forward_full(net, X, training=True)
     grad_logits = loss_gradient(net, trace.logits, y)
-    grads = backward_full(net, trace, grad_logits, lam, np.empty_like(net.flat))
+    grads = backward_into_fresh_buffer(net, trace, grad_logits, lam)
     h = 1e-6
     for p, g in zip(parameters(net), unflatten(net, grads)):
         flat, gflat = p.reshape(-1), g.reshape(-1)

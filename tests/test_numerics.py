@@ -1,24 +1,25 @@
 import numpy as np
 import pytest
 
-from rffnet.numerics import Rng, gaussian_matrix, row_blocks, sym_eig_topk
+from rffnet.numerics import Rng, row_blocks, sym_eig_topk
 
 
 def test_gaussian_zero_stddev_is_constant():
-    m = gaussian_matrix(3, 3, 0.0, 0.0, Rng(0))
-    assert np.array_equal(m, np.zeros((3, 3)))
-    m = gaussian_matrix(2, 2, 1.5, 0.0, Rng(0))
+    # mean + std * z: a zero std gives +0.0 (never -0.0) at a zero mean, as the layer and readout inits rely on
+    m = Rng(0).normal((3, 3), 0.0, 0.0)
+    assert np.array_equal(m, np.zeros((3, 3))) and not np.signbit(m).any()
+    m = Rng(0).normal((2, 2), 1.5, 0.0)
     assert np.array_equal(m, np.full((2, 2), 1.5))
 
 
 def test_gaussian_law_of_large_numbers():
-    m = gaussian_matrix(1000, 1000, 0.0, 0.1, Rng(123))
+    m = Rng(123).normal((1000, 1000), 0.0, 0.1)
     assert abs(m.mean()) < 0.001
 
 
 def test_gaussian_same_seed_same_matrix():
-    a = gaussian_matrix(4, 5, 0.0, 1.0, Rng(99))
-    b = gaussian_matrix(4, 5, 0.0, 1.0, Rng(99))
+    a = Rng(99).normal((4, 5), 0.0, 1.0)
+    b = Rng(99).normal((4, 5), 0.0, 1.0)
     assert np.array_equal(a, b)
 
 

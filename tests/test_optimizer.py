@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from oracles import training_log_from_csv_text
 
-from rffnet import optimizer
+from rffnet import network, optimizer
 from rffnet.cli import RunConfig, log_csv_text
 from rffnet.errors import ParameterError
 from rffnet.network import accuracy, build_network, load_network, parameters, predict, save_network
@@ -114,6 +114,22 @@ def test_fit_rejects_a_rebound_parameter_before_training(rebind, monkeypatch):
     checks.clear()
     fit(fresh, data.X, data.y, RunConfig(), 2, 4, 0)
     assert checks == [fresh]
+
+
+def test_fit_makes_the_gradient_views_once(monkeypatch):
+    # the per-array layout of the gradient buffer is derived once per fit, not on every step
+    data = two_blobs(20, seed=1)
+    net = build_network(2, 2, 2, [4, 3], "squared", Rng(0), batch_norm=True)
+    real_unflatten, buffers = network.unflatten, []
+
+    def spy(n, vec):
+        buffers.append(vec)
+        return real_unflatten(n, vec)
+
+    monkeypatch.setattr(network, "unflatten", spy)
+    monkeypatch.setattr(optimizer, "unflatten", spy)
+    fit(net, data.X, data.y, RunConfig(), 2, 4, 0)
+    assert len(buffers) == 1 and buffers[0].shape == net.flat.shape
 
 
 def test_fit_after_reloading_a_snapshot_golden(tmp_path):
