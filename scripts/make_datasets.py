@@ -4,7 +4,7 @@ registry manifest under data/.
 
 The monks tasks are generated from their defining rules over the full 432-point
 attribute grid: the grid itself is the canonical test set and the training set
-is a seeded stratified sample of the documented size (monks3 carries 5% label
+is one fixed stratified sample of the documented size (monks3 carries 5% label
 noise in training), the same sample `rffnet train --task monksN` generates when
 no registry file exists. Large-scale tasks (eeg, phishing) are real measured data
 and cannot be generated; fetch those with scripts/fetch_data.py.

@@ -402,9 +402,8 @@ def run_training(cfg: RunConfig) -> list[TrialResult]:
     probe_train, _ = data.for_trial(cfg.seed)
     resolved = resolve_model(cfg, probe_train.n, probe_train.class_count)
     count = parameter_count(probe_train.d, probe_train.class_count, resolved.layer_count, resolved.dims, cfg.batch_norm)
-    if count > dataio.MAX_DENSE_VALUES:
-        raise ParameterError(f"model.dim = {cfg.dim!r} and model.layers = {resolved.layer_count} make {count} "
-                             f"parameters, more than the {dataio.MAX_DENSE_VALUES} a model may hold")
+    # the parameters are one array, net.flat
+    _check_array_size(count, f"model.dim = {cfg.dim!r} with model.layers = {resolved.layer_count}")
     if probe_train.class_count < 2:
         raise DataError(f"{data.name}: need at least 2 classes, got {probe_train.class_count}")
     os.makedirs(cfg.out, exist_ok=True)

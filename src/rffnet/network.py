@@ -2,7 +2,7 @@
 
 The readout produces one logit column per class (one-vs-all margin targets for
 the squared-hinge loss, one-hot targets for the squared loss, softmax for cross
-entropy); predict takes the argmax.
+entropy); the predicted class is the argmax.
 """
 
 from __future__ import annotations
@@ -221,13 +221,8 @@ def backward_full(net: Network, trace: ForwardTrace, grad_logits, lam: float, ou
     return out
 
 
-def predict(net: Network, X) -> np.ndarray:
-    """Class labels for a batch, inference mode."""
-    return predict_from_logits(forward_full(net, X, training=False).logits)
-
-
 def accuracy(net: Network, X, y) -> float:
-    return float(np.mean(predict(net, X) == y))
+    return float(np.mean(predict_from_logits(forward_full(net, X, training=False).logits) == y))
 
 
 # --- serialization ---------------------------------------------------------
@@ -267,11 +262,11 @@ def save_network(net: Network, path, preprocess, label_names) -> None:
         "preprocess_stages": len(preprocess),
         "label_names": list(label_names),
     }
-    payload = _MAGIC + json.dumps(header, sort_keys=True).encode() + b"\n"
-    payload += b"".join(np.ascontiguousarray(b, dtype="<f8").tobytes() for b in blobs)
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
-        fh.write(payload)
+        fh.write(_MAGIC + json.dumps(header, sort_keys=True).encode() + b"\n")
+        for b in blobs:
+            fh.write(np.ascontiguousarray(b, dtype="<f8"))
     os.replace(tmp, path)
 
 

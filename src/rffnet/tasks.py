@@ -2,7 +2,7 @@
 
 The three monks problems are rule-defined over a 432-point attribute grid
 (a1..a6 with cardinalities 3,3,2,3,4,2); the full grid is the canonical test
-set and training sets are seeded stratified samples of the documented sizes
+set and each training set is one fixed stratified sample of the documented size
 (monks3 additionally carries 5% training label noise). Two-blob toy data
 backs the optimizer sanity checks.
 """
@@ -51,11 +51,11 @@ def _stratified_sample(y: np.ndarray, size: int, rng: Rng) -> np.ndarray:
     return np.sort(np.concatenate(picks))
 
 
-def make_monks(task: str, seed: int = 0):
+def make_monks(task: str):
     """(train, test) datasets for one monks problem; test is the full grid."""
     X = monks_grid()
     y = monks_rule(task, X)
-    rng = Rng(seed).derive("monks", task)
+    rng = Rng(0).derive("monks", task)
     train_idx = _stratified_sample(y, MONKS_TRAIN_SIZES[task], rng)
     y_train = y[train_idx].copy()
     noise = MONKS_NOISE[task]

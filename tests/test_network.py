@@ -23,7 +23,6 @@ from rffnet.network import (
     loss_gradient,
     parameter_count,
     parameters,
-    predict,
     predict_from_logits,
     save_network,
     unflatten,
@@ -363,7 +362,7 @@ def test_serialization_roundtrip_bit_exact(tmp_path):
         assert np.array_equal(s, s2)
         assert np.array_equal(d, d2)
     X = Rng(3).normal((4, 5))
-    assert np.array_equal(predict(net, X), predict(loaded, X))
+    assert np.array_equal(forward_full(net, X).logits, forward_full(loaded, X).logits)
 
 
 def test_serialization_deterministic_bytes(tmp_path):

@@ -11,7 +11,7 @@ from oracles import training_log_from_csv_text
 from rffnet import network, optimizer
 from rffnet.cli import RunConfig, log_csv_text
 from rffnet.errors import ParameterError
-from rffnet.network import accuracy, build_network, load_network, parameters, predict, save_network
+from rffnet.network import accuracy, build_network, load_network, parameters, save_network
 from rffnet.numerics import Rng
 from rffnet.optimizer import adam_step, fit
 from rffnet.tasks import two_blobs
@@ -89,7 +89,7 @@ def test_fit_leaves_parameters_in_one_buffer_that_round_trips(tmp_path_factory, 
     loaded, _, _ = load_network(path)
     for p, q in zip(params, parameters(loaded)):
         assert np.array_equal(p, q)
-    assert np.array_equal(predict(net, data.X), predict(loaded, data.X))
+    assert np.array_equal(network.forward_full(net, data.X).logits, network.forward_full(loaded, data.X).logits)
 
 
 @pytest.mark.parametrize("rebind", [

@@ -114,6 +114,31 @@ def test_no_src_module_reads_another_modules_private_name():
     assert reads == []
 
 
+def test_the_package_root_re_exports_nothing_and_no_code_imports_a_name_from_it():
+    # code imports the submodules; the root keeps only forward_full, a binding site perfbench's
+    # install self-test checks
+    package = Path(ROOT, "src", "rffnet")
+    bound = set()
+    for node in ast.parse((package / "__init__.py").read_text()).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        else:
+            bound |= {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    assert bound == {"forward_full", "__version__"}
+    modules = {path.stem for path in package.glob("*.py")} - {"__init__"}
+    names = []
+    for top in ("src", "scripts", "tests"):
+        for path in sorted(Path(ROOT, top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                # from rffnet import m, or from . import m inside the package
+                if isinstance(node, ast.ImportFrom) and ((node.module, node.level) == ("rffnet", 0) or (
+                        (node.module, node.level) == (None, 1) and path.parent == package)):
+                    names += [f"{path.name}:{node.lineno}: {a.name}" for a in node.names if a.name not in modules]
+    assert names == []
+
+
 def test_no_src_module_but_cli_imports_cli():
     # the library is passed the run's config and never reaches back into the command line;
     # an import inside a function counts too
@@ -135,7 +160,7 @@ def test_no_src_module_but_cli_imports_cli():
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    # a package __init__.py imports names to re-export them
+    # the package __init__.py imports forward_full to bind it there, not to use it
     unused = []
     for top in ("src/rffnet", "tests", "scripts"):
         for path in sorted(Path(ROOT, top).glob("*.py")):
