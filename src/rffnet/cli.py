@@ -27,7 +27,7 @@ import numpy as np
 from . import dataio, kernel_analysis, tasks
 from .dataio import Dataset, apply_stages, preprocess_pair, split
 from .errors import DataError, NumericError, ParameterError
-from .kernel_analysis import SpectralDensity, empirical_kernel, kpca_project, omega_histogram, rff_approx_error
+from .kernel_analysis import empirical_kernel, kpca_project, omega_histogram, rff_approx_error
 from .network import (
     LOSS_KINDS,
     accuracy,
@@ -521,7 +521,7 @@ def cmd_inspect(args) -> int:
         X, y = X[keep], y[keep]
     if args.kpca_dim > X.shape[0]:
         raise ParameterError(f"--kpca-dim {args.kpca_dim} exceeds the {X.shape[0]} samples")
-    hists = {(i, dim): omega_histogram(net.layers[i], dim, args.bins) for i in layer_indices for dim in hist_dims}
+    hists = {(i, dim): omega_histogram(net.layers[i].omega, dim, args.bins) for i in layer_indices for dim in hist_dims}
     os.makedirs(args.out, exist_ok=True)
     h = X  # walk the layers up to the last exported one
     for i, layer in enumerate(net.layers[:layer_indices[-1] + 1]):
@@ -556,13 +556,12 @@ def cmd_approx_bench(args) -> int:
     _check_array_size(args.pairs * args.features, f"--pairs {args.pairs} with --features {args.features}")  # U, V
     # each D's frequencies are D x --features, and a 2-row block of its features is 2 x 2D
     _check_array_size(max(dims) * max(args.features, 4), f"--dims {max(dims)} with --features {args.features}")
-    density = SpectralDensity(kind=args.density, bandwidth=args.bandwidth)
     rng = Rng(args.seed)
     U = rng.derive("points").normal((args.pairs, args.features))
     V = U + args.spread * rng.derive("offsets").normal((args.pairs, args.features))
     lines = ["D,mean_error,max_error"]
     for D in dims:
-        mean_error, max_error = rff_approx_error(density, D, U, V, rng.derive("freqs", D))
+        mean_error, max_error = rff_approx_error(args.density, args.bandwidth, D, U, V, rng.derive("freqs", D))
         if not (math.isfinite(mean_error) and math.isfinite(max_error)):
             raise NumericError(f"the approximation error at D={D} is not finite: --spread {args.spread} "
                                f"or --bandwidth {args.bandwidth} overflows float64")

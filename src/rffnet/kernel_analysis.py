@@ -7,30 +7,20 @@ carry the unit-diagonal kernel interpretation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericError
 from .numerics import Rng, row_blocks, sym_eig_topk
 from .rff_layer import RffLayer, forward
 
+# A kernel family is its kind and a bandwidth b (finite and > 0), each kind
+# sampling the frequency law of one shift-invariant kernel:
+# 'rbf': Gaussian frequencies <-> kernel exp(-||z||^2 / (2 b^2));
+# 'laplacian': Cauchy frequencies <-> kernel exp(-||z||_1 / b);
+# 'cauchy': Laplace frequencies <-> kernel prod_j 1 / (1 + (z_j/b)^2).
 DENSITY_KINDS = ("rbf", "laplacian", "cauchy")
 # bytes of one block's feature map in rff_approx_error: 16 rows at D = 4096, 1024 at D = 64
 APPROX_BLOCK_BYTES = 1 << 20
-
-
-@dataclass
-class SpectralDensity:
-    """Frequency distribution of a shift-invariant kernel.
-
-    kind 'rbf': Gaussian frequencies <-> kernel exp(-||z||^2 / (2 b^2));
-    'laplacian': Cauchy frequencies <-> kernel exp(-||z||_1 / b);
-    'cauchy': Laplace frequencies <-> kernel prod_j 1 / (1 + (z_j/b)^2).
-    """
-
-    kind: str  # one of DENSITY_KINDS
-    bandwidth: float = 1.0  # finite and > 0
 
 
 def empirical_kernel(features) -> np.ndarray:
@@ -38,29 +28,25 @@ def empirical_kernel(features) -> np.ndarray:
     return features @ features.T
 
 
-def sample_frequencies(density: SpectralDensity, D: int, d: int, rng: Rng) -> np.ndarray:
-    """Draw a (D x d) frequency matrix from the density of the named kernel."""
-    b = density.bandwidth
-    if density.kind == "rbf":
-        return rng.normal((D, d), 0.0, 1.0 / b)
-    if density.kind == "laplacian":
-        u = rng.uniform_open(D * d)
-        return (np.tan(np.pi * (u - 0.5)) / b).reshape(D, d)
+def sample_frequencies(kind: str, bandwidth: float, D: int, d: int, rng: Rng) -> np.ndarray:
+    """Draw a (D x d) frequency matrix from the frequency law of the named kernel."""
+    if kind == "rbf":
+        return rng.normal((D, d), 0.0, 1.0 / bandwidth)
+    v = rng.uniform_open(D * d) - 0.5
+    if kind == "laplacian":
+        return (np.tan(np.pi * v) / bandwidth).reshape(D, d)
     # cauchy kernel <-> Laplace-distributed frequencies (inverse CDF)
-    u = rng.uniform_open(D * d)
-    v = u - 0.5
-    return (-np.sign(v) * np.log(1.0 - 2.0 * np.abs(v)) / b).reshape(D, d)
+    return (-np.sign(v) * np.log(1.0 - 2.0 * np.abs(v)) / bandwidth).reshape(D, d)
 
 
-def closed_form_kernel(density: SpectralDensity, U, V) -> np.ndarray:
+def closed_form_kernel(kind: str, bandwidth: float, U, V) -> np.ndarray:
     """Exact kernel values k(u_i - v_i) for paired rows of U and V."""
     z = U - V
-    b = density.bandwidth
-    if density.kind == "rbf":
-        return np.exp(-np.sum(z * z, axis=1) / (2.0 * b * b))
-    if density.kind == "laplacian":
-        return np.exp(-np.sum(np.abs(z), axis=1) / b)
-    return np.prod(1.0 / (1.0 + (z / b) ** 2), axis=1)
+    if kind == "rbf":
+        return np.exp(-np.sum(z * z, axis=1) / (2.0 * bandwidth * bandwidth))
+    if kind == "laplacian":
+        return np.exp(-np.sum(np.abs(z), axis=1) / bandwidth)
+    return np.prod(1.0 / (1.0 + (z / bandwidth) ** 2), axis=1)
 
 
 def feature_map(omega: np.ndarray, X) -> np.ndarray:
@@ -68,15 +54,15 @@ def feature_map(omega: np.ndarray, X) -> np.ndarray:
     return forward(RffLayer(omega=omega), X)[0]
 
 
-def rff_approx_error(density: SpectralDensity, D: int, U, V, rng: Rng) -> tuple[float, float]:
+def rff_approx_error(kind: str, bandwidth: float, D: int, U, V, rng: Rng) -> tuple[float, float]:
     """(mean, max) of |<psi(u), psi(v)> - k(u - v)| over paired points, for a
-    fresh D-frequency draw from the density.
+    fresh D-frequency draw from the kernel's frequency law.
 
     The estimates are computed in row blocks of about APPROX_BLOCK_BYTES per
     feature map, so memory is O(block x D) whatever the number of pairs; each
     estimate has the same bits as a one-shot map of all pairs."""
-    exact = closed_form_kernel(density, U, V)
-    omega = sample_frequencies(density, D, U.shape[1], rng)
+    exact = closed_form_kernel(kind, bandwidth, U, V)
+    omega = sample_frequencies(kind, bandwidth, D, U.shape[1], rng)
     est = _kernel_estimate(omega, U, V)
     err = np.abs(est - exact)
     return float(err.mean()), float(err.max())
@@ -119,12 +105,12 @@ def kpca_project(K: np.ndarray, k: int) -> np.ndarray:
     return coords
 
 
-def omega_histogram(layer: RffLayer, dim_index: int, bins: int):
-    """Histogram of one input-dimension column of omega over equal-width bins.
+def omega_histogram(omega: np.ndarray, dim_index: int, bins: int):
+    """Histogram of one input-dimension column of a frequency matrix over equal-width bins.
 
     A column that no ``bins`` finite-width bins can cut, its range too wide for
     a float64 or too narrow to split, raises NumericError."""
-    column = layer.omega[:, dim_index]
+    column = omega[:, dim_index]
     span = column.max() - column.min()
     if np.isfinite(span):  # on a range that overflows, np.histogram fails with an IndexError
         try:

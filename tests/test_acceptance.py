@@ -15,7 +15,6 @@ from test_scripts import load_script
 
 from rffnet.cli import RunConfig, run_training
 from rffnet.kernel_analysis import (
-    SpectralDensity,
     closed_form_kernel,
     empirical_kernel,
     feature_map,
@@ -162,14 +161,13 @@ def test_c6b_unit_norm_invariant():
 
 
 def test_c6c_rff_rbf_convergence_slope():
-    density = SpectralDensity("rbf", 1.0)
     rng = Rng(3000)
     U = rng.normal((40, 3))
     V = U + rng.derive("off").normal((40, 3))
     dims = [2**p for p in range(6, 14)]
     means = []
     for D in dims:
-        errs = [rff_approx_error(density, D, U, V, Rng(s).derive("acc", D))[0]
+        errs = [rff_approx_error("rbf", 1.0, D, U, V, Rng(s).derive("acc", D))[0]
                 for s in range(5)]
         means.append(np.mean(errs))
     slope = float(np.polyfit(np.log(dims), np.log(means), 1)[0])
@@ -194,20 +192,19 @@ def test_c6d_kernel_invariants_on_trained_model():
 
 def test_c6e_composed_kernel_large_D():
     rng = Rng(5000)
-    density = SpectralDensity("rbf", 1.0)
     U = rng.normal((100, 3))
     V = U + rng.derive("off").normal((100, 3))
-    k_inner = closed_form_kernel(density, U, V)
+    k_inner = closed_form_kernel("rbf", 1.0, U, V)
     oracle = np.array([composed_rbf_oracle(float(k), 0.5) for k in k_inner])
     D = 8192
-    om1 = sample_frequencies(density, D, 3, rng.derive("w1"))
+    om1 = sample_frequencies("rbf", 1.0, D, 3, rng.derive("w1"))
     A = feature_map(om1, U)
     B = feature_map(om1, V)
     est = np.zeros(100)
     done = 0
     while done < D:
         chunk = min(512, D - done)
-        om2 = sample_frequencies(density, chunk, 2 * D, rng.derive("w2", done))
+        om2 = sample_frequencies("rbf", 1.0, chunk, 2 * D, rng.derive("w2", done))
         fa = A @ om2.T
         fb = B @ om2.T
         est += np.sum(np.cos(fa - fb), axis=1)

@@ -4,7 +4,10 @@ The digests were recorded with the code that still built the feature maps of
 all point pairs at once; the estimates are now computed in row blocks and must
 keep every printed bit. The cases cover each density at the defaults (200 pairs,
 D = 64 .. 4096), 17 pairs at D = 4096 (one 16-row block plus a trailing single
-row, folded into it), a single pair, and 1000 pairs (many blocks).
+row, folded into it), a single pair, and 1000 pairs (many blocks). Those run at
+the default bandwidth 1.0, where dividing by it changes no bit; the 17-pair case
+of each density also runs at the non-default bandwidth 0.37, so a dropped or
+reordered bandwidth term changes a digest.
 """
 
 import hashlib
@@ -38,6 +41,12 @@ GOLDEN = [
      "3c6fdf3af5503815f6c4883c53a1b0a2ad9010da9fd31cbcab33ccd856c74d6c"),
     (["--density", "cauchy", "--pairs", "1000"],
      "8eb569f74533ac3fcf4e1823716a69dd1778a4b1853243de576d38e329d6ab62"),
+    (["--density", "rbf", "--bandwidth", "0.37", "--pairs", "17", "--dims", "16,4096"],
+     "92bf765da823a1ff519173bd81726b002bf83c087dba80ea13c2d47a972fde5c"),
+    (["--density", "laplacian", "--bandwidth", "0.37", "--pairs", "17", "--dims", "16,4096"],
+     "cb3c82f9eae138a42a431db3014b4199533d7300d5e1cd72482f4e14e2f85aa6"),
+    (["--density", "cauchy", "--bandwidth", "0.37", "--pairs", "17", "--dims", "16,4096"],
+     "c185f7924d54e1ee65a79b4a4061ef8c13f4f90b3cebdf71928356b9271eb6a4"),
 ]
 
 

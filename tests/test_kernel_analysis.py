@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     assert_valid_kernel,
     composed_rbf_oracle,
@@ -14,7 +16,6 @@ from rffnet.kernel_analysis import (
     APPROX_BLOCK_BYTES,
     DENSITY_KINDS,
     _kernel_estimate,
-    SpectralDensity,
     closed_form_kernel,
     empirical_kernel,
     feature_map,
@@ -25,7 +26,7 @@ from rffnet.kernel_analysis import (
     sample_frequencies,
 )
 from rffnet.numerics import Rng
-from rffnet.rff_layer import RffLayer, forward, init_layer
+from rffnet.rff_layer import forward, init_layer
 
 
 def test_empirical_kernel_identical_rows():
@@ -58,42 +59,56 @@ def test_empirical_kernel_invariants_validate():
 
 
 def test_sample_frequencies_rbf_moments():
-    w = sample_frequencies(SpectralDensity("rbf", 1.0), 1000, 100, Rng(7))
+    w = sample_frequencies("rbf", 1.0, 1000, 100, Rng(7))
     assert abs(w.var() - 1.0) < 0.05
-    w2 = sample_frequencies(SpectralDensity("rbf", 2.0), 1000, 100, Rng(7))
+    w2 = sample_frequencies("rbf", 2.0, 1000, 100, Rng(7))
     assert abs(w2.var() - 0.25) < 0.02
 
 
 def test_sample_frequencies_laplacian_quartiles():
     # |Cauchy(0, 1/b)| has median 1/b
-    w = sample_frequencies(SpectralDensity("laplacian", 1.0), 1000, 100, Rng(8))
+    w = sample_frequencies("laplacian", 1.0, 1000, 100, Rng(8))
     assert abs(np.median(np.abs(w)) - 1.0) < 0.05
 
 
 def test_sample_frequencies_cauchy_kernel_laplace_freqs():
     # Laplace(0, 1/b) has variance 2/b^2 and median |.| = ln(2)/b
-    w = sample_frequencies(SpectralDensity("cauchy", 1.0), 1000, 100, Rng(9))
+    w = sample_frequencies("cauchy", 1.0, 1000, 100, Rng(9))
     assert abs(w.var() - 2.0) < 0.1
     assert abs(np.median(np.abs(w)) - np.log(2.0)) < 0.02
 
 
 def test_sample_frequencies_deterministic():
-    a = sample_frequencies(SpectralDensity("rbf", 1.0), 8, 3, Rng(10))
-    b = sample_frequencies(SpectralDensity("rbf", 1.0), 8, 3, Rng(10))
+    a = sample_frequencies("rbf", 1.0, 8, 3, Rng(10))
+    b = sample_frequencies("rbf", 1.0, 8, 3, Rng(10))
     assert np.array_equal(a, b)
+
+
+@given(st.sampled_from(DENSITY_KINDS), st.floats(0.05, 20.0), st.integers(0, 2**64 - 1))
+@settings(max_examples=200, deadline=None)
+def test_a_bandwidth_divides_the_frequencies_and_multiplies_the_kernel_length_scale(kind, b, seed):
+    # the family at bandwidth b is the b = 1 family with omega / b, so k_b(b z) = k_1(z)
+    unit = sample_frequencies(kind, 1.0, 16, 3, Rng(seed))
+    np.testing.assert_allclose(sample_frequencies(kind, b, 16, 3, Rng(seed)) * b, unit, rtol=1e-15)
+    Z = Rng(seed).derive("z").normal((64, 3), 0.0, 4.0)
+    k_unit = closed_form_kernel(kind, 1.0, Z, 0)
+    k_b = closed_form_kernel(kind, b, b * Z, 0)
+    # a value near float64's underflow keeps too few significant bits to compare
+    shown = k_unit > 1e-200
+    np.testing.assert_allclose(k_b[shown], k_unit[shown], rtol=1e-12)
 
 
 def test_closed_form_kernels():
     u = np.array([[1.0, 0.0]])
     v = np.array([[0.0, 1.0]])  # ||u-v||^2 = 2, ||u-v||_1 = 2
-    assert abs(closed_form_kernel(SpectralDensity("rbf", 1.0), u, v)[0] - np.exp(-1.0)) < 1e-15
-    assert abs(closed_form_kernel(SpectralDensity("laplacian", 1.0), u, v)[0] - np.exp(-2.0)) < 1e-15
-    assert abs(closed_form_kernel(SpectralDensity("cauchy", 1.0), u, v)[0] - 0.25) < 1e-15
+    assert abs(closed_form_kernel("rbf", 1.0, u, v)[0] - np.exp(-1.0)) < 1e-15
+    assert abs(closed_form_kernel("laplacian", 1.0, u, v)[0] - np.exp(-2.0)) < 1e-15
+    assert abs(closed_form_kernel("cauchy", 1.0, u, v)[0] - 0.25) < 1e-15
 
 
 def test_approx_error_zero_at_identical_points():
     U = Rng(11).normal((5, 3))
-    _, max_error = rff_approx_error(SpectralDensity("rbf", 1.0), 64, U, U.copy(), Rng(12))
+    _, max_error = rff_approx_error("rbf", 1.0, 64, U, U.copy(), Rng(12))
     assert max_error < 1e-12
 
 
@@ -102,34 +117,32 @@ def test_approx_error_rbf_concentration():
     u = np.array([[1.0, 0.0]])
     v = np.array([[0.0, 1.0]])
     for seed in range(5):
-        _, max_error = rff_approx_error(SpectralDensity("rbf", 1.0), 10_000, u, v, Rng(seed))
+        _, max_error = rff_approx_error("rbf", 1.0, 10_000, u, v, Rng(seed))
         assert max_error < 0.05
 
 
 def test_approx_error_decreases_with_D():
-    density = SpectralDensity("rbf", 1.0)
     rng = Rng(13)
     U = rng.normal((20, 3))
     V = U + rng.derive("off").normal((20, 3))
     wins = 0
     trials = 40
     for seed in range(trials):
-        small, _ = rff_approx_error(density, 256, U, V, Rng(seed).derive("s"))
-        big, _ = rff_approx_error(density, 4096, U, V, Rng(seed).derive("b"))
+        small, _ = rff_approx_error("rbf", 1.0, 256, U, V, Rng(seed).derive("s"))
+        big, _ = rff_approx_error("rbf", 1.0, 4096, U, V, Rng(seed).derive("b"))
         if big < small:
             wins += 1
     assert wins >= int(0.95 * trials)
 
 
 def test_approx_error_loglog_slope():
-    density = SpectralDensity("rbf", 1.0)
     rng = Rng(14)
     U = rng.normal((40, 3))
     V = U + rng.derive("off").normal((40, 3))
     dims = [2**p for p in range(6, 14)]
     means = []
     for D in dims:
-        errs = [rff_approx_error(density, D, U, V, Rng(s).derive("slope", D))[0]
+        errs = [rff_approx_error("rbf", 1.0, D, U, V, Rng(s).derive("slope", D))[0]
                 for s in range(5)]
         means.append(np.mean(errs))
     slope = np.polyfit(np.log(dims), np.log(means), 1)[0]
@@ -141,19 +154,18 @@ def test_approx_error_loglog_slope():
 def test_blocked_estimate_matches_the_oneshot_map_bit_for_bit(kind, D):
     # the block is 16 rows at D = 4096 and 1024 at D = 64; block + 1 leaves a trailing single row
     block = APPROX_BLOCK_BYTES // (16 * D)
-    density = SpectralDensity(kind, 1.3)
     for d in (1, 3, 5):
         for pairs in (1, 2, block, block + 1, 3 * block + 5):
             rng = Rng(D).derive(kind, d, pairs)
             U = rng.derive("u").normal((pairs, d))
             V = U + rng.derive("v").normal((pairs, d))
-            omega = sample_frequencies(density, D, d, rng.derive("omega"))
+            omega = sample_frequencies(kind, 1.3, D, d, rng.derive("omega"))
             est = _kernel_estimate(omega, U, V)
             oracle = oneshot_kernel_estimate(omega, U, V)
             assert est.tobytes() == oracle.tobytes(), (d, pairs)
     # the error statistics are those of the one-shot estimate of the same draw
-    err = np.abs(oracle - closed_form_kernel(density, U, V))
-    got = rff_approx_error(density, D, U, V, rng.derive("omega"))
+    err = np.abs(oracle - closed_form_kernel(kind, 1.3, U, V))
+    got = rff_approx_error(kind, 1.3, D, U, V, rng.derive("omega"))
     assert got == (float(err.mean()), float(err.max()))
 
 
@@ -164,7 +176,7 @@ def test_approx_error_memory_is_bounded_by_the_block_not_the_pairs():
     V = U + rng.derive("v").normal((1000, 3))
     tracemalloc.start()
     try:
-        rff_approx_error(SpectralDensity("rbf", 1.0), 2048, U, V, rng.derive("omega"))
+        rff_approx_error("rbf", 1.0, 2048, U, V, rng.derive("omega"))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -173,16 +185,15 @@ def test_approx_error_memory_is_bounded_by_the_block_not_the_pairs():
 
 def composed_two_layer_estimate(U, V, D1, D2, rng, chunk=512):
     """Monte Carlo <psi2(psi1(u)), psi2(psi1(v))> with streamed outer frequencies."""
-    density = SpectralDensity("rbf", 1.0)
     d = U.shape[1]
-    om1 = sample_frequencies(density, D1, d, rng.derive("w1"))
+    om1 = sample_frequencies("rbf", 1.0, D1, d, rng.derive("w1"))
     A = feature_map(om1, U)
     B = feature_map(om1, V)
     est = np.zeros(U.shape[0])
     done = 0
     while done < D2:
         k = min(chunk, D2 - done)
-        om2 = sample_frequencies(density, k, 2 * D1, rng.derive("w2", done))
+        om2 = sample_frequencies("rbf", 1.0, k, 2 * D1, rng.derive("w2", done))
         fa = A @ om2.T
         fb = B @ om2.T
         est += np.sum(np.cos(fa - fb), axis=1)  # cos a cos b + sin a sin b
@@ -194,7 +205,7 @@ def test_composed_two_layers_match_oracle_small():
     rng = Rng(15)
     U = rng.normal((20, 3))
     V = U + rng.derive("off").normal((20, 3))
-    k_inner = closed_form_kernel(SpectralDensity("rbf", 1.0), U, V)
+    k_inner = closed_form_kernel("rbf", 1.0, U, V)
     oracle = np.array([composed_rbf_oracle(float(k), 0.5) for k in k_inner])
     est = composed_two_layer_estimate(U, V, 2048, 2048, rng.derive("mc"))
     assert np.abs(est - oracle).max() < 0.1
@@ -257,15 +268,14 @@ def test_kpca_permutation_consistency():
 
 
 def test_omega_histogram_constant_column():
-    layer = RffLayer(omega=np.full((10, 2), 3.0))
-    edges, counts = omega_histogram(layer, 0, 5)
+    edges, counts = omega_histogram(np.full((10, 2), 3.0), 0, 5)
     assert counts.sum() == 10
     assert (counts > 0).sum() == 1
 
 
 def test_omega_histogram_counts_sum_to_D():
-    layer = init_layer(3, 257, 0.1, Rng(26))
-    edges, counts = omega_histogram(layer, 1, 13)
+    omega = init_layer(3, 257, 0.1, Rng(26)).omega
+    edges, counts = omega_histogram(omega, 1, 13)
     assert counts.sum() == 257
     assert len(edges) == 14
 

@@ -179,6 +179,24 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def test_kernel_analysis_defines_no_class_and_takes_none_of_the_packages():
+    # README: kernel_analysis works over plain values. A kernel family is its kind and bandwidth, a
+    # histogram reads a frequency matrix; only the Rng a draw consumes is an rffnet object
+    package = Path(ROOT, "src", "rffnet")
+    classes = {node.name for path in package.glob("*.py") for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef)} - {"Rng"}
+    assert "RffLayer" in classes
+    tree = ast.parse((package / "kernel_analysis.py").read_text())
+    found = [f"{node.lineno}: class {node.name}" for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            a = node.args
+            for arg in a.posonlyargs + a.args + a.kwonlyargs + [x for x in (a.vararg, a.kwarg) if x]:
+                words = set(re.findall(r"\w+", ast.unparse(arg.annotation))) if arg.annotation else set()
+                found += [f"{node.lineno}: {node.name}({arg.arg}: {name})" for name in sorted(words & classes)]
+    assert found == []
+
+
 def test_one_error_class_per_exit_code_and_one_floating_point_policy_in_cli_main():
     # the exception class is the exit code, and numpy's warnings are switched off once, where every
     # command runs, so a failure is reported by its finite check alone
