@@ -5,9 +5,11 @@ The corpus is every documented way into the program: train, eval, inspect and
 approx-bench on each data source, scripts/make_datasets.py, and one case of
 each usage, data and numeric error, with one malformed snapshot per decoder
 check. Each command runs through rffnet.cli.main in this process, under a line
-tracer that records only the package's own files and only while a command
-runs. The inputs are written between commands, with the tracer off: as plain
-text, or as byte edits of files that earlier commands wrote.
+tracer that records only the package's own files: in this thread while a
+command runs, and in the helper thread that a wide layer starts until that
+thread exits, once idle. The inputs are written between commands, with the
+tracer off: as plain text, or as byte edits of files that earlier commands
+wrote.
 
 A statement counts if it lies in a function body (docstrings and
 global/nonlocal declarations compile to nothing and are skipped), and it is
@@ -30,6 +32,7 @@ import shlex
 import shutil
 import sys
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -39,7 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import rffnet  # noqa: E402
-from rffnet import cli  # noqa: E402
+from rffnet import cli, numerics  # noqa: E402
 
 PACKAGE_DIR = Path(rffnet.__file__).resolve().parent
 MAKE_DATASETS = "scripts/make_datasets.py"
@@ -70,7 +73,8 @@ def statements(path: Path) -> dict[int, tuple[range, str]]:
 
 
 class LineTracer:
-    """Records (file, line) of every line executed in the package's files while on."""
+    """Records (file, line) of every line executed in the package's files while on,
+    in this thread, and in a thread started while it is on until that thread ends."""
 
     def __init__(self):
         self.executed: set[tuple[str, int]] = set()
@@ -90,12 +94,14 @@ class LineTracer:
 
     @contextlib.contextmanager
     def on(self):
-        previous = sys.gettrace()
+        previous, previous_threads = sys.gettrace(), threading.gettrace()
         sys.settrace(self._global)
+        threading.settrace(self._global)
         try:
             yield
         finally:
             sys.settrace(previous)
+            threading.settrace(previous_threads)
 
     def lines(self) -> dict[str, set[int]]:
         """module file name -> its executed lines."""
@@ -192,6 +198,9 @@ def corpus():
     yield ["train", "--task", "monks1", "--batch-size", "41", *quick, "--out", "tail"]  # 124 rows: 41 + 41 + 42
     yield ["train", "--task", "blobs", "--layers", "2", "--dim", "4,3", "--epochs", "1", "--batch-size", "full",
            "--out", "blobs"]
+    # 200 rows x 512 pairs: every layer and Adam split their work onto the helper thread (on 2 or more CPUs)
+    yield ["train", "--task", "blobs", "--layers", "2", "--dim", "512", "--epochs", "1", "--batch-size", "full",
+           "--out", "wide"]
     three = _write("three.csv", "0.0,0.0,a\n1.0,0.5,b\n0.5,1.0,c\n0.2,0.1,a\n\n0.9,0.4,b\n"
                                 "0.4,0.8,c\n0.1,0.2,a\n1.0,0.7,b\n0.6,0.9,c\n")
     yield ["train", "--data-path", three, "--no-batch-norm", "--layers", "1", "--epochs", "2", "--dim", "4",
@@ -341,6 +350,7 @@ def run() -> tuple[list[tuple[list[str], object, str]], list[tuple[str, int, str
     tracer = LineTracer()
     make_datasets = _load_make_datasets()
     cli._blas_threads.cache_clear()  # a per-process lookup: the corpus's first command must run it, traced
+    numerics._helper = None  # a helper thread started before the corpus would run its calls untraced
     results = []
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:

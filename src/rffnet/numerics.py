@@ -1,5 +1,5 @@
-"""Dense float64 helpers: row blocking, a portable PRNG, and a symmetric top-k
-eigensolver.
+"""Dense float64 helpers: row blocking, running two halves of an array's work side
+by side, a portable PRNG, and a symmetric top-k eigensolver.
 
 All matrices are plain 2-D float64 numpy arrays in row-major order. The PRNG is a
 counter-based splitmix64 stream defined here (not the platform default) so that a
@@ -7,6 +7,9 @@ seed produces the same draws everywhere, independent of numpy's generator choice
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -30,10 +33,98 @@ def row_blocks(n: int, size: int, merge_singleton: bool) -> list[tuple[int, int]
     return blocks
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+# A hand-off to the helper thread costs about 0.3-0.5 ms on a 2-core VM, so only
+# halves of at least this many values run side by side: a 200 x 512 cos half
+# takes about 0.8 ms.
+SPLIT_MIN_VALUES = 1 << 16
+
+
+def split_pays(values: int) -> bool:
+    """The split rule: each half holds at least SPLIT_MIN_VALUES values and the
+    process may run on at least 2 CPUs."""
+    if values < SPLIT_MIN_VALUES:
+        return False
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+    return len(cpus) >= 2
+
+
+# An idle helper thread exits after this many seconds, and the next split starts
+# another: a process that re-imports rffnet then keeps no thread per import.
+HELPER_IDLE_S = 0.1
+
+
+class _Helper:
+    """One daemon thread that runs a call handed to it, then signals that it is done."""
+
+    def __init__(self):
+        self.pid = os.getpid()  # a forked child has no helper thread and starts its own
+        self.handed = threading.Lock()  # held while no call waits for the thread
+        self.handed.acquire()
+        self.done = threading.Lock()  # held until the handed call has run
+        self.done.acquire()
+        self.call = None
+        self.result = self.error = None
+        self.thread = threading.Thread(target=self._serve, name="rffnet-split", daemon=True)
+        self.thread.start()
+
+    def _serve(self) -> None:
+        global _helper
+        while True:
+            if self.handed.acquire(timeout=HELPER_IDLE_S):
+                try:
+                    self.result = self.call()
+                except BaseException as exc:  # re-raised on the caller
+                    self.error = exc
+                self.call = None
+                self.done.release()
+            elif _helper_free.acquire(blocking=False):  # idle, and no caller is handing a call over
+                if _helper is self:
+                    _helper = None
+                _helper_free.release()
+                return
+
+
+_helper: _Helper | None = None
+_helper_free = threading.Lock()  # held while a caller uses the helper, or while it decides to exit
+
+
+def side_by_side(first, second, values: int):
+    """Call first() and second(); returns their results as a pair.
+
+    When split_pays(values), first runs on the helper thread (a daemon, started
+    on first use, which exits once idle for HELPER_IDLE_S) while second runs
+    here, and an error raised by first is raised here once both are done.
+    Otherwise, or while another thread uses the helper, both run here in order.
+    Each call writes its own part of arrays the caller made: numpy and BLAS
+    release the interpreter lock, so the two run at once.
+    """
+    global _helper
+    if not split_pays(values) or not _helper_free.acquire(blocking=False):
+        return first(), second()
+    try:
+        if _helper is None or _helper.pid != os.getpid():
+            _helper = _Helper()
+        helper = _helper
+        helper.call = first
+        helper.handed.release()
+        try:
+            second_result = second()
+        finally:  # the helper's call writes into the caller's arrays: wait for it, whatever second did
+            helper.done.acquire()
+            first_result, error = helper.result, helper.error
+            helper.result = helper.error = None
+    finally:
+        _helper_free.release()
+    if error is not None:
+        raise error
+    return first_result, second_result
+
+
+def _mix64(z):
+    """splitmix64's output function, of a Python int or a uint64 array."""
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+    return z ^ (z >> 31)
 
 
 def _fnv1a64(text: str) -> int:
@@ -93,7 +184,7 @@ class Rng:
         s = self.seed
         for tag in tags:
             t = _fnv1a64(tag) if isinstance(tag, str) else int(tag) & _MASK64
-            s = int(_mix64(np.array([((s ^ t) + _GAMMA) & _MASK64], dtype=np.uint64))[0])
+            s = _mix64(((s ^ t) + _GAMMA) & _MASK64)
         return Rng(s)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .errors import NumericError, ParameterError
@@ -14,32 +16,46 @@ from .network import (
     parameters,
     unflatten,
 )
-from .numerics import Rng, row_blocks
+from .numerics import Rng, row_blocks, side_by_side, split_pays
 
 
-def adam_step(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int, config) -> None:
-    """Adam update number t (1-based) of p, bias-corrected, in place (fit passes
-    net.flat), with the lr, beta1, beta2 and epsilon of config, the run's
-    cli.RunConfig. The first and second moments m and v, shaped like p, are
-    updated in place too."""
+def _adam_update(p, g, m, v, scratch, alpha: float, root_bc2: float, config) -> None:
+    """The Adam update of one slice, in place; g ends up holding the denominator."""
     # theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps), with scalars hoisted; the
     # update alpha * m / (sqrt(v) * root_bc2 + eps) is evaluated in place, in that
-    # order, through one scratch array besides denom
-    alpha = config.lr / (1.0 - config.beta1**t)
-    root_bc2 = 1.0 / np.sqrt(1.0 - config.beta2**t)
-    scratch = np.multiply(1.0 - config.beta1, g)
+    # order, through scratch, with the denominator written over g once v is updated
+    np.multiply(1.0 - config.beta1, g, out=scratch)
     m *= config.beta1
     m += scratch
     np.multiply(1.0 - config.beta2, g, out=scratch)
     scratch *= g
     v *= config.beta2
     v += scratch
-    denom = np.sqrt(v)
+    denom = np.sqrt(v, out=g)
     denom *= root_bc2
     denom += config.epsilon
     np.multiply(alpha, m, out=scratch)
     scratch /= denom
     p -= scratch
+
+
+def adam_step(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int, config) -> None:
+    """Adam update number t (1-based) of p, bias-corrected, in place (fit passes
+    net.flat), with the lr, beta1, beta2 and epsilon of config, the run's
+    cli.RunConfig. The first and second moments m and v, shaped like p, are
+    updated in place too, and g, the gradient, is overwritten. Every element
+    is updated alone, so when each half of p is large enough
+    (numerics.split_pays) the two halves are updated side by side."""
+    alpha = config.lr / (1.0 - config.beta1**t)
+    root_bc2 = 1.0 / np.sqrt(1.0 - config.beta2**t)
+    scratch = np.empty_like(p)
+    half = p.size // 2
+    if split_pays(half):
+        lo, hi = slice(None, half), slice(half, None)
+        side_by_side(partial(_adam_update, p[lo], g[lo], m[lo], v[lo], scratch[lo], alpha, root_bc2, config),
+                     partial(_adam_update, p[hi], g[hi], m[hi], v[hi], scratch[hi], alpha, root_bc2, config), half)
+    else:
+        _adam_update(p, g, m, v, scratch, alpha, root_bc2, config)
 
 
 def fit(net: Network, X, y, config, epochs: int, batch_size: int | None, seed: int) -> list[tuple]:
@@ -88,7 +104,7 @@ def fit(net: Network, X, y, config, epochs: int, batch_size: int | None, seed: i
             # free this step's activations before Adam, the next forward and the evaluation
             del trace
             t += 1
-            adam_step(flat, grad, m, v, t, config)
+            adam_step(flat, grad, m, v, t, config)  # overwrites grad, which the next step rewrites whole
         if not np.isfinite(flat).all():
             raise NumericError(f"non-finite parameter after epoch {epoch}")
         data_loss, reg_loss, correct = compute_loss(net, forward_full(net, X, training=False).logits, y,

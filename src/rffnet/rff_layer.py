@@ -9,10 +9,11 @@ enabled, is applied after the trig map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .numerics import Rng
+from .numerics import Rng, side_by_side, split_pays
 
 BN_MOMENTUM = 0.1  # weight of each training batch in the running statistics
 BN_EPSILON = 1e-5  # added to every variance before its square root
@@ -66,33 +67,35 @@ def init_layer(d_in: int, D: int, stddev: float, rng: Rng, batchnorm: bool = Fal
     return RffLayer(omega=omega, batchnorm=bn)
 
 
-def batchnorm_forward(bn: BatchNormState, x: np.ndarray, training: bool):
-    """Normalize per feature; returns (y, record).
+def batchnorm_forward(bn: BatchNormState, x: np.ndarray, training: bool, cols=slice(None), y=None, x_hat=None):
+    """Normalize x, the columns ``cols`` of a layer's features, per feature; returns (y, stats).
 
-    Training mode uses batch stats, updates the running averages in place and
-    records (x_hat, inv_std) for batchnorm_backward; inference mode uses the
-    running stats and records None. A training batch needs at least 2 rows."""
+    Training mode uses the batch's statistics and returns stats = (x_hat, mean,
+    var, inv_std): forward records (x_hat, inv_std) for batchnorm_backward and
+    folds mean and var into the running averages. Inference mode uses the
+    running statistics and returns stats = None. y and x_hat, when given, are
+    arrays shaped like x that receive the output and the normalized input;
+    otherwise they are made here. A training batch needs at least 2 rows."""
+    gamma, beta = bn.gamma[cols], bn.beta[cols]
     if training:
         n = x.shape[0]
         # np.add.reduce(.., 0) / n is what x.mean(axis=0) computes, minus the wrapper's overhead
         mean = np.add.reduce(x, 0) / n
         # x_hat is normalised in place from x - mean; y holds the squares until it is built
-        x_hat = x - mean
-        y = x_hat * x_hat
+        x_hat = np.subtract(x, mean, out=x_hat)
+        y = np.multiply(x_hat, x_hat, out=y)
         var = np.add.reduce(y, 0) / n
         inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
         x_hat *= inv_std
-        bn.running_mean = (1.0 - BN_MOMENTUM) * bn.running_mean + BN_MOMENTUM * mean
-        bn.running_var = (1.0 - BN_MOMENTUM) * bn.running_var + BN_MOMENTUM * var
-        np.multiply(x_hat, bn.gamma, out=y)
-        record = (x_hat, inv_std)
+        np.multiply(x_hat, gamma, out=y)
+        stats = (x_hat, mean, var, inv_std)
     else:
-        y = x - bn.running_mean
-        y *= 1.0 / np.sqrt(bn.running_var + BN_EPSILON)
-        y *= bn.gamma
-        record = None
-    y += bn.beta
-    return y, record
+        y = np.subtract(x, bn.running_mean[cols], out=y)
+        y *= 1.0 / np.sqrt(bn.running_var[cols] + BN_EPSILON)
+        y *= gamma
+        stats = None
+    y += beta
+    return y, stats
 
 
 def batchnorm_backward(bn: BatchNormState, record: tuple[np.ndarray, np.ndarray], grad_y: np.ndarray,
@@ -123,24 +126,55 @@ def batchnorm_backward(bn: BatchNormState, record: tuple[np.ndarray, np.ndarray]
     return grad_x
 
 
+def _map_columns(layer: RffLayer, f, features, y, x_hat, training: bool, halves):
+    """Fill the columns of ``halves`` (0: cos, 1: sin) of features: the trig map
+    of the pre-activations f, scaled by sqrt(1/D), then batch norm, written into
+    the same columns of y and x_hat when they are given; returns
+    batchnorm_forward's (y, stats), or (None, None) without batch norm."""
+    D = layer.D
+    for h in halves:
+        (np.cos, np.sin)[h](f, out=features[:, h * D:(h + 1) * D])
+    del f  # frees the pre-activations before batch norm when the caller kept no reference
+    cols = slice(halves[0] * D, (halves[-1] + 1) * D)
+    x = features[:, cols]
+    x *= np.sqrt(1.0 / D)
+    if layer.batchnorm is None:
+        return None, None
+    return batchnorm_forward(layer.batchnorm, x, training, cols,
+                             None if y is None else y[:, cols], None if x_hat is None else x_hat[:, cols])
+
+
 def forward(layer: RffLayer, X, training: bool = False):
     """Apply the layer to a float64 batch; returns (output, cache).
 
     Output rows are sqrt(1/D) [cos(f_1)..cos(f_D), sin(f_1)..sin(f_D)]; the
     cos-then-sin order pairs feature m with m+D and is relied on by backward.
+    Batch norm acts on each feature alone, so when f = X @ omega^T is large
+    enough (numerics.split_pays) the cos columns are mapped on the helper thread
+    while the sin columns are mapped here, into arrays made here, with the
+    same bits as one pass over all 2D columns.
     """
-    f = X @ layer.omega.T
     D = layer.D
+    bn = layer.batchnorm
     features = np.empty((X.shape[0], 2 * D))
-    np.cos(f, out=features[:, :D])
-    np.sin(f, out=features[:, D:])
-    del f
-    features *= np.sqrt(1.0 / D)
-    if layer.batchnorm is not None:
-        output, bn_cache = batchnorm_forward(layer.batchnorm, features, training)
+    if split_pays(X.shape[0] * D):
+        f = X @ layer.omega.T
+        y = None if bn is None else np.empty_like(features)
+        x_hat = np.empty_like(features) if bn is not None and training else None
+        columns = partial(_map_columns, layer, f, features, y, x_hat, training)
+        (_, cos_stats), (_, sin_stats) = side_by_side(partial(columns, (0,)), partial(columns, (1,)), f.size)
+        # each half's per-column mean, var and inv_std, joined in column order
+        stats = None if x_hat is None else (x_hat, *map(np.concatenate, zip(cos_stats[1:], sin_stats[1:])))
     else:
-        output, bn_cache = features, None
-    return output, LayerCache(x=X, features=features, output=output, bn=bn_cache)
+        y, stats = _map_columns(layer, X @ layer.omega.T, features, None, None, training, (0, 1))
+    output = features if bn is None else y
+    record = None
+    if stats is not None:
+        x_hat, mean, var, inv_std = stats
+        bn.running_mean = (1.0 - BN_MOMENTUM) * bn.running_mean + BN_MOMENTUM * mean
+        bn.running_var = (1.0 - BN_MOMENTUM) * bn.running_var + BN_MOMENTUM * var
+        record = (x_hat, inv_std)
+    return output, LayerCache(x=X, features=features, output=output, bn=record)
 
 
 def backward(layer: RffLayer, cache: LayerCache, grad_output, out, input_grad: bool = True):
@@ -154,7 +188,10 @@ def backward(layer: RffLayer, cache: LayerCache, grad_output, out, input_grad: b
     and returned as None: a network's first layer has no use for it. A
     batch-norm layer differentiates only a training-mode forward's record. backward
     consumes the record (it sets output, bn and features to None once read) and,
-    with batch norm, builds its input gradient inside grad_output.
+    with batch norm, builds its input gradient inside grad_output. When dF is
+    large enough (numerics.split_pays) and grad_input is wanted, the grad_omega
+    product runs on the helper thread beside the grad_input product
+    (numerics.side_by_side runs both here, in that order, otherwise).
     """
     cache.output = None
     if layer.batchnorm is not None:
@@ -169,5 +206,8 @@ def backward(layer: RffLayer, cache: LayerCache, grad_output, out, input_grad: b
     dF = gs * cache.features[:, :D]
     dF -= gc * cache.features[:, D:]
     cache.features = None
-    np.matmul(dF.T, cache.x, out=out[0])
-    return dF @ layer.omega if input_grad else None
+    grad_omega = partial(np.matmul, dF.T, cache.x, out=out[0])
+    if not input_grad:
+        grad_omega()
+        return None
+    return side_by_side(grad_omega, partial(np.matmul, dF, layer.omega), dF.size)[1]

@@ -18,6 +18,12 @@ lost what a reader can derive: each is the digest of the earlier bytes with the
 class_count, out_dim and preprocess_dim keys, every d_in above layer 0, the
 lr and val_acc columns taken out and each batch-norm entry written as true.
 
+The wide train digests were recorded with the code as it was before a wide
+layer's cos and sin halves, its two backward products and Adam's two halves
+ran side by side: at --dim 512 with a full batch of 200 rows every f and dF
+holds 102,400 values and each half of Adam's parameter vector 265,729, so those
+runs take that path on a machine with two CPUs.
+
 The inspect case reads all 124 training rows (--max-samples' default of 256
 keeps them all). Its kernel and kPCA digests were re-recorded when it stopped
 sampling 64 of them; they agree under OPENBLAS_NUM_THREADS=1 and =2, because
@@ -170,3 +176,28 @@ def train_digests(run_dir: str) -> dict:
 @pytest.mark.parametrize("task", ["monks1", "blobs"])
 def test_train_outputs_golden(runs, task):
     assert train_digests(runs[1][task]) == TRAIN_DIGESTS[task]
+
+
+WIDE_TRAIN_DIGESTS = {
+    "batch-norm": {
+        "log-trial0.csv": "3412992abd70bbb4c35223db5195f7eef2d27281f13a054f5b855faa7cbab1a3",
+        "model-trial0.bin": "442dab825968d32fd8186bd8bc7f414055fc9b67749fb63f3f5bda62dd9ad26b",
+    },
+    "no-batch-norm": {
+        "log-trial0.csv": "906c7c865ff90ae2b0f475c7475eb64a3f4bc619e326b2b71d462e69186bd964",
+        "model-trial0.bin": "f8f6649f737b9231f2c6ea94ebeac7dc895ad55884c5e97c988b905ff3b2fc26",
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(WIDE_TRAIN_DIGESTS))
+def test_wide_train_outputs_golden(tmp_path, case):
+    flags = ["--no-batch-norm"] if case == "no-batch-norm" else []
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["train", "--task", "blobs", "--registry", REGISTRY, "--layers", "2", "--dim", "512",
+                         "--batch-size", "full", "--epochs", "5", "--seed", "0", *flags, "--out", str(tmp_path)]) == 0
+    digests = {}
+    for name in WIDE_TRAIN_DIGESTS[case]:
+        with open(tmp_path / name, "rb") as fh:
+            digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    assert digests == WIDE_TRAIN_DIGESTS[case]

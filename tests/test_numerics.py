@@ -1,7 +1,12 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from rffnet.numerics import Rng, row_blocks, sym_eig_topk
+from rffnet import numerics
+from rffnet.numerics import Rng, row_blocks, side_by_side, split_pays, sym_eig_topk
 
 
 def test_gaussian_zero_stddev_is_constant():
@@ -98,3 +103,91 @@ def test_row_blocks_cover_the_rows_and_merge_only_a_trailing_single_row():
     assert row_blocks(1, 4, merge_singleton=True) == [(0, 1)]  # the whole set may be one row
     assert row_blocks(5, 1, merge_singleton=True) == [(0, 1), (1, 2), (2, 3), (3, 5)]
     assert row_blocks(0, 4, merge_singleton=True) == []
+
+
+def test_rng_values_are_pinned():
+    # derive mixes a Python int and raw a uint64 array through one splitmix64 mixer
+    assert Rng(0).derive("shuffle", 3).seed == 17774802409441207355
+    assert Rng(12345).derive("init").seed == 11977022823666714978
+    assert Rng(2**64 - 1).derive("monks", "monks1").seed == 12432021632082054024
+    assert Rng(7).raw(3).tolist() == [7191089600892374487, 309689372594955804, 16616101746815609346]
+
+
+def test_the_split_rule_needs_two_cpus_and_halves_of_the_minimum_size(monkeypatch):
+    # the rule's function is called with a patched affinity; no thread is started
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert not split_pays(1 << 24)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert split_pays(numerics.SPLIT_MIN_VALUES)
+    assert not split_pays(numerics.SPLIT_MIN_VALUES - 1)
+
+
+def test_side_by_side_runs_both_here_when_the_rule_says_no(monkeypatch):
+    monkeypatch.setattr(numerics, "SPLIT_MIN_VALUES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(numerics, "_helper", None)
+    calls = []
+    assert side_by_side(lambda: calls.append(("first", threading.get_ident())) or 1,
+                        lambda: calls.append(("second", threading.get_ident())) or 2, 1 << 20) == (1, 2)
+    assert calls == [("first", threading.get_ident()), ("second", threading.get_ident())]
+    assert numerics._helper is None  # no helper thread was started on one CPU
+
+
+def test_an_error_raised_on_the_helper_reaches_the_caller(split_everything):
+    split_everything()
+    threads, ran = [], []
+
+    def fail():
+        threads.append(threading.get_ident())
+        raise ValueError("raised on the helper")
+
+    with pytest.raises(ValueError, match="raised on the helper"):
+        side_by_side(fail, lambda: ran.append("second"), 1)
+    assert ran == ["second"]  # the caller's call ran, and the caller waited for the helper
+    assert threads and threads[0] != threading.get_ident()
+    assert side_by_side(lambda: 1, lambda: 2, 1) == (1, 2)  # the helper still serves
+
+    def fail_here():
+        raise KeyError("raised here")
+
+    with pytest.raises(KeyError):  # the caller's own error wins, and the helper's is not kept for later
+        side_by_side(fail, fail_here, 1)
+    assert side_by_side(lambda: 1, lambda: 2, 1) == (1, 2)
+
+
+def test_an_idle_helper_thread_exits_and_the_next_split_starts_another(split_everything, monkeypatch):
+    split_everything()
+    monkeypatch.setattr(numerics, "HELPER_IDLE_S", 0.01)
+    threads = []
+    for _ in range(2):
+        thread, _ = side_by_side(threading.current_thread, lambda: None, 1)
+        thread.join(timeout=10)
+        assert thread is not threading.current_thread() and not thread.is_alive()
+        threads.append(thread)
+    assert threads[0] is not threads[1] and numerics._helper is None
+
+
+def test_callers_on_many_threads_each_get_their_own_results(split_everything):
+    # more callers than cores share the one helper: a result handed to the wrong
+    # caller, or a call lost between them, breaks the pairs
+    split_everything()
+    failures = []
+
+    def caller(k):
+        for i in range(300):
+            pair = side_by_side(lambda: (k, i, "first"), lambda: (k, i, "second"), 1)
+            if pair != ((k, i, "first"), (k, i, "second")):
+                failures.append(pair)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []

@@ -193,12 +193,18 @@ def test_batchnorm_inference_records_nothing():
 
 
 def test_batchnorm_running_stats_update():
+    # batchnorm_forward hands the batch's mean and variance back; forward folds them
+    # into the running averages
     bn = BatchNormState.identity(2)
     x = np.array([[0.0, 10.0], [2.0, 30.0]])
-    batchnorm_forward(bn, x, training=True)
+    _, (_, mean, var, _) = batchnorm_forward(bn, x, training=True)
+    assert np.array_equal(mean, [1.0, 20.0]) and np.array_equal(var, [1.0, 100.0])
+    assert np.array_equal(bn.running_mean, [0.0, 0.0]) and np.array_equal(bn.running_var, [1.0, 1.0])
+    layer = RffLayer(omega=np.array([[1.0]]), batchnorm=BatchNormState.identity(2))
+    _, cache = forward(layer, np.array([[0.0], [2.0]]), training=True)
     assert BN_MOMENTUM == 0.1
-    assert np.allclose(bn.running_mean, 0.9 * 0.0 + 0.1 * np.array([1.0, 20.0]))
-    assert np.allclose(bn.running_var, 0.9 * 1.0 + 0.1 * np.array([1.0, 100.0]))
+    assert np.allclose(layer.batchnorm.running_mean, 0.9 * 0.0 + 0.1 * cache.features.mean(axis=0))
+    assert np.allclose(layer.batchnorm.running_var, 0.9 * 1.0 + 0.1 * cache.features.var(axis=0))
 
 
 def test_batchnorm_backward_finite_differences():
@@ -216,10 +222,10 @@ def test_batchnorm_backward_finite_differences():
         y, _ = batchnorm_forward(bn_copy, x_, training=True)
         return float(np.sum(y * w))
 
-    y, cache = batchnorm_forward(bn, x, training=True)
+    y, (x_hat, _, _, inv_std) = batchnorm_forward(bn, x, training=True)
     ggamma, gbeta = np.full(6, np.nan), np.full(6, np.nan)
     grad_y = w.copy()  # batchnorm_backward builds grad_x inside the gradient it is handed
-    gx = batchnorm_backward(bn, cache, grad_y, ggamma, gbeta)
+    gx = batchnorm_backward(bn, (x_hat, inv_std), grad_y, ggamma, gbeta)
     assert gx is grad_y
     h = 1e-6
     for i in range(4):
@@ -254,3 +260,42 @@ def test_backward_shapes_roundtrip(seed):
     grad_in = backward(layer, cache, np.ones_like(out), grads)
     assert grad_in.shape == (batch, d)
     assert all(np.isfinite(g).all() for g in grads)  # every parameter gradient was written
+
+
+def _seeded_layer(d, D, batchnorm):
+    layer = init_layer(d, D, 0.7, Rng(31), batchnorm=batchnorm)
+    if batchnorm:
+        bn = layer.batchnorm
+        bn.running_mean[...] = Rng(32).normal(2 * D, 0.0, 0.1)
+        bn.running_var[...] = 0.5 + Rng(33).uniform(2 * D)
+        bn.gamma[...] = Rng(34).normal(2 * D, 1.0, 0.2)
+        bn.beta[...] = Rng(35).normal(2 * D, 0.0, 0.2)
+    return layer
+
+
+def _forward_and_backward(batchnorm, training):
+    """A forward pass and, for a training pass, a backward pass of a seeded layer:
+    every array either produces."""
+    layer = _seeded_layer(5, 37, batchnorm)
+    X = Rng(36).normal((13, 5), 0.0, 2.0)
+    out, cache = forward(layer, X, training=training)
+    arrays = [out, cache.features, *(cache.bn or ())]
+    if batchnorm:
+        arrays += [layer.batchnorm.running_mean, layer.batchnorm.running_var]
+    if training:
+        grads = grad_arrays(layer)
+        arrays += [backward(layer, cache, Rng(37).normal(out.shape), grads), *grads]
+    return arrays
+
+
+@pytest.mark.parametrize("batchnorm", [True, False])
+@pytest.mark.parametrize("training", [True, False])
+def test_split_layer_keeps_every_bit(split_everything, batchnorm, training):
+    # the cos columns on the helper thread and the sin columns here, and the two backward
+    # products side by side, give the bytes of one pass: the output, the (x_hat, inv_std)
+    # record, the running statistics, the gradient views and the input gradient
+    whole = _forward_and_backward(batchnorm, training)
+    split_everything()
+    split = _forward_and_backward(batchnorm, training)
+    assert len(split) == len(whole)
+    assert all(np.array_equal(a, b) for a, b in zip(whole, split))

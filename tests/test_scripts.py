@@ -179,6 +179,24 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def test_only_numerics_imports_threading_and_nothing_imports_concurrent_futures():
+    # numerics.side_by_side is the one home of the helper thread; concurrent.futures alone
+    # would add about 0.6 MB of resident memory to every process
+    importers = {}
+    for path in sorted(Path(ROOT, "src", "rffnet").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] in ("threading", "concurrent"):
+                    importers.setdefault(name.split(".")[0], []).append(path.name)
+    assert importers == {"threading": ["numerics.py"]}
+
+
 def test_kernel_analysis_defines_no_class_and_takes_none_of_the_packages():
     # README: kernel_analysis works over plain values. A kernel family is its kind and bandwidth, a
     # histogram reads a frequency matrix; only the Rng a draw consumes is an rffnet object
@@ -234,14 +252,20 @@ REACH_ALLOWLIST = {
     ("cli.py", "return (lambda: 1), (lambda n: None)"):
         "the corpus runs on numpy's bundled OpenBLAS, whose thread count main pins to one; with another BLAS "
         "library, or without /proc/self/maps, there is nothing to pin",
+    ("numerics.py", "self.error = exc"):
+        "no command's array work raises on the helper thread; tests/test_numerics.py raises there on purpose",
+    ("numerics.py", "raise error"):
+        "no command's array work raises on the helper thread; tests/test_numerics.py raises there on purpose",
     ("optimizer.py", 'raise ParameterError("a trainable array was rebound and is no longer a view of net.flat; "'):
         "code outside fit can rebind a parameter after the network is built, and fit would then train a stale "
         "buffer without any error",
 }
 
 
-def test_reach_corpus_exits_cleanly_and_leaves_only_the_allowlisted_statements_unreached():
-    # a new branch that no command reaches fails here: delete it, reach it from the corpus, or allowlist it
+def test_reach_corpus_exits_cleanly_and_leaves_only_the_allowlisted_statements_unreached(monkeypatch):
+    # a new branch that no command reaches fails here: delete it, reach it from the corpus, or allowlist it.
+    # Two CPUs, so that the wide command splits its arrays onto the helper thread on any machine
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     results, unreached = load_script("reach").run()
     unclean = [(argv, code, err) for argv, code, err in results
                if code not in (0, 1, 2, 3) or len(err.splitlines()) > 1]
