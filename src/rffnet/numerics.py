@@ -95,8 +95,10 @@ def side_by_side(first, second, values: int):
     on first use, which exits once idle for HELPER_IDLE_S) while second runs
     here, and an error raised by first is raised here once both are done.
     Otherwise, or while another thread uses the helper, both run here in order.
-    Each call writes its own part of arrays the caller made: numpy and BLAS
-    release the interpreter lock, so the two run at once.
+    Each call writes its own part of arrays the caller made, computing that
+    part alone (a wide layer's forward maps half of its frequency rows, product
+    included, in each): numpy and BLAS release the interpreter lock, so the two
+    run at once.
     """
     global _helper
     if not split_pays(values) or not _helper_free.acquire(blocking=False):
@@ -121,10 +123,18 @@ def side_by_side(first, second, values: int):
 
 
 def _mix64(z):
-    """splitmix64's output function, of a Python int or a uint64 array."""
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return z ^ (z >> 31)
+    """splitmix64's output function, of a Python int, or in place of a uint64 array."""
+    if isinstance(z, int):
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        return z ^ (z >> 31)
+    shifted = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=shifted)
+    z *= np.uint64(_MIX1)  # wraps modulo 2^64, as the int path's mask does
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
+    z *= np.uint64(_MIX2)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    return z
 
 
 def _fnv1a64(text: str) -> int:
@@ -148,9 +158,11 @@ class Rng:
 
     def raw(self, n: int) -> np.ndarray:
         """Next ``n`` raw uint64 words."""
-        idx = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
+        z = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
         self._count += n
-        return _mix64(np.uint64(self.seed) + idx * np.uint64(_GAMMA))
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self.seed)
+        return _mix64(z)
 
     def uniform(self, n: int) -> np.ndarray:
         """``n`` doubles uniform on [0, 1)."""
@@ -165,11 +177,21 @@ class Rng:
         (an int or a tuple of ints)."""
         size = int(np.prod(shape))
         half = (size + 1) // 2
-        u1 = self.uniform_open(half)
-        u2 = self.uniform(half)
-        r = np.sqrt(-2.0 * np.log(u1))
-        z = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])[:size]
-        return (mean + std * z).reshape(shape)
+        r = self.uniform_open(half)
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        angle = self.uniform(half)
+        angle *= 2.0 * np.pi
+        z = np.empty(2 * half)
+        np.cos(angle, out=z[:half])
+        z[:half] *= r
+        np.sin(angle, out=z[half:])
+        z[half:] *= r
+        z = z[:size]
+        z *= std
+        z += mean
+        return z.reshape(shape)
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n)."""

@@ -17,6 +17,11 @@ from .numerics import Rng, side_by_side, split_pays
 
 BN_MOMENTUM = 0.1  # weight of each training batch in the running statistics
 BN_EPSILON = 1e-5  # added to every variance before its square root
+# A split forward cuts the frequency rows at a multiple of this many rows, and
+# only when D is a multiple of 8. A column block of an OpenBLAS product keeps the
+# whole product's last bits only when it starts on a multiple of 8 rows (500 of
+# 1000 rows does not), and, for D from 193 to 319, only when it also ends on one.
+ROW_ALIGN = 64
 
 
 @dataclass
@@ -126,22 +131,25 @@ def batchnorm_backward(bn: BatchNormState, record: tuple[np.ndarray, np.ndarray]
     return grad_x
 
 
-def _map_columns(layer: RffLayer, f, features, y, x_hat, training: bool, halves):
-    """Fill the columns of ``halves`` (0: cos, 1: sin) of features: the trig map
-    of the pre-activations f, scaled by sqrt(1/D), then batch norm, written into
-    the same columns of y and x_hat when they are given; returns
-    batchnorm_forward's (y, stats), or (None, None) without batch norm."""
+def _map_rows(layer: RffLayer, X, features, y, x_hat, training: bool, lo: int, hi: int):
+    """Map the frequency rows [lo, hi): f = X @ omega[lo:hi]^T, cos(f) into feature
+    columns [lo, hi) and sin(f) into [D + lo, D + hi), scaled by sqrt(1/D), then batch
+    norm, written into the same columns of y and x_hat when they are given. Returns
+    batchnorm_forward's (y, stats), or (None, None) without batch norm, per column
+    block: all 2D columns at once for all D rows, else the cos block, then the sin block."""
     D = layer.D
-    for h in halves:
-        (np.cos, np.sin)[h](f, out=features[:, h * D:(h + 1) * D])
-    del f  # frees the pre-activations before batch norm when the caller kept no reference
-    cols = slice(halves[0] * D, (halves[-1] + 1) * D)
-    x = features[:, cols]
-    x *= np.sqrt(1.0 / D)
-    if layer.batchnorm is None:
-        return None, None
-    return batchnorm_forward(layer.batchnorm, x, training, cols,
-                             None if y is None else y[:, cols], None if x_hat is None else x_hat[:, cols])
+    f = X @ layer.omega[lo:hi].T
+    np.cos(f, out=features[:, lo:hi])
+    np.sin(f, out=features[:, D + lo:D + hi])
+    del f  # frees the pre-activations before batch norm
+    results = []
+    for cols in [slice(0, 2 * D)] if hi - lo == D else [slice(lo, hi), slice(D + lo, D + hi)]:
+        x = features[:, cols]
+        x *= np.sqrt(1.0 / D)
+        results.append((None, None) if layer.batchnorm is None else batchnorm_forward(
+            layer.batchnorm, x, training, cols, None if y is None else y[:, cols],
+            None if x_hat is None else x_hat[:, cols]))
+    return results
 
 
 def forward(layer: RffLayer, X, training: bool = False):
@@ -149,24 +157,28 @@ def forward(layer: RffLayer, X, training: bool = False):
 
     Output rows are sqrt(1/D) [cos(f_1)..cos(f_D), sin(f_1)..sin(f_D)]; the
     cos-then-sin order pairs feature m with m+D and is relied on by backward.
-    Batch norm acts on each feature alone, so when f = X @ omega^T is large
-    enough (numerics.split_pays) the cos columns are mapped on the helper thread
-    while the sin columns are mapped here, into arrays made here, with the
-    same bits as one pass over all 2D columns.
+    Frequency row m of omega alone makes features m and m+D, and batch norm acts
+    on each feature alone. So when f = X @ omega^T is large enough
+    (numerics.split_pays), rows [0, cut) are mapped on the helper thread (their
+    product, trig map, scale and batch norm) while rows [cut, D) are mapped
+    here, into arrays made here, with the same bits as one pass over all D rows.
+    cut is the largest multiple of ROW_ALIGN rows at most D/2; a cut of 0, or a
+    D that is no multiple of 8, maps the layer in one pass.
     """
     D = layer.D
     bn = layer.batchnorm
     features = np.empty((X.shape[0], 2 * D))
-    if split_pays(X.shape[0] * D):
-        f = X @ layer.omega.T
+    if split_pays(X.shape[0] * D) and D % 8 == 0 and (cut := D // 2 // ROW_ALIGN * ROW_ALIGN):
         y = None if bn is None else np.empty_like(features)
         x_hat = np.empty_like(features) if bn is not None and training else None
-        columns = partial(_map_columns, layer, f, features, y, x_hat, training)
-        (_, cos_stats), (_, sin_stats) = side_by_side(partial(columns, (0,)), partial(columns, (1,)), f.size)
-        # each half's per-column mean, var and inv_std, joined in column order
-        stats = None if x_hat is None else (x_hat, *map(np.concatenate, zip(cos_stats[1:], sin_stats[1:])))
+        rows = partial(_map_rows, layer, X, features, y, x_hat, training)
+        (cos_low, sin_low), (cos_high, sin_high) = side_by_side(
+            partial(rows, 0, cut), partial(rows, cut, D), X.shape[0] * D)
+        # each block's per-column mean, var and inv_std, joined in column order
+        block_stats = (cos_low[1], cos_high[1], sin_low[1], sin_high[1])
+        stats = None if x_hat is None else (x_hat, *map(np.concatenate, zip(*(b[1:] for b in block_stats))))
     else:
-        y, stats = _map_columns(layer, X @ layer.omega.T, features, None, None, training, (0, 1))
+        y, stats = _map_rows(layer, X, features, None, None, training, 0, D)[0]
     output = features if bn is None else y
     record = None
     if stats is not None:

@@ -1,4 +1,7 @@
+import collections
 import hashlib
+import os
+import sys
 import weakref
 
 import numpy as np
@@ -8,10 +11,20 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from oracles import training_log_from_csv_text
 
-from rffnet import network, optimizer
+from rffnet import network, numerics, optimizer, rff_layer
 from rffnet.cli import RunConfig, log_csv_text
 from rffnet.errors import ParameterError
-from rffnet.network import accuracy, build_network, load_network, parameters, save_network
+from rffnet.network import (
+    accuracy,
+    backward_full,
+    build_network,
+    forward_full,
+    load_network,
+    loss_gradient,
+    parameters,
+    save_network,
+    unflatten,
+)
 from rffnet.numerics import Rng
 from rffnet.optimizer import adam_step, fit
 from rffnet.tasks import two_blobs
@@ -59,6 +72,36 @@ def test_split_adam_keeps_every_bit(split_everything):
     whole = _adam_run()
     split_everything()
     assert all(np.array_equal(a, b) for a, b in zip(whole, _adam_run()))
+
+
+def _splits_of_one_step(monkeypatch, n, d_in, D):
+    """The calls of each function that would run two halves side by side, counted over
+    one training step of a 2-layer batch-norm network of width D on n rows, on a 2-CPU
+    affinity. The counting side_by_side runs both halves here and starts no thread."""
+    splits = collections.Counter()
+
+    def counted(first, second, values):
+        if numerics.split_pays(values):
+            splits[sys._getframe(1).f_code.co_name] += 1
+        return first(), second()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    for module in (rff_layer, optimizer):
+        monkeypatch.setattr(module, "side_by_side", counted)
+    net = build_network(d_in, 2, 2, [D], "squared_hinge", Rng(0), batch_norm=True)
+    X, y = Rng(1).normal((n, d_in)), np.arange(n) % 2
+    grad = np.empty_like(net.flat)
+    trace = forward_full(net, X, training=True)
+    backward_full(net, trace, loss_gradient(net, trace.logits, y), 0.0, grad, unflatten(net, grad))
+    adam_step(net.flat, grad, np.zeros_like(grad), np.zeros_like(grad), 1, RunConfig())
+    return dict(splits)
+
+
+def test_a_wide_step_splits_at_every_call_site_and_a_monks_step_at_none(monkeypatch):
+    # blobs-wide's step: both layers' forwards, the second layer's backward (the first
+    # wants no input gradient) and Adam; the monks arrays never reach the threshold
+    assert _splits_of_one_step(monkeypatch, 200, 2, 512) == {"forward": 2, "backward": 1, "adam_step": 1}
+    assert _splits_of_one_step(monkeypatch, 124, 6, 64) == {}
 
 
 _finite = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)

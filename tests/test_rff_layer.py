@@ -1,9 +1,11 @@
+import os
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rffnet.numerics import Rng
+from rffnet.numerics import SPLIT_MIN_VALUES, Rng
 from rffnet.rff_layer import (
     BN_EPSILON,
     BN_MOMENTUM,
@@ -273,11 +275,12 @@ def _seeded_layer(d, D, batchnorm):
     return layer
 
 
-def _forward_and_backward(batchnorm, training):
+def _forward_and_backward(D, batchnorm, training):
     """A forward pass and, for a training pass, a backward pass of a seeded layer:
-    every array either produces."""
-    layer = _seeded_layer(5, 37, batchnorm)
-    X = Rng(36).normal((13, 5), 0.0, 2.0)
+    every array either produces. Its 400 x D pre-activations reach the split
+    threshold."""
+    layer = _seeded_layer(5, D, batchnorm)
+    X = Rng(36).normal((400, 5), 0.0, 2.0)
     out, cache = forward(layer, X, training=training)
     arrays = [out, cache.features, *(cache.bn or ())]
     if batchnorm:
@@ -288,14 +291,51 @@ def _forward_and_backward(batchnorm, training):
     return arrays
 
 
+def _one_cpu(monkeypatch):
+    """Make numerics.split_pays say no to every array: every call site runs whole, here."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
 @pytest.mark.parametrize("batchnorm", [True, False])
 @pytest.mark.parametrize("training", [True, False])
-def test_split_layer_keeps_every_bit(split_everything, batchnorm, training):
-    # the cos columns on the helper thread and the sin columns here, and the two backward
+@pytest.mark.parametrize("D", [200, 193])
+def test_split_layer_keeps_every_bit(split_everything, monkeypatch, D, batchnorm, training):
+    # frequency rows [0, cut) on the helper thread and [cut, D) here, and the two backward
     # products side by side, give the bytes of one pass: the output, the (x_hat, inv_std)
-    # record, the running statistics, the gradient views and the input gradient
-    whole = _forward_and_backward(batchnorm, training)
+    # record, the running statistics, the gradient views and the input gradient. D = 200
+    # cuts at 64 rows, leaving halves of 64 and 136; D = 193, no multiple of 8, maps its
+    # rows in one pass (cut at 64, its last column would change its bits)
+    _one_cpu(monkeypatch)
+    whole = _forward_and_backward(D, batchnorm, training)
     split_everything()
-    split = _forward_and_backward(batchnorm, training)
+    split = _forward_and_backward(D, batchnorm, training)
+    assert len(split) == len(whole)
+    assert all(np.array_equal(a, b) for a, b in zip(whole, split))
+
+
+@given(st.data())
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_split_forward_keeps_every_bit_from_the_threshold(split_everything, monkeypatch, data):
+    # a split never runs below SPLIT_MIN_VALUES: there, small-batch products differ in their
+    # last bits even at cuts that are multiples of 64, e.g. (n, d_in, D) = (2, 1024, 512).
+    # Most draws are multiples of 8, which split; the rest, e.g. (340, 6, 193), run whole.
+    D = data.draw(st.sampled_from([600, 1000]) | st.integers(16, 128).map(lambda k: 8 * k)
+                  | st.integers(128, 1024), label="D")
+    n_min = -(-SPLIT_MIN_VALUES // D)
+    n = data.draw(st.integers(n_min, n_min + 300), label="n")
+    d_in = data.draw(st.sampled_from([1, 6, 64, 1024]) | st.integers(1, 1024), label="d_in")
+    batchnorm, training = data.draw(st.booleans(), label="batchnorm"), data.draw(st.booleans(), label="training")
+    X = Rng(n).normal((n, d_in), 0.0, 2.0)
+
+    def run():
+        layer = _seeded_layer(d_in, D, batchnorm)
+        out, cache = forward(layer, X, training=training)
+        arrays = [out, cache.features, *(cache.bn or ())]
+        return arrays + ([layer.batchnorm.running_mean, layer.batchnorm.running_var] if batchnorm else [])
+
+    _one_cpu(monkeypatch)
+    whole = run()
+    split_everything()
+    split = run()
     assert len(split) == len(whole)
     assert all(np.array_equal(a, b) for a, b in zip(whole, split))
