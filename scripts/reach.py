@@ -319,6 +319,10 @@ def corpus():
                        ("key", lambda h, w: h.pop("preprocess_stages"))):
         yield ["eval", _edited(model, f"{name}.bin", edit), "--task", "monks1"]
     yield ["eval", _edited("v1.bin", "chain.bin", lambda h, w: _set(h["layers"][1], "d_in", 3)), "--task", "blobs"]
+    # a directory where the output file goes: the final rename fails and its temporary file is removed
+    Path("taken/model-trial0.bin").mkdir(parents=True)
+    yield ["approx-bench", "--dims", "8", "--pairs", "3", "--out", "taken/"]
+    yield ["train", "--task", "monks1", *quick, "--out", "taken"]
 
     # --- numeric failures: exit 3
     yield ["train", "--task", "blobs", "--lr", "1e308", "--epochs", "2", "--dim", "4", "--out", "big"]

@@ -2,7 +2,10 @@
 
 Run configs are flat dotted-key text files (e.g. ``model.layers = 2``); command
 line flags override file values. Every run directory is self-describing: the
-resolved config, seeds, metrics, and logs are enough to replay it exactly.
+resolved config, seeds, metrics, and logs are enough to replay it exactly. A
+random-half task splits trial t with seed train.seed + t, and ``eval --config``
+defaults to train.seed, trial 0's half: evaluate trial t with
+``--split-seed <train.seed + t>``.
 
 Exit codes: 0 success, and one per error class: 1 ParameterError (usage or
 config), 2 DataError (also a file that cannot be read or decoded), 3
@@ -31,6 +34,7 @@ from .kernel_analysis import empirical_kernel, kpca_project, omega_histogram, rf
 from .network import (
     LOSS_KINDS,
     accuracy,
+    atomic_file,
     build_network,
     default_layer_count,
     forward_full,
@@ -245,10 +249,8 @@ def config_to_text(cfg: RunConfig) -> str:
 
 
 def write_text_atomic(path, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
+    with atomic_file(path, "w", "") as fh:
         fh.write(text)
-    os.replace(tmp, path)
 
 
 @functools.cache

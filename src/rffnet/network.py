@@ -7,6 +7,7 @@ entropy); the predicted class is the argmax.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -58,6 +59,7 @@ class Network:
 class ForwardTrace:
     caches: list[LayerCache]  # one per layer for a training pass, none for an inference pass
     logits: np.ndarray
+    readout_input: np.ndarray | None  # the last layer's output, kept by a training pass for backward_full
 
 
 def default_layer_count(n_samples: int) -> int:
@@ -108,7 +110,7 @@ def forward_full(net: Network, X, training: bool = False) -> ForwardTrace:
             caches.append(cache)
         del cache  # else the record would outlive its layer into the next one's forward
     logits = h @ net.readout_w.T + net.readout_b
-    return ForwardTrace(caches=caches, logits=logits)
+    return ForwardTrace(caches=caches, logits=logits, readout_input=h if training else None)
 
 
 def _parameter_slots(net: Network):
@@ -204,12 +206,12 @@ def backward_full(net: Network, trace: ForwardTrace, grad_logits, lam: float, ou
     Writes one gradient vector laid out like net.flat into ``out``, a buffer a
     training loop reuses, through ``views``, unflatten(net, out), which the loop
     makes once; returns out. It consumes the trace, which must be a training
-    pass of net: the last layer's output is dropped once the readout gradient
+    pass of net: the readout's input is dropped once the readout gradient
     is written, and each record is popped and handed, with the gradient
     computed for it, to rff_layer.backward, which consumes both.
     """
-    np.matmul(grad_logits.T, trace.caches[-1].output, out=views[-2])
-    trace.caches[-1].output = None
+    np.matmul(grad_logits.T, trace.readout_input, out=views[-2])
+    trace.readout_input = None
     np.add.reduce(grad_logits, 0, out=views[-1])
     g = grad_logits @ net.readout_w
     end = len(views) - 2
@@ -243,6 +245,21 @@ _MAGIC = b"RFFNET1\n"
 _V1_BATCHNORM = {"momentum": BN_MOMENTUM, "epsilon": BN_EPSILON}
 
 
+@contextlib.contextmanager
+def atomic_file(path, mode: str, newline: str | None):
+    """Open <path>.tmp for the block to write, then rename it to path. A failed write
+    or rename removes <path>.tmp and re-raises."""
+    tmp = f"{path}.tmp"
+    fh = open(tmp, mode, newline=newline)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def save_network(net: Network, path, preprocess, label_names) -> None:
     layers_meta = []
     blobs: list[np.ndarray] = []
@@ -262,12 +279,10 @@ def save_network(net: Network, path, preprocess, label_names) -> None:
         "preprocess_stages": len(preprocess),
         "label_names": list(label_names),
     }
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
+    with atomic_file(path, "wb", None) as fh:
         fh.write(_MAGIC + json.dumps(header, sort_keys=True).encode() + b"\n")
         for b in blobs:
             fh.write(np.ascontiguousarray(b, dtype="<f8"))
-    os.replace(tmp, path)
 
 
 def load_network(path):

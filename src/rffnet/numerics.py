@@ -34,14 +34,19 @@ def row_blocks(n: int, size: int, merge_singleton: bool) -> list[tuple[int, int]
 
 
 # A hand-off to the helper thread costs about 0.3-0.5 ms on a 2-core VM, so only
-# halves of at least this many values run side by side: a 200 x 512 cos half
-# takes about 0.8 ms.
+# work on at least this many values runs side by side. Each caller counts its own:
+# rff_layer.forward the n x D pre-activations of both row blocks together (a
+# 200 x 512 layer splits into two 200 x 256 blocks, each of which takes 1.8 ms to
+# map from 6 inputs on a 2-core Xeon VM), rff_layer.backward dF's n x D values,
+# and optimizer.adam_step one half of the parameter vector.
 SPLIT_MIN_VALUES = 1 << 16
 
 
 def split_pays(values: int) -> bool:
-    """The split rule: each half holds at least SPLIT_MIN_VALUES values and the
-    process may run on at least 2 CPUs."""
+    """The split rule: the caller's count of values is at least SPLIT_MIN_VALUES
+    and the process may run on at least 2 CPUs. forward's count, all n x D
+    pre-activations, also guards bits: below it, a small batch's row-block
+    products can differ from the whole product in their last bits."""
     if values < SPLIT_MIN_VALUES:
         return False
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)

@@ -61,7 +61,6 @@ class LayerCache:
 
     x: np.ndarray            # (batch, d_in)
     features: np.ndarray     # sqrt(1/D) [cos f | sin f] with f = x @ omega^T, before batch norm
-    output: np.ndarray       # after batch norm (== features when disabled)
     bn: tuple[np.ndarray, np.ndarray] | None = None  # (x_hat, inv_std) of a training-mode batch norm
 
 
@@ -72,35 +71,33 @@ def init_layer(d_in: int, D: int, stddev: float, rng: Rng, batchnorm: bool = Fal
     return RffLayer(omega=omega, batchnorm=bn)
 
 
-def batchnorm_forward(bn: BatchNormState, x: np.ndarray, training: bool, cols=slice(None), y=None, x_hat=None):
-    """Normalize x, the columns ``cols`` of a layer's features, per feature; returns (y, stats).
+def batchnorm_forward(bn: BatchNormState, x: np.ndarray, training: bool, cols: slice, y: np.ndarray, record) -> None:
+    """Normalize x, the columns ``cols`` of a layer's features, per feature, into the same columns of y.
 
-    Training mode uses the batch's statistics and returns stats = (x_hat, mean,
-    var, inv_std): forward records (x_hat, inv_std) for batchnorm_backward and
-    folds mean and var into the running averages. Inference mode uses the
-    running statistics and returns stats = None. y and x_hat, when given, are
-    arrays shaped like x that receive the output and the normalized input;
-    otherwise they are made here. A training batch needs at least 2 rows."""
+    Training mode uses the batch's statistics: it writes the normalized input and
+    1/std into the same columns of record = (x_hat, inv_std), which
+    batchnorm_backward reads, and folds the batch's mean and variance into
+    bn.running_mean[cols] and bn.running_var[cols] in place. Inference mode uses
+    the running statistics; record is None. A training batch needs at least 2 rows."""
     gamma, beta = bn.gamma[cols], bn.beta[cols]
+    y = y[:, cols]
     if training:
         n = x.shape[0]
         # np.add.reduce(.., 0) / n is what x.mean(axis=0) computes, minus the wrapper's overhead
         mean = np.add.reduce(x, 0) / n
         # x_hat is normalised in place from x - mean; y holds the squares until it is built
-        x_hat = np.subtract(x, mean, out=x_hat)
-        y = np.multiply(x_hat, x_hat, out=y)
+        x_hat = np.subtract(x, mean, out=record[0][:, cols])
+        np.multiply(x_hat, x_hat, out=y)
         var = np.add.reduce(y, 0) / n
-        inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
-        x_hat *= inv_std
+        x_hat *= np.divide(1.0, np.sqrt(var + BN_EPSILON), out=record[1][cols])
         np.multiply(x_hat, gamma, out=y)
-        stats = (x_hat, mean, var, inv_std)
+        bn.running_mean[cols] = (1.0 - BN_MOMENTUM) * bn.running_mean[cols] + BN_MOMENTUM * mean
+        bn.running_var[cols] = (1.0 - BN_MOMENTUM) * bn.running_var[cols] + BN_MOMENTUM * var
     else:
-        y = np.subtract(x, bn.running_mean[cols], out=y)
+        np.subtract(x, bn.running_mean[cols], out=y)
         y *= 1.0 / np.sqrt(bn.running_var[cols] + BN_EPSILON)
         y *= gamma
-        stats = None
     y += beta
-    return y, stats
 
 
 def batchnorm_backward(bn: BatchNormState, record: tuple[np.ndarray, np.ndarray], grad_y: np.ndarray,
@@ -131,25 +128,21 @@ def batchnorm_backward(bn: BatchNormState, record: tuple[np.ndarray, np.ndarray]
     return grad_x
 
 
-def _map_rows(layer: RffLayer, X, features, y, x_hat, training: bool, lo: int, hi: int):
+def _map_rows(layer: RffLayer, X, features, y, record, training: bool, lo: int, hi: int) -> None:
     """Map the frequency rows [lo, hi): f = X @ omega[lo:hi]^T, cos(f) into feature
     columns [lo, hi) and sin(f) into [D + lo, D + hi), scaled by sqrt(1/D), then batch
-    norm, written into the same columns of y and x_hat when they are given. Returns
-    batchnorm_forward's (y, stats), or (None, None) without batch norm, per column
-    block: all 2D columns at once for all D rows, else the cos block, then the sin block."""
+    norm into the same columns of y and record, per column block: all 2D columns at
+    once for all D rows, else the cos block, then the sin block."""
     D = layer.D
     f = X @ layer.omega[lo:hi].T
     np.cos(f, out=features[:, lo:hi])
     np.sin(f, out=features[:, D + lo:D + hi])
     del f  # frees the pre-activations before batch norm
-    results = []
     for cols in [slice(0, 2 * D)] if hi - lo == D else [slice(lo, hi), slice(D + lo, D + hi)]:
         x = features[:, cols]
         x *= np.sqrt(1.0 / D)
-        results.append((None, None) if layer.batchnorm is None else batchnorm_forward(
-            layer.batchnorm, x, training, cols, None if y is None else y[:, cols],
-            None if x_hat is None else x_hat[:, cols]))
-    return results
+        if layer.batchnorm is not None:
+            batchnorm_forward(layer.batchnorm, x, training, cols, y, record)
 
 
 def forward(layer: RffLayer, X, training: bool = False):
@@ -157,36 +150,27 @@ def forward(layer: RffLayer, X, training: bool = False):
 
     Output rows are sqrt(1/D) [cos(f_1)..cos(f_D), sin(f_1)..sin(f_D)]; the
     cos-then-sin order pairs feature m with m+D and is relied on by backward.
-    Frequency row m of omega alone makes features m and m+D, and batch norm acts
-    on each feature alone. So when f = X @ omega^T is large enough
-    (numerics.split_pays), rows [0, cut) are mapped on the helper thread (their
-    product, trig map, scale and batch norm) while rows [cut, D) are mapped
-    here, into arrays made here, with the same bits as one pass over all D rows.
-    cut is the largest multiple of ROW_ALIGN rows at most D/2; a cut of 0, or a
-    D that is no multiple of 8, maps the layer in one pass.
+    forward makes every array of the layer once: the features, the output (the
+    features themselves without batch norm) and a training-mode batch norm's
+    (x_hat, inv_std) record, which batchnorm_forward fills. Frequency row m of
+    omega alone makes features m and m+D, and batch norm acts on each feature
+    alone. So when f = X @ omega^T is large enough (numerics.split_pays), rows
+    [0, cut) are mapped on the helper thread (their product, trig map, scale and
+    batch norm) while rows [cut, D) are mapped here, with the same bits as one
+    pass over all D rows. cut is the largest multiple of ROW_ALIGN rows at most
+    D/2; a cut of 0, or a D that is no multiple of 8, maps the layer in one pass.
     """
     D = layer.D
     bn = layer.batchnorm
     features = np.empty((X.shape[0], 2 * D))
+    output = features if bn is None else np.empty_like(features)
+    record = (np.empty_like(features), np.empty(2 * D)) if bn is not None and training else None
+    rows = partial(_map_rows, layer, X, features, output, record, training)
     if split_pays(X.shape[0] * D) and D % 8 == 0 and (cut := D // 2 // ROW_ALIGN * ROW_ALIGN):
-        y = None if bn is None else np.empty_like(features)
-        x_hat = np.empty_like(features) if bn is not None and training else None
-        rows = partial(_map_rows, layer, X, features, y, x_hat, training)
-        (cos_low, sin_low), (cos_high, sin_high) = side_by_side(
-            partial(rows, 0, cut), partial(rows, cut, D), X.shape[0] * D)
-        # each block's per-column mean, var and inv_std, joined in column order
-        block_stats = (cos_low[1], cos_high[1], sin_low[1], sin_high[1])
-        stats = None if x_hat is None else (x_hat, *map(np.concatenate, zip(*(b[1:] for b in block_stats))))
+        side_by_side(partial(rows, 0, cut), partial(rows, cut, D), X.shape[0] * D)
     else:
-        y, stats = _map_rows(layer, X, features, None, None, training, 0, D)[0]
-    output = features if bn is None else y
-    record = None
-    if stats is not None:
-        x_hat, mean, var, inv_std = stats
-        bn.running_mean = (1.0 - BN_MOMENTUM) * bn.running_mean + BN_MOMENTUM * mean
-        bn.running_var = (1.0 - BN_MOMENTUM) * bn.running_var + BN_MOMENTUM * var
-        record = (x_hat, inv_std)
-    return output, LayerCache(x=X, features=features, output=output, bn=record)
+        rows(0, D)
+    return output, LayerCache(x=X, features=features, bn=record)
 
 
 def backward(layer: RffLayer, cache: LayerCache, grad_output, out, input_grad: bool = True):
@@ -199,13 +183,12 @@ def backward(layer: RffLayer, cache: LayerCache, grad_output, out, input_grad: b
     scale as the forward map. With ``input_grad=False`` grad_input is skipped
     and returned as None: a network's first layer has no use for it. A
     batch-norm layer differentiates only a training-mode forward's record. backward
-    consumes the record (it sets output, bn and features to None once read) and,
+    consumes the record (it sets bn and features to None once read) and,
     with batch norm, builds its input gradient inside grad_output. When dF is
     large enough (numerics.split_pays) and grad_input is wanted, the grad_omega
     product runs on the helper thread beside the grad_input product
     (numerics.side_by_side runs both here, in that order, otherwise).
     """
-    cache.output = None
     if layer.batchnorm is not None:
         grad_feats = batchnorm_backward(layer.batchnorm, cache.bn, grad_output, *out[1:])
         cache.bn = None

@@ -484,6 +484,22 @@ def test_approx_bench_zero_spread_zero_error(tmp_path):
         assert float(row.split(",")[2]) < 1e-12
 
 
+def test_a_failed_rename_exits_2_and_leaves_no_temporary_file(tmp_path, capsys):
+    # write_text_atomic: --out names a directory, so <out>.tmp cannot replace it
+    out = tmp_path / "d"
+    out.mkdir()
+    assert run_cli("approx-bench", "--dims", "8", "--pairs", "3", "--out", f"{out}/") == 2
+    assert capsys.readouterr().err == f"data error: [Errno 20] Not a directory: '{out}/.tmp' -> '{out}/'\n"
+    assert list(out.iterdir()) == []
+    # save_network: the snapshot's path is a directory
+    run = tmp_path / "run"
+    (run / "model-trial0.bin").mkdir(parents=True)
+    assert run_cli("train", "--task", "monks1", "--epochs", "1", "--out", str(run)) == 2
+    snapshot = run / "model-trial0.bin"
+    assert capsys.readouterr().err == f"data error: [Errno 21] Is a directory: '{snapshot}.tmp' -> '{snapshot}'\n"
+    assert sorted(p.name for p in run.iterdir()) == ["config.txt", "model-trial0.bin"]
+
+
 def test_missing_model_file_is_data_error(tmp_path):
     assert run_cli("eval", str(tmp_path / "nope.bin"), "--task", "monks1") == 2
 

@@ -229,7 +229,7 @@ def test_backward_full_releases_each_layer_before_the_one_below(monkeypatch, bn)
     net = build_network(3, 2, 3, [4, 5, 6], "squared_hinge", Rng(13), batch_norm=bn)
     trace = forward_full(net, Rng(14).normal((8, 3)), training=True)
     refs = [(weakref.ref(c.features), weakref.ref(c.bn[0]) if bn else None) for c in trace.caches]
-    last_output = weakref.ref(trace.caches[-1].output)
+    last_output = weakref.ref(trace.readout_input)
     real_backward, seen = network.backward, []
 
     def backward(layer, cache, *args, **kwargs):
@@ -371,6 +371,14 @@ def test_serialization_deterministic_bytes(tmp_path):
     save_network(net, p1, [], ["0", "1"])
     save_network(net, p2, [], ["0", "1"])
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_a_failed_snapshot_write_leaves_no_file(tmp_path):
+    # the header is written, then the first stage's array cannot be converted to float64
+    net = build_network(3, 2, 1, [4], "squared", Rng(5))
+    with pytest.raises(ValueError):
+        save_network(net, tmp_path / "model.bin", [(np.array(["x"]),)], ["0", "1"])
+    assert list(tmp_path.iterdir()) == []
 
 
 def _snapshot_bytes(tmp_path):

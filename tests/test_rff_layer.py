@@ -150,19 +150,27 @@ def test_batchnorm_forward_leaves_features_and_input_unchanged(training):
     layer.batchnorm.running_var = 0.5 + 1.5 * rng.derive("var").uniform(16)
     X = rng.derive("x").normal((12, 5), 0.0, 2.0)
     X_before = X.copy()
-    _, cache = forward(layer, X, training=training)
+    out, cache = forward(layer, X, training=training)
     assert np.array_equal(X, X_before)
     f = X @ layer.omega.T
     expected = np.sqrt(1.0 / 8) * np.concatenate([np.cos(f), np.sin(f)], axis=1)
     assert np.abs(cache.features - expected).max() < 1e-15
     assert np.array_equal(cache.features, forward(RffLayer(omega=layer.omega), X)[0])
-    assert not np.shares_memory(cache.output, cache.features)
+    assert not np.shares_memory(out, cache.features)
+
+
+def _batchnorm(bn, x, training):
+    """batchnorm_forward over every column of x, into fresh arrays: returns (y, record)."""
+    y = np.empty_like(x)
+    record = (np.empty_like(x), np.empty(x.shape[1])) if training else None
+    batchnorm_forward(bn, x, training, slice(None), y, record)
+    return y, record
 
 
 def test_batchnorm_constant_column_maps_to_zero():
     bn = BatchNormState.identity(3)
     x = np.column_stack([np.full(5, 2.0), np.arange(5.0), np.full(5, -1.0)])
-    y, _ = batchnorm_forward(bn, x, training=True)
+    y, _ = _batchnorm(bn, x, training=True)
     assert np.abs(y[:, 0]).max() < 1e-12
     assert np.abs(y[:, 2]).max() < 1e-12
 
@@ -170,7 +178,7 @@ def test_batchnorm_constant_column_maps_to_zero():
 def test_batchnorm_normalizes_batch():
     bn = BatchNormState.identity(4)
     x = Rng(5).normal((64, 4), 2.0, 3.0)
-    y, _ = batchnorm_forward(bn, x, training=True)
+    y, _ = _batchnorm(bn, x, training=True)
     assert np.abs(y.mean(axis=0)).max() < 1e-12
     assert np.abs(y.var(axis=0) - 1.0).max() < 1e-4  # epsilon shifts variance slightly
 
@@ -178,7 +186,8 @@ def test_batchnorm_normalizes_batch():
 def test_batchnorm_inference_identity_stats():
     bn = BatchNormState.identity(3)
     x = Rng(6).normal((4, 3))
-    y, _ = batchnorm_forward(bn, x, training=False)
+    y, record = _batchnorm(bn, x, training=False)
+    assert record is None
     assert np.abs(y - x / np.sqrt(1 + BN_EPSILON)).max() < 1e-9
 
 
@@ -195,18 +204,43 @@ def test_batchnorm_inference_records_nothing():
 
 
 def test_batchnorm_running_stats_update():
-    # batchnorm_forward hands the batch's mean and variance back; forward folds them
-    # into the running averages
+    # batchnorm_forward folds the batch's mean [1, 20] and variance [1, 100] into the
+    # running averages
     bn = BatchNormState.identity(2)
     x = np.array([[0.0, 10.0], [2.0, 30.0]])
-    _, (_, mean, var, _) = batchnorm_forward(bn, x, training=True)
-    assert np.array_equal(mean, [1.0, 20.0]) and np.array_equal(var, [1.0, 100.0])
-    assert np.array_equal(bn.running_mean, [0.0, 0.0]) and np.array_equal(bn.running_var, [1.0, 1.0])
+    _, (x_hat, inv_std) = _batchnorm(bn, x, training=True)
+    assert np.array_equal(x_hat, [[-1.0, -10.0], [1.0, 10.0]] * inv_std)
+    assert np.array_equal(inv_std, 1.0 / np.sqrt(np.array([1.0, 100.0]) + BN_EPSILON))
+    assert np.array_equal(bn.running_mean, 0.9 * np.zeros(2) + 0.1 * np.array([1.0, 20.0]))
+    assert np.array_equal(bn.running_var, 0.9 * np.ones(2) + 0.1 * np.array([1.0, 100.0]))
     layer = RffLayer(omega=np.array([[1.0]]), batchnorm=BatchNormState.identity(2))
     _, cache = forward(layer, np.array([[0.0], [2.0]]), training=True)
     assert BN_MOMENTUM == 0.1
     assert np.allclose(layer.batchnorm.running_mean, 0.9 * 0.0 + 0.1 * cache.features.mean(axis=0))
     assert np.allclose(layer.batchnorm.running_var, 0.9 * 1.0 + 0.1 * cache.features.var(axis=0))
+
+
+def test_batchnorm_updates_the_running_statistics_in_place_and_only_its_columns():
+    # a split forward's two threads each fold their own column blocks into the layer's arrays
+    layer = _seeded_layer(3, 8, batchnorm=True)
+    bn = layer.batchnorm
+    running_mean, running_var = bn.running_mean, bn.running_var
+    before = running_mean.copy(), running_var.copy()
+    forward(layer, Rng(38).normal((6, 3)), training=True)
+    assert bn.running_mean is running_mean and bn.running_var is running_var
+    assert not np.array_equal(running_mean, before[0]) and not np.array_equal(running_var, before[1])
+    before = running_mean.copy(), running_var.copy()
+    x = Rng(39).normal((6, 16), 1.0, 2.0)
+    y, x_hat = np.full_like(x, np.nan), np.full_like(x, np.nan)
+    inv_std = np.full(16, np.nan)
+    cols = slice(5, 9)
+    batchnorm_forward(bn, x[:, cols], True, cols, y, (x_hat, inv_std))
+    outside = np.ones(16, dtype=bool)
+    outside[cols] = False
+    for new, old in zip((running_mean, running_var), before):
+        assert np.array_equal(new[outside], old[outside]) and not np.array_equal(new[cols], old[cols])
+    assert np.isnan(y[:, outside]).all() and np.isnan(x_hat[:, outside]).all() and np.isnan(inv_std[outside]).all()
+    assert np.isfinite(y[:, cols]).all() and np.isfinite(x_hat[:, cols]).all() and np.isfinite(inv_std[cols]).all()
 
 
 def test_batchnorm_backward_finite_differences():
@@ -221,10 +255,10 @@ def test_batchnorm_backward_finite_differences():
         bn_copy = BatchNormState(gamma=bn.gamma, beta=bn.beta,
                                  running_mean=bn.running_mean.copy(),
                                  running_var=bn.running_var.copy())
-        y, _ = batchnorm_forward(bn_copy, x_, training=True)
+        y, _ = _batchnorm(bn_copy, x_, training=True)
         return float(np.sum(y * w))
 
-    y, (x_hat, _, _, inv_std) = batchnorm_forward(bn, x, training=True)
+    _, (x_hat, inv_std) = _batchnorm(bn, x, training=True)
     ggamma, gbeta = np.full(6, np.nan), np.full(6, np.nan)
     grad_y = w.copy()  # batchnorm_backward builds grad_x inside the gradient it is handed
     gx = batchnorm_backward(bn, (x_hat, inv_std), grad_y, ggamma, gbeta)
@@ -325,6 +359,24 @@ def test_split_forward_keeps_every_bit_from_the_threshold(split_everything, monk
     n = data.draw(st.integers(n_min, n_min + 300), label="n")
     d_in = data.draw(st.sampled_from([1, 6, 64, 1024]) | st.integers(1, 1024), label="d_in")
     batchnorm, training = data.draw(st.booleans(), label="batchnorm"), data.draw(st.booleans(), label="training")
+    _assert_split_forward_keeps_every_bit(split_everything, monkeypatch, n, d_in, D, batchnorm, training)
+
+
+@given(st.data())
+@settings(max_examples=16, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_split_forward_keeps_every_bit_for_tiny_batches_of_very_wide_layers(split_everything, monkeypatch, data):
+    # 2 to 16 rows at the smallest D, a multiple of 8, that reaches SPLIT_MIN_VALUES: e.g.
+    # (n, d_in, D) = (2, 6, 32768) cuts at 16384 rows, each half's product a 2-row matmul
+    n = data.draw(st.integers(2, 16), label="n")
+    D = -(-SPLIT_MIN_VALUES // n // 8) * 8
+    d_in = data.draw(st.integers(1, 32), label="d_in")
+    batchnorm, training = data.draw(st.booleans(), label="batchnorm"), data.draw(st.booleans(), label="training")
+    _assert_split_forward_keeps_every_bit(split_everything, monkeypatch, n, d_in, D, batchnorm, training)
+
+
+def _assert_split_forward_keeps_every_bit(split_everything, monkeypatch, n, d_in, D, batchnorm, training):
+    """A seeded layer's forward gives the same output, features, record and running
+    statistics whole and split."""
     X = Rng(n).normal((n, d_in), 0.0, 2.0)
 
     def run():

@@ -233,6 +233,18 @@ def test_one_error_class_per_exit_code_and_one_floating_point_policy_in_cli_main
     assert len(sites) == 1 and sites[0][0] == "cli.py" and main.lineno <= sites[0][1] <= main.end_lineno, sites
 
 
+def test_rff_layer_backward_reads_every_field_of_the_layer_record():
+    # a field that backward never reads is an array kept alive for nothing between a step's forward and backward
+    tree = ast.parse(Path(ROOT, "src", "rffnet", "rff_layer.py").read_text())
+    record = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "LayerCache")
+    fields = {node.target.id for node in record.body if isinstance(node, ast.AnnAssign)}
+    backward = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "backward")
+    cache = backward.args.args[1].arg
+    read = {node.attr for node in ast.walk(backward) if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load) and isinstance(node.value, ast.Name) and node.value.id == cache}
+    assert fields and fields - read == set()
+
+
 def test_mem_probe_trains_on_a_small_eeg_shaped_file(tmp_path):
     result = subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "mem_probe.py"), "--rows", "300", "--out", str(tmp_path)],
